@@ -50,6 +50,7 @@ __all__ = [
     "attention_mask",
     "bridge_forward",
     "project_to_lm",
+    "lm_prefix",
     "text_logits",
     "match_score",
 ]
@@ -66,9 +67,6 @@ class BridgeParams:
     vocab_size: int
     max_text: int
     params: dict  # name -> Tensor, all trainable
-
-    def tensors(self):
-        return self.params
 
 
 def init_bridge(seed, vocab_size, d_b=32, n_q=32, L_b=4, n_heads=4,
@@ -203,6 +201,12 @@ def project_to_lm(query_out, bp):
             f"query_out width {query_out.shape[1]} != d_b {bp.d_b}"
         )
     return linear(query_out, bp.params["proj.w"], bp.params["proj.b"])
+
+
+def lm_prefix(atoms, bp):
+    """Inference-mode query outputs projected into the LM: (n_q, d_lm)."""
+    out = bridge_forward(atoms, None, "inference", bp)
+    return project_to_lm(out["query_out"], bp)
 
 
 def text_logits(text_out, bp):

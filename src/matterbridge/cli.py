@@ -18,9 +18,10 @@ import sys
 
 import numpy as np
 
-from .config import Config, config_hash, load_config
-from .crystal import build_graph, parse_structure
+from .config import Config, load_config
+from .crystal import parse_structure
 from .datasetgen import (
+    InstructionSample,
     build_instruction_corpus,
     generate_synthetic_records,
     load_instruction_samples,
@@ -29,26 +30,25 @@ from .datasetgen import (
     write_instruction_samples,
     write_property_records,
 )
-from .encoder import encode_atoms
 from .errors import MatterBridgeError, ValidationError
 from .evaluate import (
     CLASSIFICATION_TASKS,
     DEFAULT_RAG_K,
     NUMERIC_TASKS,
+    _AnswerCache,
     evaluate_checkpoint,
     generate_answer,
-    parse_answer_value,
+    predict_sample,
     project_2d_pca,
     write_eval_report,
 )
-from .rag import EmbeddingRecord, EmbeddingStore, embed_material
-from .rag import rag_aggregate, retrieve_topk
+from .ioutil import atomic_write
+from .rag import EmbeddingRecord, EmbeddingStore, embed_material, retrieve_topk
 from .rematch import RematchConfig, similarity_matrix
 from .soap import SoapConfig
 from .templates import TASKS, attribute_text, format_value, numeric_target
 from .templates import render_prompt
-from .tensor import Tensor
-from .trainer import build_models, finetune, pretrain
+from .trainer import build_models, encode_structure, finetune, pretrain
 from .trainer import restore_models
 
 SEED_ENV = "MATTERBRIDGE_SEED"
@@ -68,20 +68,11 @@ def resolve_seed(arg_seed, cfg):
     return cfg.seed
 
 
-def _load_cfg(args):
-    return load_config(args.config) if args.config else Config()
-
-
 def _structure_from_file(path, fmt):
     if fmt is None:
         fmt = "cif-subset" if path.endswith(".cif") else "structure-json"
     with open(path, "r", encoding="utf-8") as fh:
         return parse_structure(fh.read(), fmt)
-
-
-def _atoms_for(structure, models):
-    graph = build_graph(structure, cutoff=models.encoder.cutoff)
-    return Tensor(encode_atoms(graph, models.encoder), requires_grad=False)
 
 
 def _record_labels(record):
@@ -91,123 +82,89 @@ def _record_labels(record):
     return labels
 
 
-def _out(line):
-    print(line)
-
-
 # -- subcommand bodies -------------------------------------------------------
 
 
-def cmd_gen_data(args):
-    cfg = _load_cfg(args)
-    seed = resolve_seed(args.seed, cfg)
+def cmd_gen_data(args, cfg, seed):
     os.makedirs(args.out, exist_ok=True)
     records = generate_synthetic_records(seed, args.n)
     write_property_records(os.path.join(args.out, "records.jsonl"), records)
-    _out(f"{len(records)} records -> records.jsonl")
+    print(f"{len(records)} records -> records.jsonl")
     if len(records) >= 10:
         train, test = split_dataset(records, seed)
         write_property_records(
             os.path.join(args.out, "records_train.jsonl"), train)
         write_property_records(
             os.path.join(args.out, "records_test.jsonl"), test)
-        _out(f"split {len(records)} -> {len(train)} train / {len(test)} test")
+        print(f"split {len(records)} -> {len(train)} train / {len(test)} test")
     else:
         train, test = records, []
-        _out("fewer than 10 records: split skipped, train = all")
+        print("fewer than 10 records: split skipped, train = all")
     train_samples = build_instruction_corpus(train, seed)
     write_instruction_samples(
         os.path.join(args.out, "samples_train.jsonl"), train_samples)
-    _out(f"{len(train_samples)} train samples -> samples_train.jsonl")
+    print(f"{len(train_samples)} train samples -> samples_train.jsonl")
     if test:
         test_samples = build_instruction_corpus(test, seed)
         write_instruction_samples(
             os.path.join(args.out, "samples_test.jsonl"), test_samples)
-        _out(f"{len(test_samples)} test samples -> samples_test.jsonl")
+        print(f"{len(test_samples)} test samples -> samples_test.jsonl")
     return 0
 
 
-def cmd_pretrain(args):
-    cfg = _load_cfg(args)
-    seed = resolve_seed(args.seed, cfg)
+def cmd_pretrain(args, cfg, seed):
     records = load_property_records(args.records)
     models = build_models(cfg, seed)
     os.makedirs(args.out, exist_ok=True)
     path = pretrain(records, models, cfg, seed=seed, log_path=args.log,
                     ckpt_dir=args.out)
-    _out(f"pretraining done: {path}")
+    print(f"pretraining done: {path}")
     return 0
 
 
-def cmd_finetune(args):
-    cfg = _load_cfg(args)
-    seed = resolve_seed(args.seed, cfg)
+def cmd_finetune(args, cfg, seed):
     records = load_property_records(args.records)
     samples = load_instruction_samples(args.samples)
     os.makedirs(args.out, exist_ok=True)
     path = finetune(samples, records, args.ckpt, cfg, seed=seed,
                     log_path=args.log, ckpt_dir=args.out,
                     allow_config_mismatch=args.allow_config_mismatch)
-    _out(f"finetuning done: {path}")
+    print(f"finetuning done: {path}")
     return 0
 
 
-def cmd_infer(args):
-    cfg = _load_cfg(args)
-    resolve_seed(args.seed, cfg)
+def cmd_infer(args, cfg, seed):
     if args.task not in TASKS:
         raise ValidationError(
             f"unknown task {args.task!r}; choose from {', '.join(TASKS)}")
+    if args.rag and not (args.store and args.records):
+        raise ValidationError("--rag needs --store and --records")
     models = restore_models(args.ckpt)
     structure = _structure_from_file(args.structure, args.fmt)
     prompt = render_prompt(args.task, args.template_index)
-    answer = generate_answer(models, _atoms_for(structure, models), prompt,
-                             max_new=args.max_new)
     if not args.rag:
-        _out(answer)
+        print(generate_answer(models, encode_structure(structure, models),
+                              prompt, max_new=args.max_new))
         return 0
-    if not args.store or not args.records:
-        raise ValidationError("--rag needs --store and --records")
     store = EmbeddingStore.load(args.store)
-    pool = {r.material_id: r for r in load_property_records(args.records)}
-    vec = embed_material(structure, models)
-    hits = retrieve_topk(store, vec, args.k, exclude_id=args.id)
-    ids = [h.material_id for h in hits]
-    _out(f"self: {answer}")
-    _out(f"retrieved: {','.join(ids)}")
-    try:
-        self_pred = parse_answer_value(answer, args.task)
-    except MatterBridgeError:
-        _out(f"final: {answer}")
-        return 0
-    neighbor_preds = []
-    for nid in ids:
-        rec = pool.get(nid)
-        if rec is None:
-            raise ValidationError(
-                f"store references material {nid!r} missing from --records")
-        ntext = generate_answer(models, _atoms_for(rec.structure, models),
-                                prompt, max_new=args.max_new)
-        try:
-            neighbor_preds.append(parse_answer_value(ntext, args.task))
-        except MatterBridgeError:
-            continue
-    if neighbor_preds:
-        kind = "numeric" if args.task in NUMERIC_TASKS else "classification"
-        final = rag_aggregate(self_pred, neighbor_preds, kind)
-    else:
-        final = self_pred
-    if args.task in NUMERIC_TASKS:
-        kind_name = "energy" if args.task == "bandgap" else "energy_per_atom"
-        _out(f"final: {format_value(final, kind_name)}")
-    else:
-        _out(f"final: {final}")
+    cache = _AnswerCache(models, load_property_records(args.records),
+                         max_new=args.max_new)
+    cache.structures[args.id] = structure  # the file stands in for --id
+    answer = cache.answer(args.id, prompt)
+    print(f"self: {answer}")
+    print(f"retrieved: {','.join(cache.neighbors(args.id, store, args.k))}")
+    sample = InstructionSample(args.id, args.task, prompt, answer="")
+    final, failed = predict_sample(cache, sample, store, args.k)
+    if failed:
+        final = answer
+    elif args.task in NUMERIC_TASKS:
+        kind = "energy" if args.task == "bandgap" else "energy_per_atom"
+        final = format_value(final, kind)
+    print(f"final: {final}")
     return 0
 
 
-def cmd_eval(args):
-    cfg = _load_cfg(args)
-    resolve_seed(args.seed, cfg)
+def cmd_eval(args, cfg, seed):
     records = load_property_records(args.records)
     samples = load_instruction_samples(args.samples)
     store = None
@@ -220,15 +177,13 @@ def cmd_eval(args):
                                  max_new=args.max_new)
     write_eval_report(args.out, report)
     for task, entry in report.tasks.items():
-        _out(f"{task}: {entry['metric']}={entry['value']} "
-             f"count={entry['count']} parse_errors={entry['parse_errors']}")
-    _out(f"report written to {args.out}")
+        print(f"{task}: {entry['metric']}={entry['value']} "
+              f"count={entry['count']} parse_errors={entry['parse_errors']}")
+    print(f"report written to {args.out}")
     return 0
 
 
-def cmd_embed(args):
-    cfg = _load_cfg(args)
-    resolve_seed(args.seed, cfg)
+def cmd_embed(args, cfg, seed):
     models = restore_models(args.ckpt)
     records = load_property_records(args.records)
     if not records:
@@ -240,32 +195,27 @@ def cmd_embed(args):
             store = EmbeddingStore(vec.size)
         store.add(EmbeddingRecord(rec.material_id, vec, _record_labels(rec)))
     store.save(args.out)
-    _out(f"wrote {len(store)} embeddings of stride {store.stride} "
-         f"to {args.out}")
+    print(f"wrote {len(store)} embeddings of stride {store.stride} "
+          f"to {args.out}")
     return 0
 
 
-def cmd_retrieve(args):
-    cfg = _load_cfg(args)
-    resolve_seed(args.seed, cfg)
+def cmd_retrieve(args, cfg, seed):
     store = EmbeddingStore.load(args.store)
     ids = [r.material_id for r in store.records]
     if args.query_id not in ids:
         raise ValidationError(
             f"query id {args.query_id!r} not in store")
-    mat = store.matrix()
-    query = mat[ids.index(args.query_id)]
+    query = store.records[ids.index(args.query_id)].vector
     exclude = None if args.include_self else args.query_id
     hits = retrieve_topk(store, query, args.k, exclude_id=exclude)
     for hit in hits:
         dist = float(np.linalg.norm(hit.vector - query))
-        _out(f"{hit.material_id} {dist!r}")
+        print(f"{hit.material_id} {dist!r}")
     return 0
 
 
-def cmd_similarity(args):
-    cfg = _load_cfg(args)
-    resolve_seed(args.seed, cfg)
+def cmd_similarity(args, cfg, seed):
     records = load_property_records(args.records)
     if args.ids:
         wanted = args.ids.split(",")
@@ -288,26 +238,24 @@ def cmd_similarity(args):
                          f"{float(sim[i, j])!r}")
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        _out(f"{len(lines) - 1} pairs -> {args.out}")
+        with atomic_write(args.out) as fh:
+            fh.write(text.encode())
+        print(f"{len(lines) - 1} pairs -> {args.out}")
     else:
         sys.stdout.write(text)
     return 0
 
 
-def cmd_project(args):
-    cfg = _load_cfg(args)
-    resolve_seed(args.seed, cfg)
+def cmd_project(args, cfg, seed):
     store = EmbeddingStore.load(args.store)
     coords, frac = project_2d_pca(store.matrix())
     lines = ["material_id,x,y"]
     for rec, (x, y) in zip(store.records, coords):
         lines.append(f"{rec.material_id},{float(x)!r},{float(y)!r}")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    _out(f"projected {len(store)} embeddings -> {args.out}")
-    _out(f"variance fractions: {float(frac[0])!r} {float(frac[1])!r}")
+    with atomic_write(args.out) as fh:
+        fh.write(("\n".join(lines) + "\n").encode())
+    print(f"projected {len(store)} embeddings -> {args.out}")
+    print(f"variance fractions: {float(frac[0])!r} {float(frac[1])!r}")
     return 0
 
 
@@ -408,7 +356,8 @@ def run_cli(argv=None):
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.fn(args)
+        cfg = load_config(args.config) if args.config else Config()
+        return args.fn(args, cfg, resolve_seed(args.seed, cfg))
     except (MatterBridgeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -9,7 +9,6 @@ out in ``synthetic_labels`` and mirrored in the README.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ import numpy as np
 
 from .crystal import Structure, structure_from_dict, structure_to_dict
 from .errors import ContractError, ValidationError
-from .ioutil import canonical_json
+from .ioutil import load_jsonl, write_jsonl
 from .templates import (
     CRYSTAL_SYSTEMS,
     MAGNETIC_ORDERS,
@@ -275,6 +274,8 @@ def record_to_dict(r):
 
 def record_from_dict(obj):
     fields = dict(obj)
+    if "structure" not in fields:
+        raise ValidationError("record JSON missing key 'structure'")
     structure = structure_from_dict(fields.pop("structure"))
     rec = PropertyRecord(structure=structure, **fields)
     validate_record(rec)
@@ -282,10 +283,7 @@ def record_from_dict(obj):
 
 
 def write_property_records(path, records):
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(canonical_json(record_to_dict(r)))
-            fh.write("\n")
+    write_jsonl(path, (record_to_dict(r) for r in records))
 
 
 def load_property_records(path):
@@ -293,28 +291,15 @@ def load_property_records(path):
     problems = []
     records = []
     seen = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                rec = record_from_dict(obj)
-            except (ValidationError, TypeError) as e:
-                problems.append(f"line {lineno}: {e}")
-                continue
-            except json.JSONDecodeError as e:
-                problems.append(f"line {lineno}: bad JSON ({e.msg})")
-                continue
-            if rec.material_id in seen:
-                problems.append(
-                    f"line {lineno}: duplicate material_id {rec.material_id!r} "
-                    f"(first on line {seen[rec.material_id]})"
-                )
-                continue
-            seen[rec.material_id] = lineno
-            records.append(rec)
+    for lineno, rec in load_jsonl(path, record_from_dict):
+        if rec.material_id in seen:
+            problems.append(
+                f"line {lineno}: duplicate material_id {rec.material_id!r} "
+                f"(first on line {seen[rec.material_id]})"
+            )
+            continue
+        seen[rec.material_id] = lineno
+        records.append(rec)
     if problems:
         raise ValidationError("; ".join(problems))
     return records
@@ -361,6 +346,9 @@ def sample_to_dict(s):
 
 
 def sample_from_dict(obj):
+    missing = {"material_id", "task", "prompt", "answer"} - set(obj)
+    if missing:
+        raise ValidationError(f"sample JSON missing keys: {sorted(missing)}")
     return InstructionSample(
         material_id=obj["material_id"],
         task=obj["task"],
@@ -371,20 +359,12 @@ def sample_from_dict(obj):
 
 
 def write_instruction_samples(path, samples):
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in samples:
-            fh.write(canonical_json(sample_to_dict(s)))
-            fh.write("\n")
+    write_jsonl(path, (sample_to_dict(s) for s in samples))
 
 
 def load_instruction_samples(path):
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(sample_from_dict(json.loads(line)))
-    return out
+    """Samples from a JSON-lines file; errors are itemized."""
+    return [s for _, s in load_jsonl(path, sample_from_dict)]
 
 
 # -- splitting ---------------------------------------------------------------

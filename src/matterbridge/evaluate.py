@@ -21,14 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bridge import bridge_forward, project_to_lm
-from .errors import ContractError, ValidationError
-from .ioutil import canonical_json
+from .bridge import lm_prefix
+from .errors import ContractError, MatterBridgeError, ValidationError
+from .ioutil import atomic_write, canonical_json
 from .lm import generate_greedy
 from .rag import embed_material, rag_aggregate, retrieve_topk
 from .templates import BINARY_FORMS, MAGNETIC_ORDERS, NUMERIC_TASKS
 from .templates import attribute_text, numeric_target
-from .trainer import _encode_record, as_checkpoint, restore_models
+from .trainer import as_checkpoint, encode_structure, restore_models
 
 CLASSIFICATION_TASKS = (
     "is_metal",
@@ -154,8 +154,7 @@ def generate_answer(models, atoms, prompt, max_new=None):
     """Greedy-decode an answer sentence for a prompt and encoded atoms."""
     if not prompt:
         raise ValidationError("prompt must be nonempty")
-    out = bridge_forward(atoms, None, "inference", models.bridge)
-    prefix = project_to_lm(out["query_out"], models.bridge)
+    prefix = lm_prefix(atoms, models.bridge)
     vocab = models.vocab
     ids = [vocab.bos_id] + vocab.tokenize(prompt) + [vocab.sep_id]
     room = models.lm.max_len - prefix.shape[0] - len(ids)
@@ -169,27 +168,32 @@ def generate_answer(models, atoms, prompt, max_new=None):
 
 
 class _AnswerCache:
-    """Per-(material, prompt) decode cache shared across an eval run."""
+    """Per-material encodings, decodes, embeddings and retrievals of a run.
+
+    structures maps material id to structure (infer adds its query's);
+    one cache serves one embedding store.
+    """
 
     def __init__(self, models, records, max_new=None):
         self.models = models
-        self.by_id = {r.material_id: r for r in records}
+        self.structures = {r.material_id: r.structure for r in records}
         self.max_new = max_new
         self._atoms = {}
         self._texts = {}
         self._vectors = {}
+        self._neighbors = {}
 
-    def record(self, material_id):
-        rec = self.by_id.get(material_id)
-        if rec is None:
+    def structure(self, material_id):
+        structure = self.structures.get(material_id)
+        if structure is None:
             raise ValidationError(
-                f"sample references unknown material {material_id!r}")
-        return rec
+                f"unknown material {material_id!r}: not in the records")
+        return structure
 
     def atoms(self, material_id):
         if material_id not in self._atoms:
-            rec = self.record(material_id)
-            self._atoms[material_id] = _encode_record(rec, self.models)
+            self._atoms[material_id] = encode_structure(
+                self.structure(material_id), self.models)
         return self._atoms[material_id]
 
     def answer(self, material_id, prompt):
@@ -201,16 +205,25 @@ class _AnswerCache:
 
     def vector(self, material_id):
         if material_id not in self._vectors:
-            rec = self.record(material_id)
             self._vectors[material_id] = embed_material(
-                rec.structure, self.models)
+                self.structure(material_id), self.models)
         return self._vectors[material_id]
+
+    def neighbors(self, material_id, store, k):
+        """Ids of the k stored materials nearest to one, itself excluded."""
+        key = (material_id, k)
+        if key not in self._neighbors:
+            hits = retrieve_topk(store, self.vector(material_id), k,
+                                 exclude_id=material_id)
+            self._neighbors[key] = [h.material_id for h in hits]
+        return self._neighbors[key]
 
 
 def _parse_or_none(text, task):
+    """The parsed answer, or None for an answer or task with no value."""
     try:
         return parse_answer_value(text, task)
-    except ValidationError:
+    except MatterBridgeError:
         return None
 
 
@@ -220,7 +233,8 @@ def predict_sample(cache, sample, rag_store=None, k=DEFAULT_RAG_K):
     Returns (prediction, parse_failed).  With a store, the top-k
     neighbors of the sample's material are decoded with the same prompt
     and aggregated with the self prediction; neighbors whose answers do
-    not parse are dropped, and a failed self parse is final.
+    not parse are dropped, and a failed self parse is final.  Tasks with
+    free-text answers (no label set or unit) always fail to parse.
     """
     task = sample.task
     text = cache.answer(sample.material_id, sample.prompt)
@@ -229,10 +243,8 @@ def predict_sample(cache, sample, rag_store=None, k=DEFAULT_RAG_K):
         return None, True
     if rag_store is None:
         return pred, False
-    vec = cache.vector(sample.material_id)
-    hits = retrieve_topk(rag_store, vec, k, exclude_id=sample.material_id)
     neighbor_preds = []
-    for nid in (h.material_id for h in hits):
+    for nid in cache.neighbors(sample.material_id, rag_store, k):
         ntext = cache.answer(nid, sample.prompt)
         npred = _parse_or_none(ntext, task)
         if npred is not None:
@@ -277,9 +289,8 @@ def report_from_dict(obj):
 
 
 def write_eval_report(path, report):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(report.to_dict()))
-        fh.write("\n")
+    with atomic_write(path) as fh:
+        fh.write((canonical_json(report.to_dict()) + "\n").encode())
 
 
 def read_eval_report(path):
@@ -310,13 +321,14 @@ def evaluate_checkpoint(ckpt, records, samples, rag_store=None,
     if not eval_samples:
         raise ValidationError("no scoreable samples in the corpus")
     cache = _AnswerCache(models, records, max_new=max_new)
+    by_id = {r.material_id: r for r in records}
     preds = {t: [] for t in EVAL_TASKS}
     refs = {t: [] for t in EVAL_TASKS}
     failures = {t: 0 for t in EVAL_TASKS}
     for sample in eval_samples:
-        rec = cache.record(sample.material_id)
         task = sample.task
         pred, failed = predict_sample(cache, sample, rag_store, k)
+        rec = by_id[sample.material_id]
         if failed:
             failures[task] += 1
         preds[task].append(pred)

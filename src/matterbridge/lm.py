@@ -87,9 +87,6 @@ class LmParams:
     trainable: bool
     params: dict  # name -> Tensor
 
-    def tensors(self):
-        return self.params
-
 
 def init_lm(seed, vocab=None, d_lm=64, L_lm=2, n_heads=4, max_len=320,
             trainable=False):

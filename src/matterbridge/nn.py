@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import NEG_MASK, Tensor, layer_norm, softmax
+from .tensor import NEG_MASK, Tensor, concat, layer_norm, softmax
 
 __all__ = ["gelu", "linear", "multi_head_attention", "feed_forward", "init_weight"]
 
@@ -63,11 +63,7 @@ def multi_head_attention(x_q, x_kv, p, prefix, n_heads, mask=None):
         if mask is not None:
             scores = scores.masked_fill(~np.asarray(mask, dtype=bool), NEG_MASK)
         heads.append(softmax(scores, axis=-1) @ v[sl])
-    merged = heads[0]
-    if n_heads > 1:
-        from .tensor import concat
-
-        merged = concat(heads, axis=1)
+    merged = concat(heads, axis=1) if n_heads > 1 else heads[0]
     return linear(merged, wo, bo)
 
 

@@ -14,12 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bridge import bridge_forward, project_to_lm
-from .crystal import build_graph
-from .encoder import encode_atoms
+from .bridge import lm_prefix
 from .errors import ContractError, ValidationError
-from .ioutil import canonical_json
-from .tensor import Tensor
+from .ioutil import atomic_write, canonical_json
+from .trainer import encode_structure
 
 STORE_BIN = "store.bin"
 STORE_JSON = "store.json"
@@ -32,6 +30,8 @@ class EmbeddingRecord:
     labels: dict
 
     def __post_init__(self):
+        if not isinstance(self.material_id, str):
+            raise ValidationError("material id must be a string")
         self.vector = np.asarray(self.vector, dtype=np.float64).ravel()
         if not np.all(np.isfinite(self.vector)):
             raise ValidationError(
@@ -39,16 +39,12 @@ class EmbeddingRecord:
 
 
 def embed_material(structure, models):
-    """Flattened projected query embeddings for one material.
+    """The material's LM prefix flattened into one vector.
 
-    Runs the bridge in the text-free mode and projects into the language
-    model space; the (n_q, d_lm) block is flattened row-major, so the
-    vector length is n_q * d_lm.
+    The (n_q, d_lm) block of projected bridge queries is flattened
+    row-major, so the vector length is n_q * d_lm.
     """
-    graph = build_graph(structure, cutoff=models.encoder.cutoff)
-    atoms = Tensor(encode_atoms(graph, models.encoder), requires_grad=False)
-    out = bridge_forward(atoms, None, "inference", models.bridge)
-    prefix = project_to_lm(out["query_out"], models.bridge)
+    prefix = lm_prefix(encode_structure(structure, models), models.bridge)
     return prefix.data.reshape(-1).copy()
 
 
@@ -84,7 +80,7 @@ class EmbeddingStore:
     def save(self, directory):
         os.makedirs(directory, exist_ok=True)
         blob = np.ascontiguousarray(self.matrix(), dtype="<f8").tobytes()
-        with open(os.path.join(directory, STORE_BIN), "wb") as fh:
+        with atomic_write(os.path.join(directory, STORE_BIN)) as fh:
             fh.write(blob)
         meta = {
             "stride": self.stride,
@@ -92,10 +88,8 @@ class EmbeddingStore:
             "ids": [r.material_id for r in self.records],
             "labels": [r.labels for r in self.records],
         }
-        with open(os.path.join(directory, STORE_JSON), "w",
-                  encoding="utf-8") as fh:
-            fh.write(canonical_json(meta))
-            fh.write("\n")
+        with atomic_write(os.path.join(directory, STORE_JSON)) as fh:
+            fh.write((canonical_json(meta) + "\n").encode())
         return directory
 
     @classmethod
@@ -107,25 +101,30 @@ class EmbeddingStore:
                 meta = json.load(fh)
         except FileNotFoundError:
             raise ValidationError(f"missing {json_path}") from None
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"{json_path} is not valid JSON: {e.msg}") \
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise ValidationError(f"{json_path} is not valid JSON: {e}") \
                 from None
         try:
             raw = open(bin_path, "rb").read()
         except FileNotFoundError:
             raise ValidationError(f"missing {bin_path}") from None
-        stride, count = int(meta["stride"]), int(meta["count"])
+        try:
+            stride, count = int(meta["stride"]), int(meta["count"])
+            ids, labels = list(meta["ids"]), list(meta["labels"])
+        except (KeyError, TypeError, ValueError):
+            raise ValidationError(
+                f"{json_path} needs stride, count, ids and labels") from None
+        store = cls(stride)
         expected = stride * count * 8
         if len(raw) != expected:
             raise ValidationError(
                 f"{bin_path} holds {len(raw)} bytes, expected {expected} "
                 f"({count} vectors of stride {stride})")
-        if len(meta["ids"]) != count or len(meta["labels"]) != count:
+        if len(ids) != count or len(labels) != count:
             raise ValidationError("store metadata lengths disagree with count")
         vectors = np.frombuffer(raw, dtype="<f8").reshape(count, stride)
-        store = cls(stride)
-        for mid, labels, vec in zip(meta["ids"], meta["labels"], vectors):
-            store.add(EmbeddingRecord(mid, vec.copy(), labels))
+        for mid, lab, vec in zip(ids, labels, vectors):
+            store.add(EmbeddingRecord(mid, vec.copy(), lab))
         return store
 
 

@@ -40,6 +40,8 @@ def sinkhorn_transport(C, cfg=None):
     update suffers, and the even treatment of rows and columns makes
     the computation exactly transpose-symmetric:
     sinkhorn(C.T) == sinkhorn(C).T to the last bit.
+    A kernel row that underflows to zero (small alpha) makes the plan
+    NaN; that raises ConvergenceError at once.
     """
     if cfg is None:
         cfg = RematchConfig()
@@ -69,10 +71,13 @@ def sinkhorn_transport(C, cfg=None):
         # orientations, keeping the transpose property exact
         P = np.multiply.outer(u, v) * K
         col_view = np.multiply.outer(v, u) * KT
-        resid = max(np.abs(P.sum(axis=1) - target_r).max(),
-                    np.abs(col_view.sum(axis=1) - target_c).max())
+        resid = np.maximum(np.abs(P.sum(axis=1) - target_r).max(),
+                           np.abs(col_view.sum(axis=1) - target_c).max())
         if resid <= cfg.threshold:
             return P
+        if not np.isfinite(resid):
+            raise ConvergenceError(f"transport diverged: residual {resid}",
+                                   residual=resid)
         u, v = (np.sqrt(u * (target_r / (K @ v))),
                 np.sqrt(v * (target_c / (KT @ u))))
     raise ConvergenceError(

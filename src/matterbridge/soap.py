@@ -13,7 +13,7 @@ spectrum is the plain product sum p(Z1, Z2)_{n n' l} = sum_m c_nlm(Z1)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special

@@ -66,8 +66,10 @@ class Tensor:
 
     def _accumulate(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # 0.0 + g into a buffer shaped like the data, without a zero fill
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     # -- autodiff ------------------------------------------------------------
 

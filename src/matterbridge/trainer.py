@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import warnings
 import zlib
@@ -22,19 +23,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bridge import (BridgeParams, bridge_forward, init_bridge, match_score,
-                     project_to_lm, text_logits)
+from .bridge import (BridgeParams, bridge_forward, init_bridge, lm_prefix,
+                     match_score, text_logits)
 from .config import config_hash
 from .crystal import build_graph
 from .encoder import EncoderParams, encode_atoms, init_encoder
 from .errors import CheckpointError, ContractError, ValidationError
-from .ioutil import canonical_json
+from .ioutil import atomic_write, canonical_json
 from .lm import LmParams, Vocab, default_vocab, init_lm, lm_forward
 from .objectives import (association_loss, contrastive_loss, finetune_loss,
                          hard_negative_sample, lm_token_loss, sim_matrix)
 from .tensor import Tensor, concat
 
 CHECKPOINT_FORMAT = "bridge-checkpoint-v1"
+MANIFEST_KEYS = ("format", "stage", "step", "config_hash", "config", "vocab",
+                 "tensors")
 STAGES = ("pretrain", "finetune")
 
 
@@ -80,6 +83,12 @@ def build_models(cfg, seed=None):
                  n_heads=cfg.lm_heads, max_len=cfg.max_len,
                  trainable=cfg.lm_trainable)
     return Models(encoder=encoder, bridge=bridge, lm=lm, vocab=vocab)
+
+
+def encode_structure(structure, models):
+    """Frozen per-atom features (n_atoms, d_enc) of one structure."""
+    graph = build_graph(structure, cutoff=models.encoder.cutoff)
+    return Tensor(encode_atoms(graph, models.encoder), requires_grad=False)
 
 
 def all_tensors(models):
@@ -217,7 +226,7 @@ def save_checkpoint(path, models, cfg, stage, step):
         "tensors": records,
     }
     payload = canonical_json(manifest).encode()
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(np.array(len(payload), dtype="<u8").tobytes())
         fh.write(payload)
         for blob in blobs:
@@ -252,21 +261,36 @@ def load_checkpoint(path):
         manifest = json.loads(raw[8:8 + n_manifest].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: manifest is not valid JSON: {e}") from None
-    if manifest.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(f"{path}: unrecognized format tag "
-                              f"{manifest.get('format')!r}")
+    tag = manifest.get("format") if isinstance(manifest, dict) else None
+    if tag != CHECKPOINT_FORMAT:
+        raise CheckpointError(f"{path}: unrecognized format tag {tag!r}")
+    missing = [key for key in MANIFEST_KEYS if key not in manifest]
+    if missing or not isinstance(manifest["tensors"], list):
+        raise CheckpointError(f"{path}: manifest needs the keys "
+                              f"{list(MANIFEST_KEYS)}, tensors a list")
     body = raw[8 + n_manifest:]
     arrays = {}
     for rec in manifest["tensors"]:
-        if rec["name"] in arrays:
-            raise CheckpointError(f"{path}: duplicate tensor {rec['name']!r}")
-        lo, hi = rec["offset"], rec["offset"] + rec["nbytes"]
+        try:
+            name, shape = rec["name"], tuple(rec["shape"])
+            lo, nbytes = rec["offset"], rec["nbytes"]
+            sizes = (lo, nbytes) + shape
+            valid = (isinstance(name, str)
+                     and all(type(v) is int and v >= 0 for v in sizes)
+                     and nbytes == 8 * math.prod(shape))
+        except (KeyError, TypeError):
+            valid = False
+        if not valid:
+            raise CheckpointError(f"{path}: malformed tensor record {rec!r}")
+        if name in arrays:
+            raise CheckpointError(f"{path}: duplicate tensor {name!r}")
+        hi = lo + nbytes
         if hi > len(body):
             raise CheckpointError(
-                f"{path}: blob for tensor {rec['name']!r} is truncated "
+                f"{path}: blob for tensor {name!r} is truncated "
                 f"(needs bytes [{lo}, {hi}), file has {len(body)})")
-        arr = np.frombuffer(body[lo:hi], dtype="<f8").reshape(rec["shape"])
-        arrays[rec["name"]] = arr.copy()
+        arr = np.frombuffer(body[lo:hi], dtype="<f8").reshape(shape)
+        arrays[name] = arr.copy()
     return Checkpoint(manifest=manifest, arrays=arrays)
 
 
@@ -334,8 +358,6 @@ class _LossLog:
               "association")
 
     def __init__(self, path):
-        self.path = path
-        self.rows = []
         self._fh = None
         self._writer = None
         if path is not None:
@@ -347,7 +369,6 @@ class _LossLog:
         row = (step, stage, repr(float(lr)), repr(float(loss)),
                repr(float(parts[0])), repr(float(parts[1])),
                repr(float(parts[2])))
-        self.rows.append(row)
         if self._writer is not None:
             self._writer.writerow(row)
             self._fh.flush()
@@ -371,11 +392,6 @@ def caption_for(record, seed):
     return render_answer(record, "formula", idx)
 
 
-def _encode_record(record, models):
-    graph = build_graph(record.structure, cutoff=models.encoder.cutoff)
-    return Tensor(encode_atoms(graph, models.encoder), requires_grad=False)
-
-
 def _bridge_text_ids(vocab, caption):
     return [vocab.bos_id] + vocab.tokenize(caption)
 
@@ -383,6 +399,17 @@ def _bridge_text_ids(vocab, caption):
 def _epoch_order(n, seed, stage, epoch):
     rng = stream_rng(seed, f"{stage}-epoch-{epoch}")
     return rng.permutation(n)
+
+
+def _save_stage(ckpt_dir, tag, models, cfg, stage, step):
+    """Save <stage>-<tag>.ckpt into ckpt_dir and return its path.
+
+    Without a ckpt_dir nothing is saved and the models are returned.
+    """
+    if ckpt_dir is None:
+        return models
+    path = os.path.join(ckpt_dir, f"{stage}-{tag}.ckpt")
+    return save_checkpoint(path, models, cfg, stage, step)
 
 
 def _nan_abort(loss_value, stage, step):
@@ -471,7 +498,7 @@ def pretrain(records, models, cfg, seed=None, log_path=None, ckpt_dir=None):
     vocab = models.vocab
     pairs = []
     for rec in records:
-        atoms = _encode_record(rec, models)
+        atoms = encode_structure(rec.structure, models)
         ids = _bridge_text_ids(vocab, caption_for(rec, seed))
         if len(ids) > models.bridge.max_text:
             raise ValidationError(
@@ -508,21 +535,14 @@ def pretrain(records, models, cfg, seed=None, log_path=None, ckpt_dir=None):
                 _nan_abort(window_loss, "pretrain", step)
                 adamw_step(params, state, step, lr, cfg)
                 log.add(step, "pretrain", lr, window_loss, window_parts)
-                if ckpt_dir is not None and step % cfg.checkpoint_interval == 0:
-                    save_checkpoint(
-                        os.path.join(ckpt_dir, f"pretrain-step{step}.ckpt"),
-                        models, cfg, "pretrain", step)
-            if ckpt_dir is not None:
-                save_checkpoint(
-                    os.path.join(ckpt_dir, f"pretrain-epoch{epoch + 1}.ckpt"),
-                    models, cfg, "pretrain", step)
+                if step % cfg.checkpoint_interval == 0:
+                    _save_stage(ckpt_dir, f"step{step}", models, cfg,
+                                "pretrain", step)
+            _save_stage(ckpt_dir, f"epoch{epoch + 1}", models, cfg, "pretrain",
+                        step)
     finally:
         log.close()
-    if ckpt_dir is not None:
-        final = os.path.join(ckpt_dir, "pretrain-final.ckpt")
-        save_checkpoint(final, models, cfg, "pretrain", step)
-        return final
-    return models
+    return _save_stage(ckpt_dir, "final", models, cfg, "pretrain", step)
 
 
 # ---------------------------------------------------------------------------
@@ -550,9 +570,7 @@ def finetune_sequences(sample, vocab):
 
 def _finetune_sample_terms(entry, models):
     atoms, inputs, targets, mask = entry
-    out = bridge_forward(atoms, None, "inference", models.bridge)
-    prefix = project_to_lm(out["query_out"], models.bridge)
-    logits = lm_forward(prefix, inputs, models.lm)
+    logits = lm_forward(lm_prefix(atoms, models.bridge), inputs, models.lm)
     return logits, targets, mask
 
 
@@ -584,7 +602,7 @@ def finetune(samples, records, ckpt, cfg, seed=None, log_path=None,
         if key not in by_id:
             raise ValidationError(f"sample references unknown material {key}")
         if key not in atom_cache:
-            atom_cache[key] = _encode_record(by_id[key], models)
+            atom_cache[key] = encode_structure(by_id[key].structure, models)
         inputs, targets, mask = finetune_sequences(s, vocab)
         if models.bridge.n_q + len(inputs) > models.lm.max_len:
             raise ValidationError(
@@ -621,21 +639,14 @@ def finetune(samples, records, ckpt, cfg, seed=None, log_path=None,
                 _nan_abort(window_loss, "finetune", step)
                 adamw_step(params, state, step, lr, cfg)
                 log.add(step, "finetune", lr, window_loss)
-                if ckpt_dir is not None and step % cfg.checkpoint_interval == 0:
-                    save_checkpoint(
-                        os.path.join(ckpt_dir, f"finetune-step{step}.ckpt"),
-                        models, cfg, "finetune", step)
-            if ckpt_dir is not None:
-                save_checkpoint(
-                    os.path.join(ckpt_dir, f"finetune-epoch{epoch + 1}.ckpt"),
-                    models, cfg, "finetune", step)
+                if step % cfg.checkpoint_interval == 0:
+                    _save_stage(ckpt_dir, f"step{step}", models, cfg,
+                                "finetune", step)
+            _save_stage(ckpt_dir, f"epoch{epoch + 1}", models, cfg, "finetune",
+                        step)
     finally:
         log.close()
-    if ckpt_dir is not None:
-        final = os.path.join(ckpt_dir, "finetune-final.ckpt")
-        save_checkpoint(final, models, cfg, "finetune", step)
-        return final
-    return models
+    return _save_stage(ckpt_dir, "final", models, cfg, "finetune", step)
 
 
 def read_loss_log(path):

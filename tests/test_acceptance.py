@@ -11,6 +11,8 @@ command line.
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -18,6 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import matterbridge
 from matterbridge.cli import run_cli
 from matterbridge.config import Config, load_config, save_config
 from matterbridge.crystal import Structure, neighbor_list_pbc, structure_to_dict
@@ -54,12 +57,12 @@ from matterbridge.templates import (
 from matterbridge.tensor import Tensor, concat
 from matterbridge.trainer import (
     _bridge_text_ids,
-    _encode_record,
     _finetune_sample_terms,
     _pretrain_micro_loss,
     adamw_step,
     build_models,
     caption_for,
+    encode_structure,
     finetune,
     finetune_sequences,
     init_optim_state,
@@ -124,7 +127,7 @@ def test_criterion_01_gradient_suite(capsys):
                      d_lm=24, L_lm=1, lm_heads=2)
         models = build_models(cfg, seed=11)
         records = generate_synthetic_records(seed=17, n=2)
-        atoms = [_encode_record(rec, models) for rec in records]
+        atoms = [encode_structure(rec.structure, models) for rec in records]
         ids = [_bridge_text_ids(models.vocab, caption_for(rec, 17))
                for rec in records]
         pairs = list(zip(atoms, ids))
@@ -426,6 +429,56 @@ def test_criterion_07_transport_and_kernel(capsys):
 # criterion 8: retrieval-augmented inference equals the composed aggregate
 
 
+_REPLAY_SCRIPT = """
+import contextlib, io, json, sys
+from matterbridge.cli import run_cli
+results = []
+with open(sys.argv[1], encoding="utf-8") as fh:
+    calls = json.load(fh)
+for argv in calls:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = run_cli(argv)
+    results.append([rc, out.getvalue()])
+with open(sys.argv[2], "w", encoding="utf-8") as fh:
+    json.dump(results, fh)
+"""
+
+
+class _CliReplay:
+    """run_cli over a list of argvs in a child interpreter.
+
+    The child starts on entry and runs while the block does; on exit
+    ``results`` holds one (exit code, stdout) pair per argv.
+    """
+
+    def __init__(self, calls, workdir):
+        self.calls_path = workdir / "replay_calls.json"
+        self.results_path = workdir / "replay_results.json"
+        self.calls_path.write_text(json.dumps(calls), encoding="utf-8")
+        self.results = None
+
+    def __enter__(self):
+        src = str(Path(matterbridge.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        self.proc = subprocess.Popen(
+            [sys.executable, "-c", _REPLAY_SCRIPT,
+             str(self.calls_path), str(self.results_path)], env=env)
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is not None:
+            self.proc.kill()
+            self.proc.wait()
+            return False
+        assert self.proc.wait() == 0, "cli replay interpreter failed"
+        self.results = [tuple(pair) for pair in json.loads(
+            self.results_path.read_text(encoding="utf-8"))]
+        return False
+
+
 def test_criterion_08_rag_mechanics(capsys, overfit_run):
     with _Criterion(capsys, 8) as r:
         assert rag_aggregate("metal", ["metal", "non-metal"],
@@ -455,10 +508,11 @@ def test_criterion_08_rag_mechanics(capsys, overfit_run):
         scoreable = [s for s in overfit_run.samples
                      if s.task in CLASSIFICATION_TASKS + NUMERIC_TASKS]
         assert len(scoreable) == 288
+        calls = []
         for sample in scoreable:
             template_idx = get_templates(sample.task).instructions.index(
                 sample.prompt)
-            rc = run_cli(["infer",
+            calls.append(["infer",
                           "--ckpt", str(overfit_run.ckpt_path),
                           "--structure", str(structure_files[sample.material_id]),
                           "--task", sample.task,
@@ -467,17 +521,24 @@ def test_criterion_08_rag_mechanics(capsys, overfit_run):
                           "--store", str(store_path),
                           "--records", str(records_path),
                           "--id", sample.material_id])
-            out = capsys.readouterr().out
+        # The CLI calls replay in a second interpreter while this one
+        # composes the expected lines from the library.
+        with _CliReplay(calls, root) as replay:
+            expected = []
+            for sample in scoreable:
+                hits = retrieve_topk(store, cache.vector(sample.material_id),
+                                     2, exclude_id=sample.material_id)
+                expected.append((
+                    cache.answer(sample.material_id, sample.prompt),
+                    ",".join(h.material_id for h in hits),
+                    predict_sample(cache, sample, rag_store=store, k=2)))
+        for sample, (rc, out), (expected_self, expected_ids, (pred, failed)) \
+                in zip(scoreable, replay.results, expected, strict=True):
             assert rc == 0
             lines = dict(line.split(": ", 1)
                          for line in out.strip().splitlines())
-
-            expected_self = cache.answer(sample.material_id, sample.prompt)
             assert lines["self"] == expected_self
-            hits = retrieve_topk(store, cache.vector(sample.material_id), 2,
-                                 exclude_id=sample.material_id)
-            assert lines["retrieved"] == ",".join(h.material_id for h in hits)
-            pred, failed = predict_sample(cache, sample, rag_store=store, k=2)
+            assert lines["retrieved"] == expected_ids
             assert not failed
             if sample.task in NUMERIC_TASKS:
                 kind = "energy" if sample.task == "bandgap" else "energy_per_atom"
@@ -515,7 +576,7 @@ def test_criterion_09_schedule_and_optimizer(capsys):
             models = build_models(acc_cfg, seed=5)
             pairs = []
             for rec in records:
-                atoms = _encode_record(rec, models)
+                atoms = encode_structure(rec.structure, models)
                 ids = _bridge_text_ids(models.vocab, caption_for(rec, 5))
                 pairs.append((atoms, ids))
             params = trainable_tensors(models)
@@ -542,7 +603,8 @@ def test_criterion_09_schedule_and_optimizer(capsys):
         by_id = {rec.material_id: rec for rec in records}
         entries = []
         for sample in corpus:
-            atoms = _encode_record(by_id[sample.material_id], models)
+            atoms = encode_structure(by_id[sample.material_id].structure,
+                                     models)
             inputs, targets, mask = finetune_sequences(sample, models.vocab)
             entries.append((atoms, inputs, targets, mask))
         params = trainable_tensors(models)

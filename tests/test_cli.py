@@ -9,8 +9,14 @@ import pytest
 from matterbridge.cli import run_cli
 from matterbridge.config import Config, save_config
 from matterbridge.crystal import structure_to_json
-from matterbridge.datasetgen import load_property_records
-from matterbridge.evaluate import read_eval_report
+from matterbridge.datasetgen import (generate_synthetic_records,
+                                     load_instruction_samples,
+                                     load_property_records,
+                                     write_property_records)
+from matterbridge.errors import MatterBridgeError
+from matterbridge.evaluate import parse_answer_value, read_eval_report
+from matterbridge.rag import EmbeddingRecord, EmbeddingStore
+from matterbridge.trainer import build_models, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture()
@@ -27,6 +33,23 @@ def small_config_path(tmp_path):
 def read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def infer_rag(ckpt, records_path, record, task, tmp, capsys):
+    """Labeled output lines of `infer --rag` for one stored material."""
+    store = str(tmp / "rag-store")
+    assert run_cli(["embed", "--ckpt", str(ckpt),
+                    "--records", str(records_path), "--out", store]) == 0
+    struct_path = str(tmp / "rag-query.json")
+    with open(struct_path, "w", encoding="utf-8") as fh:
+        fh.write(structure_to_json(record.structure))
+    capsys.readouterr()
+    assert run_cli(["infer", "--ckpt", str(ckpt), "--structure", struct_path,
+                    "--task", task, "--max-new", "16", "--rag",
+                    "--store", store, "--records", str(records_path),
+                    "--id", record.material_id]) == 0
+    out = capsys.readouterr().out
+    return dict(line.split(": ", 1) for line in out.strip().splitlines())
 
 
 class TestUsageErrors:
@@ -219,6 +242,33 @@ class TestPipeline:
         assert len(retrieved) == 2
         assert records[0].material_id not in retrieved
 
+    def test_infer_rag_description_task_repeats_own_answer(self, workspace,
+                                                           capsys):
+        # a free-text task has no value to aggregate
+        data = workspace["data"]
+        records = load_property_records(str(data / "records_train.jsonl"))
+        lines = infer_rag(workspace["ckpt"], data / "records_train.jsonl",
+                          records[0], "formula", workspace["tmp"], capsys)
+        assert set(lines) == {"self", "retrieved", "final"}
+        assert len(lines["retrieved"].split(",")) == 2
+        assert lines["final"] == lines["self"]
+
+    def test_infer_rag_unparsed_own_answer_is_final(self, tmp_path, capsys):
+        cfg = Config(d_enc=8, L_enc=1, d_b=8, n_q=2, L_b=1, n_heads=1,
+                     d_lm=8, L_lm=1, lm_heads=1)
+        ckpt = str(tmp_path / "untrained.ckpt")
+        save_checkpoint(ckpt, build_models(cfg, seed=3), cfg, "pretrain", 0)
+        records_path = tmp_path / "records.jsonl"
+        records = generate_synthetic_records(4, 6)
+        write_property_records(records_path, records)
+        lines = infer_rag(ckpt, records_path, records[0], "is_metal",
+                          tmp_path, capsys)
+        with pytest.raises(MatterBridgeError):
+            parse_answer_value(lines["self"], "is_metal")
+        assert set(lines) == {"self", "retrieved", "final"}
+        assert len(lines["retrieved"].split(",")) == 2
+        assert lines["final"] == lines["self"]
+
     def test_rag_without_store_is_an_error(self, workspace, capsys):
         data = workspace["data"]
         ckpt = str(workspace["ckpt"])
@@ -278,3 +328,97 @@ class TestSimilarityCommand:
                       "--ids", "missing-id"])
         assert rc == 1
         assert "unknown material ids" in capsys.readouterr().err
+
+
+def _first_tensor(manifest, **changes):
+    manifest["tensors"][0].update(changes)
+    return manifest
+
+
+# name -> (file kind, corruption); each corrupts one valid file
+CORRUPTIONS = {
+    "ckpt-without-tensors":
+        ("ckpt", lambda m: {k: v for k, v in m.items() if k != "tensors"}),
+    "ckpt-list-manifest": ("ckpt", lambda m: [m]),
+    "ckpt-nbytes-not-shape": ("ckpt", lambda m: _first_tensor(m, nbytes=8)),
+    "ckpt-negative-offset": ("ckpt", lambda m: _first_tensor(m, offset=-8)),
+    "store-without-count":
+        ("store", lambda text: text.replace('"count":', '"uncounted":')),
+    "store-not-utf8": ("store", lambda text: "\udcff" + text),
+    "samples-bad-json": ("samples", lambda lines: lines + ["{not json"]),
+    "samples-missing-key": ("samples", lambda lines: lines + ['{"task": 1}']),
+    "records-missing-structure":
+        ("records", lambda lines: lines + ['{"material_id": "x"}']),
+    "records-not-utf8": ("records", lambda lines: lines + ["\udcff{}"]),
+}
+
+
+class TestCorruptInputs:
+    """A malformed file fails its loader with a MatterBridgeError only,
+    and the command reading it exits 1 with an error line."""
+
+    @pytest.fixture()
+    def files(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert run_cli(["gen-data", "--out", str(data), "--n", "4",
+                        "--seed", "2"]) == 0
+        cfg = Config(d_enc=8, L_enc=1, d_b=8, n_q=2, L_b=1, n_heads=1,
+                     d_lm=8, L_lm=1, lm_heads=1)
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(str(ckpt), build_models(cfg, seed=3), cfg,
+                        "pretrain", 0)
+        store = EmbeddingStore(2)
+        store.add(EmbeddingRecord("a", np.zeros(2), {}))
+        store.add(EmbeddingRecord("b", np.ones(2), {}))
+        store.save(str(tmp_path / "store"))
+        struct = tmp_path / "query.json"
+        records = load_property_records(str(data / "records.jsonl"))
+        struct.write_text(structure_to_json(records[0].structure))
+        capsys.readouterr()
+        return {"ckpt": ckpt, "store": tmp_path / "store", "struct": struct,
+                "samples": data / "samples_train.jsonl",
+                "records": data / "records.jsonl", "tmp": tmp_path}
+
+    @staticmethod
+    def corrupt(files, kind, change):
+        if kind == "ckpt":
+            raw = files["ckpt"].read_bytes()
+            n = int(np.frombuffer(raw[:8], dtype="<u8")[0])
+            payload = json.dumps(change(json.loads(raw[8:8 + n]))).encode()
+            files["ckpt"].write_bytes(np.array(len(payload), dtype="<u8")
+                                      .tobytes() + payload + raw[8 + n:])
+        elif kind == "store":
+            path = files["store"] / "store.json"
+            path.write_text(change(path.read_text()), encoding="utf-8",
+                            errors="surrogateescape")
+        else:
+            path = files[kind]
+            lines = path.read_text().splitlines()
+            path.write_text("\n".join(change(lines)) + "\n",
+                            encoding="utf-8", errors="surrogateescape")
+
+    @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+    def test_only_matterbridge_errors_escape(self, files, case, capsys):
+        kind, change = CORRUPTIONS[case]
+        self.corrupt(files, kind, change)
+        loader, argv = {
+            "ckpt": (load_checkpoint,
+                     ["infer", "--ckpt", str(files["ckpt"]), "--structure",
+                      str(files["struct"]), "--task", "is_metal"]),
+            "store": (EmbeddingStore.load,
+                      ["retrieve", "--store", str(files["store"]),
+                       "--query-id", "a", "--k", "1"]),
+            "samples": (load_instruction_samples,
+                        ["eval", "--ckpt", str(files["ckpt"]),
+                         "--records", str(files["records"]),
+                         "--samples", str(files["samples"]),
+                         "--out", str(files["tmp"] / "report.json")]),
+            "records": (load_property_records,
+                        ["similarity", "--records", str(files["records"])]),
+        }[kind]
+        with pytest.raises(MatterBridgeError):
+            loader(str(files[kind]))
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""

@@ -24,7 +24,7 @@ from matterbridge.evaluate import (
 )
 from matterbridge.rag import EmbeddingRecord, EmbeddingStore, embed_material
 from matterbridge.templates import NUMERIC_TASKS, format_value
-from matterbridge.trainer import _encode_record, build_models, save_checkpoint
+from matterbridge.trainer import build_models, encode_structure, save_checkpoint
 
 
 def small_config(**overrides):
@@ -219,7 +219,7 @@ class TestGeneration:
         cfg = small_config()
         models = build_models(cfg, 3)
         rec = generate_synthetic_records(8, 2)[0]
-        atoms = _encode_record(rec, models)
+        atoms = encode_structure(rec.structure, models)
         a = generate_answer(models, atoms, "Is this a metal?", max_new=12)
         b = generate_answer(models, atoms, "Is this a metal?", max_new=12)
         assert isinstance(a, str)
@@ -229,7 +229,7 @@ class TestGeneration:
         cfg = small_config()
         models = build_models(cfg, 3)
         rec = generate_synthetic_records(8, 2)[0]
-        atoms = _encode_record(rec, models)
+        atoms = encode_structure(rec.structure, models)
         with pytest.raises(ValidationError, match="room"):
             generate_answer(models, atoms, "x" * 320, max_new=4)
 
@@ -237,7 +237,7 @@ class TestGeneration:
         cfg = small_config()
         models = build_models(cfg, 3)
         rec = generate_synthetic_records(8, 2)[0]
-        atoms = _encode_record(rec, models)
+        atoms = encode_structure(rec.structure, models)
         with pytest.raises(ValidationError):
             generate_answer(models, atoms, "")
 

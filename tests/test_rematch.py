@@ -1,5 +1,7 @@
 """Entropic transport plans and best-match structure similarity."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,19 @@ class TestSinkhorn:
         with pytest.raises(ConvergenceError) as err:
             sinkhorn_transport(C, RematchConfig(threshold=1e-12, max_iter=2))
         assert err.value.residual > 0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_underflowing_row_fails_fast(self):
+        # at alpha=0.001 the all-zero first row gives exp(-1000) == 0, so
+        # the scalings blow up; 10**7 iterations would take minutes
+        C = np.array([[0.0, 0.0], [1.0, 0.5], [0.2, 1.0]])
+        cfg = RematchConfig(alpha=0.001, max_iter=10**7)
+        for kernel in (C, np.ascontiguousarray(C.T)):
+            t0 = time.perf_counter()
+            with pytest.raises(ConvergenceError) as err:
+                sinkhorn_transport(kernel, cfg)
+            assert time.perf_counter() - t0 < 5.0
+            assert not np.isfinite(err.value.residual)
 
     def test_bad_shapes(self):
         with pytest.raises(ValidationError):

@@ -181,7 +181,7 @@ class TestAccumulation:
         models = tr.build_models(self.cfg, seed=5)
         pairs = []
         for rec in self.records:
-            atoms = tr._encode_record(rec, models)
+            atoms = tr.encode_structure(rec.structure, models)
             ids = tr._bridge_text_ids(models.vocab,
                                       tr.caption_for(rec, 5))
             pairs.append((atoms, ids))
@@ -212,7 +212,8 @@ class TestAccumulation:
         by_id = {r.material_id: r for r in self.records}
         entries = []
         for s in samples:
-            atoms = tr._encode_record(by_id[s.material_id], models)
+            atoms = tr.encode_structure(by_id[s.material_id].structure,
+                                        models)
             inputs, targets, mask = tr.finetune_sequences(s, models.vocab)
             entries.append((atoms, inputs, targets, mask))
         params = tr.trainable_tensors(models)
@@ -340,7 +341,7 @@ class TestPretrainLoop:
         pairs = []
         n_targets = 0
         for rec in records:
-            atoms = tr._encode_record(rec, models)
+            atoms = tr.encode_structure(rec.structure, models)
             ids = tr._bridge_text_ids(models.vocab, tr.caption_for(rec, 11))
             n_targets += len(ids)
             pairs.append((atoms, ids))
