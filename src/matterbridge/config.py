@@ -93,6 +93,8 @@ def load_config(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
+        except UnicodeDecodeError as e:
+            raise ContractError(f"config {path} is not UTF-8: {e.reason}") from None
         except json.JSONDecodeError as e:
             raise ContractError(f"config {path} is not valid JSON: {e.msg}") from None
     return config_from_dict(obj)

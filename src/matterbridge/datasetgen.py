@@ -346,16 +346,19 @@ def sample_to_dict(s):
 
 
 def sample_from_dict(obj):
-    missing = {"material_id", "task", "prompt", "answer"} - set(obj)
+    keys = ("material_id", "task", "prompt", "answer")
+    missing = set(keys) - set(obj)
     if missing:
         raise ValidationError(f"sample JSON missing keys: {sorted(missing)}")
-    return InstructionSample(
-        material_id=obj["material_id"],
-        task=obj["task"],
-        prompt=obj["prompt"],
-        answer=obj["answer"],
-        numeric_target=obj.get("numeric_target"),
-    )
+    not_text = [k for k in keys if not isinstance(obj[k], str)]
+    if not_text:
+        raise ValidationError(f"sample fields must be strings: {not_text}")
+    target = obj.get("numeric_target")
+    if target is not None and (isinstance(target, bool)
+                               or not isinstance(target, (int, float))):
+        raise ValidationError("numeric_target must be a number or null")
+    return InstructionSample(**{k: obj[k] for k in keys},
+                             numeric_target=target)
 
 
 def write_instruction_samples(path, samples):

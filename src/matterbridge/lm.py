@@ -110,43 +110,48 @@ def init_lm(seed, vocab=None, d_lm=64, L_lm=2, n_heads=4, max_len=320,
                     max_len=max_len, trainable=trainable, params=p)
 
 
-def lm_forward(prefix_embs, token_ids, lp):
+def lm_forward(prefix_embs, token_ids, lp, cache=None):
     """Next-symbol logits (T, V) for the token positions.
 
     ``prefix_embs`` is an optional (n_prefix, d_lm) block of soft-prompt
     embeddings that precede the tokens; logits at token position t
     depend on the prefix and tokens <= t only.
+
+    ``cache`` lets a decoder feed one sequence in pieces: a list that
+    holds, per layer, the normed attention inputs of the positions fed
+    so far (empty before the first piece).  The new rows take the
+    positions after those, attend to every earlier one, and are
+    appended to it in place.
     """
     token_ids = np.asarray(token_ids, dtype=np.int64)
     if token_ids.ndim != 1 or len(token_ids) < 1:
         raise ContractError("token_ids must be a nonempty 1-D sequence")
     p = lp.params
-    if prefix_embs is None:
-        n_prefix = 0
-        x = None
-    else:
+    seen = [] if cache is None else cache
+    n_prefix = 0
+    if prefix_embs is not None:
         prefix_embs = (prefix_embs if isinstance(prefix_embs, Tensor)
                        else Tensor(prefix_embs))
         if prefix_embs.ndim != 2 or prefix_embs.shape[1] != lp.d_lm:
             raise ShapeError(f"prefix must be (n, {lp.d_lm})")
         n_prefix = prefix_embs.shape[0]
-        x = prefix_embs
-    T = len(token_ids)
-    total = n_prefix + T
+    start = seen[0].shape[0] if seen else 0
+    total = start + n_prefix + len(token_ids)
     if total > lp.max_len:
         raise ContractError(f"sequence length {total} exceeds {lp.max_len}")
 
-    tok = embedding(p["tok_embed"], token_ids)
-    pos = p["pos_embed"][np.arange(total)]
-    if x is None:
-        x = tok + pos
-    else:
-        x = concat([x, tok], axis=0) + pos
-
-    mask = np.tril(np.ones((total, total), dtype=bool))
+    x = embedding(p["tok_embed"], token_ids)
+    if prefix_embs is not None:
+        x = concat([prefix_embs, x], axis=0)
+    x = x + p["pos_embed"][np.arange(start, total)]
+    mask = np.tri(total, dtype=bool)[start:]
     for l in range(lp.L_lm):
         normed = layer_norm_block(x, p, f"layers.{l}.ln1")
-        x = x + multi_head_attention(normed, normed, p, f"layers.{l}.self",
+        if len(seen) == l:
+            seen.append(normed)
+        else:
+            seen[l] = concat([seen[l], normed])
+        x = x + multi_head_attention(normed, seen[l], p, f"layers.{l}.self",
                                      lp.n_heads, mask)
         x = x + feed_forward(layer_norm_block(x, p, f"layers.{l}.ln2"),
                              p, f"layers.{l}.ffn")
@@ -158,20 +163,25 @@ def lm_forward(prefix_embs, token_ids, lp):
 def generate_greedy(prefix_embs, prompt_ids, max_new, lp):
     """Deterministic argmax decoding; np.argmax breaks ties on lowest id.
 
-    Stops after ``max_new`` symbols or at EOS; returns the decoded text
-    of the generated symbols (EOS excluded).
+    Runs prefix + prompt once, then one position per generated symbol
+    against ``lm_forward``'s cache of earlier positions.  Stops after
+    ``max_new`` symbols or at EOS; returns the decoded text of the
+    generated symbols (EOS excluded).
     """
     if max_new < 1:
         raise ContractError("max_new must be >= 1")
     ids = list(prompt_ids)
     if not ids:
         raise ContractError("prompt must be nonempty")
+    if isinstance(prefix_embs, Tensor):
+        prefix_embs = prefix_embs.data  # decoding needs no gradient
+    cache = []
     generated = []
     for _ in range(max_new):
-        logits = lm_forward(prefix_embs, ids, lp)
+        logits = lm_forward(prefix_embs, ids, lp, cache)
         nxt = int(np.argmax(logits.data[-1]))
         if nxt == lp.vocab.eos_id:
             break
         generated.append(nxt)
-        ids.append(nxt)
+        prefix_embs, ids = None, [nxt]
     return lp.vocab.detokenize(generated)

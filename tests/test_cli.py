@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from matterbridge.cli import run_cli
-from matterbridge.config import Config, save_config
+from matterbridge.config import Config, load_config, save_config
 from matterbridge.crystal import structure_to_json
 from matterbridge.datasetgen import (generate_synthetic_records,
                                      load_instruction_samples,
@@ -335,6 +335,10 @@ def _first_tensor(manifest, **changes):
     return manifest
 
 
+def _first_with(lines, **changes):
+    return json.dumps({**json.loads(lines[0]), **changes})
+
+
 # name -> (file kind, corruption); each corrupts one valid file
 CORRUPTIONS = {
     "ckpt-without-tensors":
@@ -347,9 +351,14 @@ CORRUPTIONS = {
     "store-not-utf8": ("store", lambda text: "\udcff" + text),
     "samples-bad-json": ("samples", lambda lines: lines + ["{not json"]),
     "samples-missing-key": ("samples", lambda lines: lines + ['{"task": 1}']),
+    "samples-prompt-not-string":
+        ("samples", lambda lines: lines + [_first_with(lines, prompt=5)]),
+    "samples-bool-target": ("samples", lambda lines: lines + [
+        _first_with(lines, numeric_target=True)]),
     "records-missing-structure":
         ("records", lambda lines: lines + ['{"material_id": "x"}']),
     "records-not-utf8": ("records", lambda lines: lines + ["\udcff{}"]),
+    "config-not-utf8": ("config", lambda lines: ["\udcff"] + lines),
 }
 
 
@@ -374,8 +383,11 @@ class TestCorruptInputs:
         struct = tmp_path / "query.json"
         records = load_property_records(str(data / "records.jsonl"))
         struct.write_text(structure_to_json(records[0].structure))
+        config = tmp_path / "config.json"
+        save_config(str(config), cfg)
         capsys.readouterr()
         return {"ckpt": ckpt, "store": tmp_path / "store", "struct": struct,
+                "config": config,
                 "samples": data / "samples_train.jsonl",
                 "records": data / "records.jsonl", "tmp": tmp_path}
 
@@ -415,6 +427,9 @@ class TestCorruptInputs:
                          "--out", str(files["tmp"] / "report.json")]),
             "records": (load_property_records,
                         ["similarity", "--records", str(files["records"])]),
+            "config": (load_config,
+                       ["gen-data", "--config", str(files["config"]),
+                        "--out", str(files["tmp"] / "data2"), "--n", "2"]),
         }[kind]
         with pytest.raises(MatterBridgeError):
             loader(str(files[kind]))

@@ -1,11 +1,14 @@
 """Character LM: tokenization round trips, causality, frozen contract,
-baseline cross-entropy."""
+baseline cross-entropy, cached greedy decoding against full recompute."""
 
 import numpy as np
 import pytest
 
 from matterbridge.errors import ContractError, TokenizationError
 from matterbridge.lm import (
+    BOS,
+    EOS,
+    SEP,
     Vocab,
     default_vocab,
     generate_greedy,
@@ -123,10 +126,87 @@ class TestGenerate:
         assert len(out) <= 1
 
     def test_tie_breaks_lowest_id(self):
-        lp = tiny_lm()
+        # a plain character first, so the tie winner shows in the text
+        chars = ["a", "b", "c", "d"]
+        vocab = Vocab(chars[:1] + [BOS, EOS, SEP] + chars[1:])
+        lp = tiny_lm(vocab=vocab)
         lp.params["tok_embed"].data[:] = 0.0  # all logits equal
-        out_ids = []
-        ids = [lp.vocab.bos_id]
-        logits = lm_forward(None, ids, lp)
-        nxt = int(np.argmax(logits.data[-1]))
-        assert nxt == 0  # lowest id wins the tie
+        ids = [vocab.bos_id] + vocab.tokenize("bcd")
+        prefix = np.random.default_rng(3).standard_normal((2, 16))
+        for pref in (None, prefix):
+            assert reference_greedy(pref, ids, 5, lp) == [0] * 5
+            assert generate_greedy(pref, ids, 5, lp) == "aaaaa"
+
+
+def reference_greedy(prefix, ids, max_new, lp):
+    """Generated ids of a full-recompute argmax loop over lm_forward."""
+    ids = list(ids)
+    out = []
+    for _ in range(max_new):
+        nxt = int(np.argmax(lm_forward(prefix, ids, lp).data[-1]))
+        if nxt == lp.vocab.eos_id:
+            break
+        out.append(nxt)
+        ids.append(nxt)
+    return out
+
+
+def cached_step_logits(prefix, prompt, generated, lp):
+    """Last-row logits of each cached decode step along ``generated``."""
+    cache = []
+    out = [lm_forward(prefix, prompt, lp, cache).data[-1]]
+    for nxt in generated:
+        out.append(lm_forward(None, [nxt], lp, cache).data[-1])
+    return out
+
+
+class TestCachedDecoding:
+    """generate_greedy against the full-recompute reference loop."""
+
+    MAX_NEW = 20
+
+    @staticmethod
+    def case(seed):
+        rng = np.random.default_rng(seed)
+        lp = tiny_lm(seed)
+        # a heavier EOS row makes some decodes end early
+        lp.params["tok_embed"].data[lp.vocab.eos_id] *= 3.0
+        prefix = (rng.standard_normal((int(rng.integers(1, 5)), 16))
+                  if seed % 2 else None)
+        ids = [lp.vocab.bos_id] + rng.integers(
+            3, len(lp.vocab), size=int(rng.integers(1, 8))).tolist()
+        return lp, prefix, ids
+
+    def test_text_and_logits_match_reference(self):
+        lengths = []
+        for seed in range(16):
+            lp, prefix, ids = self.case(seed)
+            want = reference_greedy(prefix, ids, self.MAX_NEW, lp)
+            got = generate_greedy(prefix, ids, self.MAX_NEW, lp)
+            assert got == lp.vocab.detokenize(want), seed
+            steps = cached_step_logits(prefix, ids, want, lp)
+            for k, logits in enumerate(steps):
+                full = lm_forward(prefix, ids + want[:k], lp).data[-1]
+                np.testing.assert_allclose(logits, full, rtol=0, atol=1e-12)
+            lengths.append(len(want))
+        # the cases cover an EOS after some symbols and a full budget
+        assert any(0 < n < self.MAX_NEW for n in lengths)
+        assert self.MAX_NEW in lengths
+
+    def test_max_len_contract_at_the_overflowing_step(self):
+        lp = tiny_lm(max_len=8)
+        ids = list(range(3, 9))  # decode step k runs 6 + k positions
+        for max_new in (1, 2, 3):
+            assert len(generate_greedy(None, ids, max_new, lp)) == max_new
+        for max_new in (4, 5):
+            with pytest.raises(ContractError, match="length 9 exceeds 8"):
+                generate_greedy(None, ids, max_new, lp)
+        with pytest.raises(ContractError, match="length 10 exceeds 8"):
+            generate_greedy(np.zeros((4, 16)), ids, 1, lp)
+
+    def test_early_eos_within_max_len_returns(self):
+        vocab = Vocab([EOS, BOS, SEP] + list("abcdefg"))
+        lp = tiny_lm(vocab=vocab, max_len=8)
+        lp.params["tok_embed"].data[:] = 0.0  # EOS (id 0) wins every tie
+        ids = vocab.tokenize("abcdef")
+        assert generate_greedy(None, ids, 5, lp) == ""
