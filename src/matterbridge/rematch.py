@@ -67,19 +67,19 @@ def sinkhorn_transport(C, cfg=None):
     target_c = 1.0 / m
     resid = np.inf
     for _ in range(cfg.max_iter):
-        # outer(u, v) * K groups each product the same way in both
-        # orientations, keeping the transpose property exact
-        P = np.multiply.outer(u, v) * K
-        col_view = np.multiply.outer(v, u) * KT
-        resid = np.maximum(np.abs(P.sum(axis=1) - target_r).max(),
-                           np.abs(col_view.sum(axis=1) - target_c).max())
+        # the plan's row and column sums are u * (K v) and v * (K^T u);
+        # the same two products drive the update
+        Kv, KTu = K @ v, KT @ u
+        resid = np.maximum(np.abs(u * Kv - target_r).max(),
+                           np.abs(v * KTu - target_c).max())
         if resid <= cfg.threshold:
-            return P
+            # outer(u, v) * K groups each product the same way in both
+            # orientations, keeping the transpose property exact
+            return np.multiply.outer(u, v) * K
         if not np.isfinite(resid):
             raise ConvergenceError(f"transport diverged: residual {resid}",
                                    residual=resid)
-        u, v = (np.sqrt(u * (target_r / (K @ v))),
-                np.sqrt(v * (target_c / (KT @ u))))
+        u, v = np.sqrt(u * (target_r / Kv)), np.sqrt(v * (target_c / KTu))
     raise ConvergenceError(
         f"transport failed to reach {cfg.threshold} in {cfg.max_iter} "
         f"iterations", residual=resid)

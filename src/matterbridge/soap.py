@@ -9,10 +9,16 @@ to unit length, is the per-atom descriptor.
 Coefficients are kept in the real spherical-harmonic form, so the power
 spectrum is the plain product sum p(Z1, Z2)_{n n' l} = sum_m c_nlm(Z1)
 * c_n'lm(Z2), with n <= n' kept on same-species blocks.
+
+Harmonics are computed once per structure over the flat neighbor list.
+Each center then takes the radial overlaps of all its neighbors at once,
+a Gaussian times the closed-form exp(-z) i_l(z) on a cached quadrature
+grid, and sums them per species with a one-hot product.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,12 +61,7 @@ def descriptor_length(cfg):
     return (n_sp * same + n_cross * cross) * (cfg.l_max + 1)
 
 
-def _quadrature(r_cut):
-    x, w = np.polynomial.legendre.leggauss(_QUAD_POINTS)
-    r = 0.5 * r_cut * (x + 1.0)
-    return r, 0.5 * r_cut * w
-
-
+@functools.lru_cache(maxsize=32)
 def radial_basis(cfg):
     """Orthonormal radial functions sampled on the quadrature grid.
 
@@ -68,9 +69,11 @@ def radial_basis(cfg):
     center spacing, which keeps the Gram matrix well conditioned) are
     orthonormalized against the r^2 measure through the Cholesky factor
     of their Gram matrix.  Returns (r_nodes, weights, G) where G[n, q]
-    is the n-th orthonormal function at node q.
+    is the n-th orthonormal function at node q.  Cached per config, so
+    the arrays are read-only.
     """
-    r, w = _quadrature(cfg.r_cut)
+    x, w = np.polynomial.legendre.leggauss(_QUAD_POINTS)
+    r, w = 0.5 * cfg.r_cut * (x + 1.0), 0.5 * cfg.r_cut * w
     if cfg.n_max == 1:
         centers = np.array([0.0])
         width = cfg.r_cut
@@ -81,63 +84,74 @@ def radial_basis(cfg):
     gram = (prim * (w * r * r)) @ prim.T
     chol = np.linalg.cholesky(gram)
     ortho = np.linalg.solve(chol, prim)
+    for a in (r, w, ortho):
+        a.flags.writeable = False
     return r, w, ortho
 
 
 def _scaled_bessel(l_max, z):
-    """exp(-z) * i_l(z) for l = 0..l_max, elementwise over z >= 0."""
-    z = np.asarray(z, dtype=np.float64)
-    out = np.zeros((l_max + 1,) + z.shape)
-    small = z < 1e-12
-    safe = np.where(small, 1.0, z)
-    pref = np.sqrt(np.pi / (2.0 * safe))
-    for l in range(l_max + 1):
-        vals = pref * special.ive(l + 0.5, safe)
-        out[l] = np.where(small, 1.0 if l == 0 else 0.0, vals)
-    return out
+    """exp(-z) * i_l(z) for l = 0..l_max, elementwise over z >= 0.
 
-
-def _harmonics(l_max, theta, phi):
-    """Complex Y_lm for m >= 0, shaped (l, m, neighbor)."""
-    k = theta.shape[0]
-    out = np.zeros((l_max + 1, l_max + 1, k), dtype=np.complex128)
-    for l in range(l_max + 1):
-        for m in range(l + 1):
-            out[l, m] = special.sph_harm_y(l, m, theta, phi)
-    return out
-
-
-def _real_coefficients(c_complex, l_max):
-    """Convert complex-harmonic coefficients to the real-harmonic form.
-
-    Input (n, l, m >= 0) complex; output (n, l, 2 l_max + 1) real with
-    slots [c_l0, sqrt2 Re c_l1, sqrt2 Im c_l1, ...]; unused slots zero.
+    Orders 0 and 1 in closed form seed the upward recurrence
+    s_{l+1} = s_{l-1} - (2l+1)/z s_l; below the switch point, where that
+    recurrence loses digits, every order comes from its power series
+    z^l / (2l+1)!! * sum_k c_lk (z^2 / 2)^k, whose terms are all
+    positive.  z < 1e-12 counts as z = 0.
     """
-    n_max = c_complex.shape[0]
-    out = np.zeros((n_max, l_max + 1, 2 * l_max + 1))
-    out[:, :, 0] = c_complex[:, :, 0].real
-    for m in range(1, l_max + 1):
-        out[:, :, 2 * m - 1] = np.sqrt(2.0) * c_complex[:, :, m].real
-        out[:, :, 2 * m] = np.sqrt(2.0) * c_complex[:, :, m].imag
+    switch = max(8.0, l_max * l_max / 4.0)
+    out = np.empty((l_max + 1,) + z.shape)
+    # the recurrence runs on every entry; the series overwrites those
+    # below the switch
+    zb = np.maximum(z, switch)
+    em1 = np.expm1(-2.0 * zb)
+    np.divide(em1, -2.0 * zb, out=out[0])
+    np.divide((1.0 + 0.5 * em1) - out[0], zb, out=out[1])
+    for l in range(1, l_max):
+        np.subtract(out[l - 1], (2 * l + 1) / zb * out[l], out=out[l + 1])
+    series = z < switch
+    zs = z[series]
+    zs[zs < 1e-12] = 0.0
+    x = 0.5 * zs * zs
+    # c_lk = prod_{0 < j <= k} 1 / (j (2l + 2j + 1)), c_l0 = 1; at the
+    # switch the last term is below 1e-17 of the sum for every l_max
+    k = np.arange(1, int(switch) + 20)
+    coef = np.cumprod(1.0 / (k * (2 * np.arange(l_max + 1)[:, None]
+                                  + 2 * k + 1)), axis=1)
+    acc = 1.0 + x * np.polynomial.polynomial.polyval(x, coef.T, tensor=True)
+    lead = np.exp(-zs)
+    for l in range(l_max + 1):
+        out[l][series] = lead * acc[l]
+        lead *= zs / (2 * l + 3)
     return out
 
 
-def _neighbor_shells(structure, cfg):
-    """Per-center lists of (species index, displacement vectors)."""
-    idx = {sym: i for i, sym in enumerate(cfg.species)}
-    for sym in set(structure.species):
-        if sym not in idx:
-            raise ValidationError(
-                f"species {sym!r} is not in the descriptor registry "
-                f"{cfg.species}")
-    edge_i, edge_j, offsets, _ = neighbor_list_pbc(structure, cfg.r_cut)
-    cart = structure.cart_coords
-    lattice = structure.lattice
-    shells = [[] for _ in range(len(structure.species))]
-    for a, b, off in zip(edge_i, edge_j, offsets):
-        vec = cart[b] + off @ lattice - cart[a]
-        shells[a].append((idx[structure.species[b]], vec))
-    return shells, idx
+def _real_harmonics(l_max, vecs, dist):
+    """Real Y_l in slots [Y_l0, sqrt2 Re Y_l1, -sqrt2 Im Y_l1, ...],
+    shaped (l, neighbor, 2 l_max + 1); slots past 2l stay zero."""
+    theta = np.arccos(np.clip(vecs[:, 2] / dist, -1.0, 1.0))
+    y = special.sph_harm_y_all(l_max, l_max, theta,
+                               np.arctan2(vecs[:, 1], vecs[:, 0]))
+    y = y[:, :l_max + 1].transpose(0, 2, 1)
+    pairs = np.stack([y[:, :, 1:].real, -y[:, :, 1:].imag], axis=-1)
+    return np.concatenate([y[:, :, :1].real, np.sqrt(2.0) * pairs.reshape(
+        l_max + 1, len(dist), 2 * l_max)], axis=2)
+
+
+def _neighbor_coefficients(dist, onehot, harm, r, base, alpha):
+    """Density coefficients c[l, (species, n), m] of one center's
+    off-site neighbors: neighbor k sits at dist[k], has species
+    onehot[k] and real harmonics harm[:, k].  A function of its own so
+    these arrays are freed before the next center's are made."""
+    dd = dist[:, None]
+    l_max = harm.shape[0] - 1
+    bess = _scaled_bessel(l_max, 2.0 * alpha * r * dd)
+    bess *= np.exp(-alpha * (r - dd) ** 2)
+    # rad[l, k, n]: radial overlap of neighbor k, moved into its species'
+    # rows so one product sums every species at once
+    rad = bess @ base.T
+    split = (onehot[:, :, None] * rad[:, :, None, :]).reshape(
+        l_max + 1, len(dist), onehot.shape[1] * base.shape[0])
+    return 4.0 * np.pi * (split.transpose(0, 2, 1) @ harm)
 
 
 def soap_descriptor(structure, cfg=None):
@@ -146,66 +160,52 @@ def soap_descriptor(structure, cfg=None):
         cfg = SoapConfig()
     r, w, ortho = radial_basis(cfg)
     alpha = 1.0 / (2.0 * cfg.sigma * cfg.sigma)
-    n_sp = len(cfg.species)
-    lmax, nmax = cfg.l_max, cfg.n_max
-    shells, idx = _neighbor_shells(structure, cfg)
-    wr2 = w * r * r
+    n_sp, lmax, nmax = len(cfg.species), cfg.l_max, cfg.n_max
+    unknown = set(structure.species) - set(cfg.species)
+    if unknown:
+        raise ValidationError(f"species {min(unknown)!r} is not in the "
+                              f"descriptor registry {cfg.species}")
+    species = np.array([cfg.species.index(s) for s in structure.species])
+    n_atoms = len(species)
+    edge_i, edge_j, offsets, _ = neighbor_list_pbc(structure, cfg.r_cut)
+    cart = structure.cart_coords
+    vecs = cart[edge_j] + offsets @ structure.lattice - cart[edge_i]
+    dist = np.linalg.norm(vecs, axis=1)
+    # on-site Gaussians (the center and any coincident neighbor) only
+    # feed the isotropic channel
+    central = dist < 1e-12
+    counts = np.bincount(edge_i[central] * n_sp + species[edge_j[central]],
+                         minlength=n_atoms * n_sp).reshape(n_atoms, n_sp)
+    counts[np.arange(n_atoms), species] += 1
     # radial weight common to every neighbor: G_n(r) r^2 w
-    base = ortho * wr2[None, :]
+    base = ortho * (w * r * r)
+    onsite = (counts * np.sqrt(4.0 * np.pi))[:, :, None] * (
+        base @ np.exp(-alpha * r * r))
 
-    rows = []
-    tri = np.triu_indices(nmax)
-    for center, shell in enumerate(shells):
-        # coefficients per species in real-harmonic layout
-        coeff = np.zeros((n_sp, nmax, lmax + 1, 2 * lmax + 1))
-        by_species = {}
-        for sp, vec in shell:
-            by_species.setdefault(sp, []).append(vec)
-        self_sp = idx[structure.species[center]]
-        by_species.setdefault(self_sp, []).append(np.zeros(3))
-        for sp, vecs in by_species.items():
-            vecs = np.asarray(vecs)
-            dist = np.linalg.norm(vecs, axis=1)
-            central = dist < 1e-12
-            c_cplx = np.zeros((nmax, lmax + 1, lmax + 1),
-                              dtype=np.complex128)
-            if np.any(central):
-                # an on-site Gaussian only feeds the isotropic channel
-                radial = base @ np.exp(-alpha * r * r)
-                c_cplx[:, 0, 0] += (np.sum(central) * np.sqrt(4.0 * np.pi)
-                                    * radial)
-            if np.any(~central):
-                vv = vecs[~central]
-                dd = dist[~central]
-                theta = np.arccos(np.clip(vv[:, 2] / dd, -1.0, 1.0))
-                phi = np.arctan2(vv[:, 1], vv[:, 0])
-                gauss = np.exp(-alpha * (r[None, :] - dd[:, None]) ** 2)
-                bess = _scaled_bessel(
-                    lmax, 2.0 * alpha * r[None, :] * dd[:, None])
-                # I[k, n, l]: radial overlap of neighbor k
-                rad = np.einsum("nq,kq,lkq->knl", base, gauss, bess)
-                harm = _harmonics(lmax, theta, phi)
-                c_cplx += 4.0 * np.pi * np.einsum(
-                    "knl,lmk->nlm", rad, np.conj(harm))
-            coeff[sp] += _real_coefficients(c_cplx, lmax)
+    keep = ~central
+    edge_i, dist = edge_i[keep], dist[keep]
+    onehot = species[edge_j[keep]][:, None] == np.arange(n_sp)
+    harm = _real_harmonics(lmax, vecs[keep], dist)
+    bounds = np.searchsorted(edge_i, np.arange(n_atoms + 1))
+    # blocks (a, b) with a <= b, keeping n <= n' when a == b; an entry
+    # off the block diagonal stands for two in the full symmetric sum,
+    # so sqrt(2) keeps dot products of descriptors equal to that sum
+    a, b, n, k = np.ix_(*map(np.arange, (n_sp, n_sp, nmax, nmax)))
+    kept = (a < b) | ((a == b) & (n <= k))
+    weight = np.where((a == b) & (n == k), 1.0, np.sqrt(2.0))[kept, None]
 
-        blocks = []
-        for a in range(n_sp):
-            block = np.einsum("nlm,klm->nkl", coeff[a], coeff[a])
-            kept = block[tri[0], tri[1], :]
-            # off-diagonal (n < n') pairs appear once in the compressed
-            # block but twice in the full symmetric sum; sqrt(2) keeps
-            # dot products of descriptors equal to the full sum
-            kept = kept * np.where(tri[0] == tri[1], 1.0,
-                                   np.sqrt(2.0))[:, None]
-            blocks.append(kept.ravel())
-            for b in range(a + 1, n_sp):
-                cross = np.einsum("nlm,klm->nkl", coeff[a], coeff[b])
-                blocks.append(np.sqrt(2.0) * cross.ravel())
-        vec = np.concatenate(blocks)
-        norm = np.linalg.norm(vec)
-        if norm == 0.0:
-            raise ValidationError(
-                f"atom {center} produced a zero descriptor")
-        rows.append(vec / norm)
-    return np.stack(rows)
+    rows = np.empty((n_atoms, descriptor_length(cfg)))
+    for center, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        # coeff[l, (species, n), m] in the real-harmonic slot layout
+        coeff = _neighbor_coefficients(dist[lo:hi], onehot[lo:hi],
+                                       harm[:, lo:hi], r, base, alpha)
+        coeff[0, :, 0] += onsite[center].ravel()
+        gram = (coeff @ coeff.transpose(0, 2, 1)).reshape(
+            lmax + 1, n_sp, nmax, n_sp, nmax).transpose(1, 3, 2, 4, 0)
+        rows[center] = (gram[kept] * weight).ravel()
+    norm = np.linalg.norm(rows, axis=1)
+    if np.any(norm == 0.0):
+        raise ValidationError(
+            f"atom {int(np.argmin(norm))} produced a zero descriptor")
+    rows /= norm[:, None]
+    return rows

@@ -2,13 +2,87 @@
 
 import numpy as np
 import pytest
+from scipy import special
 
-from matterbridge.crystal import Structure
+from matterbridge.crystal import Structure, neighbor_list_pbc
 from matterbridge.errors import ValidationError
-from matterbridge.soap import (SoapConfig, descriptor_length, radial_basis,
+from matterbridge.soap import (SoapConfig, _scaled_bessel,
+                               descriptor_length, radial_basis,
                                soap_descriptor)
 
 from helpers import random_structure
+
+
+def bessel_oracle(l_max, z):
+    """exp(-z) i_l(z) = sqrt(pi / 2z) ive(l + 1/2, z), taken as 1, 0, 0, ..
+    for z < 1e-12."""
+    z = np.asarray(z, dtype=np.float64)
+    small = z < 1e-12
+    safe = np.where(small, 1.0, z)
+    out = np.stack([np.sqrt(np.pi / (2.0 * safe)) * special.ive(l + 0.5, safe)
+                    for l in range(l_max + 1)])
+    out[:, small] = 0.0
+    out[0, small] = 1.0
+    return out
+
+
+def reference_soap(structure, cfg):
+    """The descriptor by a slower route: one center and one neighbor
+    species at a time, complex harmonics one (l, m) at a time, the
+    Bessel factor from scipy, then the change to real harmonics."""
+    r, w, ortho = radial_basis(cfg)
+    alpha = 1.0 / (2.0 * cfg.sigma * cfg.sigma)
+    n_sp, lmax, nmax = len(cfg.species), cfg.l_max, cfg.n_max
+    idx = {sym: i for i, sym in enumerate(cfg.species)}
+    cart = structure.cart_coords
+    shells = [[] for _ in structure.species]
+    for a, b, off, _ in zip(*neighbor_list_pbc(structure, cfg.r_cut)):
+        shells[a].append((idx[structure.species[b]],
+                          cart[b] + off @ structure.lattice - cart[a]))
+    base = ortho * (w * r * r)[None, :]
+    tri = np.triu_indices(nmax)
+    rows = []
+    for center, shell in enumerate(shells):
+        coeff = np.zeros((n_sp, nmax, lmax + 1, 2 * lmax + 1))
+        by_species = {}
+        for sp, vec in shell + [(idx[structure.species[center]],
+                                 np.zeros(3))]:
+            by_species.setdefault(sp, []).append(vec)
+        for sp, vecs in by_species.items():
+            vecs = np.asarray(vecs)
+            dist = np.linalg.norm(vecs, axis=1)
+            central = dist < 1e-12
+            c = np.zeros((nmax, lmax + 1, lmax + 1), dtype=np.complex128)
+            c[:, 0, 0] += (np.sum(central) * np.sqrt(4.0 * np.pi)
+                           * (base @ np.exp(-alpha * r * r)))
+            if np.any(~central):
+                vv, dd = vecs[~central], dist[~central]
+                theta = np.arccos(np.clip(vv[:, 2] / dd, -1.0, 1.0))
+                phi = np.arctan2(vv[:, 1], vv[:, 0])
+                gauss = np.exp(-alpha * (r[None, :] - dd[:, None]) ** 2)
+                bess = bessel_oracle(lmax, 2.0 * alpha * r * dd[:, None])
+                rad = np.einsum("nq,kq,lkq->knl", base, gauss, bess)
+                for l in range(lmax + 1):
+                    for m in range(l + 1):
+                        y = special.sph_harm_y(l, m, theta, phi)
+                        c[:, l, m] += 4.0 * np.pi * (rad[:, :, l].T
+                                                     @ np.conj(y))
+            coeff[sp, :, :, 0] += c[:, :, 0].real
+            for m in range(1, lmax + 1):
+                coeff[sp, :, :, 2 * m - 1] += np.sqrt(2.0) * c[:, :, m].real
+                coeff[sp, :, :, 2 * m] += np.sqrt(2.0) * c[:, :, m].imag
+        blocks = []
+        for a in range(n_sp):
+            block = np.einsum("nlm,klm->nkl", coeff[a], coeff[a])
+            blocks.append((block[tri] * np.where(tri[0] == tri[1], 1.0,
+                                                 np.sqrt(2.0))[:, None])
+                          .ravel())
+            for b in range(a + 1, n_sp):
+                blocks.append(np.sqrt(2.0) * np.einsum(
+                    "nlm,klm->nkl", coeff[a], coeff[b]).ravel())
+        vec = np.concatenate(blocks)
+        rows.append(vec / np.linalg.norm(vec))
+    return np.stack(rows)
 
 
 def special_orthogonal(rng):
@@ -52,6 +126,69 @@ class TestRadialBasis:
             r, w, G = radial_basis(cfg)
             overlap = (G * (w * r * r)) @ G.T
             np.testing.assert_allclose(overlap, np.eye(n_max), atol=1e-9)
+
+
+class TestScaledBessel:
+    @pytest.mark.parametrize("l_max", [1, 6, 12])
+    def test_matches_scipy_from_zero_to_4000(self, l_max):
+        # the dense stretch crosses the series/recurrence switch point,
+        # max(8, l_max^2 / 4), of every l_max here
+        z = np.concatenate([[0.0, 5e-13], np.geomspace(1e-12, 4000.0, 4000),
+                            np.linspace(0.0, 80.0, 16001)])
+        got = _scaled_bessel(l_max, z)
+        want = bessel_oracle(l_max, z)
+        assert got.shape == (l_max + 1, z.size)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_keeps_the_input_shape(self):
+        z = np.linspace(0.0, 50.0, 12).reshape(3, 4)
+        assert _scaled_bessel(6, z).shape == (7, 3, 4)
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("cfg", [
+        SoapConfig(),
+        SoapConfig(n_max=1, l_max=1),
+        SoapConfig(sigma=0.2),
+    ], ids=["default", "n1-l1", "sigma0.2"])
+    def test_random_structures(self, cfg):
+        rng = np.random.default_rng(1013)
+        for _ in range(3):
+            s = random_structure(rng, n_min=1, n_max=4)
+            np.testing.assert_allclose(soap_descriptor(s, cfg),
+                                       reference_soap(s, cfg),
+                                       rtol=0.0, atol=1e-12)
+
+    def test_two_species_registry(self):
+        cfg = SoapConfig(n_max=5, l_max=4, species=("Si", "O"))
+        rng = np.random.default_rng(1014)
+        for _ in range(3):
+            s = random_structure(rng, n_min=2, n_max=5)
+            s = Structure(s.material_id, s.lattice,
+                          [cfg.species[k % 2] for k in range(len(s.species))],
+                          s.frac_coords)
+            np.testing.assert_allclose(soap_descriptor(s, cfg),
+                                       reference_soap(s, cfg),
+                                       rtol=0.0, atol=1e-12)
+
+    def test_isolated_atom(self):
+        s = Structure("lone", np.eye(3) * 30.0, ["Si"],
+                      np.array([[0.5, 0.5, 0.5]]))
+        cfg = SoapConfig()
+        np.testing.assert_allclose(soap_descriptor(s, cfg),
+                                   reference_soap(s, cfg), rtol=0.0,
+                                   atol=1e-12)
+
+    def test_coincident_atoms(self):
+        # a zero-distance neighbor counts as a second on-site Gaussian
+        s = Structure("twin", np.eye(3) * 4.0, ["Si", "O", "Si"],
+                      np.array([[0.1, 0.2, 0.3], [0.1, 0.2, 0.3],
+                                [0.6, 0.5, 0.4]]))
+        cfg = SoapConfig(n_max=4, l_max=3)
+        d = soap_descriptor(s, cfg)
+        np.testing.assert_allclose(d, reference_soap(s, cfg), rtol=0.0,
+                                   atol=1e-12)
+        assert np.abs(d[0] - d[2]).max() > 1e-3
 
 
 class TestDescriptor:
