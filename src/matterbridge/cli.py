@@ -71,7 +71,7 @@ def resolve_seed(arg_seed, cfg):
 def _structure_from_file(path, fmt):
     if fmt is None:
         fmt = "cif-subset" if path.endswith(".cif") else "structure-json"
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return parse_structure(fh.read(), fmt)
 
 

@@ -47,8 +47,15 @@ class Structure:
     frac_coords: np.ndarray  # (n, 3) in [0, 1)
 
     def __post_init__(self):
-        self.lattice = np.asarray(self.lattice, dtype=np.float64)
-        self.frac_coords = np.asarray(self.frac_coords, dtype=np.float64)
+        if not isinstance(self.species, (list, tuple)):
+            raise ValidationError(
+                f"species must be a list, got {type(self.species).__name__}")
+        try:
+            self.lattice = np.asarray(self.lattice, dtype=np.float64)
+            self.frac_coords = np.asarray(self.frac_coords, dtype=np.float64)
+        except (TypeError, ValueError) as e:
+            raise ValidationError(
+                f"lattice and frac_coords must be numeric arrays: {e}") from None
         self.species = list(self.species)
         _validate_structure(self)
         self.frac_coords = self.frac_coords % 1.0
@@ -117,7 +124,10 @@ class CrystalGraph:
 def parse_structure(data, fmt="structure-json"):
     """Parse ``data`` (bytes or str) in the named format into a Structure."""
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ParseError(f"structure file is not UTF-8: {e}") from None
     if fmt == "structure-json":
         return _parse_structure_json(data)
     if fmt == "cif-subset":
@@ -195,6 +205,10 @@ def _parse_cif(text):
                 headers.append(lines[j].strip().split()[0])
                 j += 1
             if "_atom_site_fract_x" in headers:
+                for key in ("_atom_site_fract_y", "_atom_site_fract_z"):
+                    if key not in headers:
+                        raise ParseError(f"atom-site loop lacks {key}",
+                                         line=i + 1)
                 while j < len(lines):
                     row = lines[j].strip()
                     if not row or row.startswith(("_", "loop_", "data_", "#")):

@@ -38,7 +38,7 @@ N_RBF = 16
 # those from a neighbor 1.5 A further out count 5 % as much
 NEIGHBOR_DECAY = 0.5
 
-__all__ = ["EncoderParams", "init_encoder", "encode_atoms", "radial_basis"]
+__all__ = ["EncoderParams", "init_encoder", "encode_atoms"]
 
 
 @dataclass
@@ -50,7 +50,6 @@ class EncoderParams:
     rbf_centers: np.ndarray  # (N_RBF,)
     rbf_width: float
     layers: list  # per layer: dict with w_msg, w_edge, w_update
-    frozen: bool = True
 
     def state_dict(self):
         out = {"atom_embed": self.atom_embed, "rbf_centers": self.rbf_centers}
@@ -89,7 +88,7 @@ def init_encoder(seed, d_enc=32, L_enc=2, cutoff=6.0):
     )
 
 
-def radial_basis(dist, centers, width):
+def _gaussian_basis(dist, centers, width):
     """Gaussian expansion of distances: (E,) -> (E, N_RBF)."""
     dist = np.asarray(dist, dtype=np.float64)
     return np.exp(-((dist[:, None] - centers[None, :]) ** 2) / (2.0 * width**2))
@@ -130,7 +129,7 @@ def encode_atoms(graph, params):
     ei = np.asarray(graph.edge_i, dtype=np.int64)
     ej = np.asarray(graph.edge_j, dtype=np.int64)
     dist = np.asarray(graph.edge_dist, dtype=np.float64)
-    edge_feat = radial_basis(dist, params.rbf_centers, params.rbf_width)
+    edge_feat = _gaussian_basis(dist, params.rbf_centers, params.rbf_width)
     n = len(z)
     weight, weight_sum = _neighbor_weights(ei, dist, n)
 

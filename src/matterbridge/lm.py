@@ -1,8 +1,9 @@
-"""Frozen character-level causal language model.
+"""Character-level causal language model.
 
 Stands in for a large pretrained decoder: a small transformer over a
-closed character vocabulary whose parameters are drawn once from a seed
-and never trained (a config flag can make them trainable, default off).
+closed character vocabulary whose parameters are drawn once from a
+seed.  It stays frozen unless ``lm_trainable`` is set (default off);
+the overfit release gate sets it, for the reason ``trainer`` gives.
 Projected query embeddings are prepended to the token embeddings as a
 soft prefix; logits are emitted for token positions only.
 

@@ -4,7 +4,9 @@ Three pretraining losses share one bridge: a contrastive loss over
 graph/text pairs, a conditional next-symbol loss for text generation
 from query features, and a binary match loss with hard-negative
 sampling.  Their unweighted sum is the pretraining objective.
-Finetuning uses answer-masked cross-entropy through the frozen LM.
+Finetuning uses answer-masked cross-entropy through the language model,
+which trains along with the bridge when ``lm_trainable`` is set (the
+overfit release gate sets it; see ``trainer``).
 
 Losses are sums over the batch (not means), except the finetune loss,
 which sums per sample and then averages over samples.
@@ -15,24 +17,18 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, ValidationError
-from .tensor import Tensor, concat, log_softmax
+from .tensor import Tensor, _wrap, concat, log_softmax
 
 __all__ = [
-    "sim",
     "sim_matrix",
     "contrastive_loss",
     "lm_token_loss",
     "association_loss",
     "hard_negative_sample",
-    "total_pretrain_loss",
     "finetune_loss",
 ]
 
 _CLAMP = 1e-12
-
-
-def _wrap(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _row_normalize(m):
@@ -42,18 +38,8 @@ def _row_normalize(m):
     return m / norms
 
 
-def sim(q, t):
-    """Similarity of one graph to one text: max over queries of cosine."""
-    q, t = _wrap(q), _wrap(t)
-    if q.ndim != 2 or t.ndim != 1:
-        raise ContractError("sim expects (n_q, d) queries and a (d,) text")
-    qn = _row_normalize(q)
-    tn = _row_normalize(t.reshape(1, -1))
-    return (qn @ tn.T).max(axis=0).reshape(())
-
-
 def sim_matrix(qs, ts):
-    """All-pairs similarities: S[i, j] = sim(qs[i], ts[j]), shape (N, N)."""
+    """All-pairs similarities: S[i, j] = max_k cos(qs[i][k], ts[j]), (N, N)."""
     qs = [_wrap(q) for q in qs]
     ts = _wrap(ts)
     if ts.ndim != 2 or len(qs) != ts.shape[0]:
@@ -133,14 +119,6 @@ def hard_negative_sample(sim_mat, seed):
     return draw(sim_mat), draw(sim_mat.T)
 
 
-def total_pretrain_loss(correlation, prediction, association):
-    """Unweighted sum of the three pretraining losses."""
-    total = _wrap(correlation) + _wrap(prediction) + _wrap(association)
-    if not np.isfinite(total.data).all():
-        raise ContractError("non-finite pretraining loss")
-    return total
-
-
 def finetune_loss(samples):
     """Answer-masked cross-entropy, per-sample sums averaged over the batch.
 
@@ -157,7 +135,4 @@ def finetune_loss(samples):
             raise ContractError("answer mask selects no positions")
         idx = np.flatnonzero(mask)
         per_sample.append(lm_token_loss(_wrap(logits)[idx], targets[idx]))
-    total = per_sample[0]
-    for term in per_sample[1:]:
-        total = total + term
-    return total * (1.0 / len(samples))
+    return sum(per_sample[1:], per_sample[0]) * (1.0 / len(samples))

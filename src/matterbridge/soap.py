@@ -38,7 +38,6 @@ class SoapConfig:
     n_max: int = 8
     l_max: int = 6
     sigma: float = 0.5
-    periodic: bool = True
     species: tuple = DEFAULT_SPECIES
 
     def __post_init__(self):

@@ -133,9 +133,6 @@ class Tensor:
             shape = tuple(shape[0])
         return _reshape(self, shape)
 
-    def transpose(self):
-        return _transpose(self)
-
     @property
     def T(self):
         return _transpose(self)
@@ -153,15 +150,9 @@ class Tensor:
 
     # -- elementwise ---------------------------------------------------------
 
-    def exp(self):
-        return _unary(self, np.exp(self.data), lambda g, out: g * out)
-
     def log(self):
         x = self.data
         return _unary(self, np.log(x), lambda g, out: g / x)
-
-    def tanh(self):
-        return _unary(self, np.tanh(self.data), lambda g, out: g * (1.0 - out * out))
 
     def sigmoid(self):
         out = 1.0 / (1.0 + np.exp(-self.data))
@@ -195,12 +186,6 @@ class Tensor:
         out = np.where(mask, value, self.data)
         keep = ~mask
         return _unary(self, out, lambda g, o: g * keep)
-
-    def softmax(self, axis=-1):
-        return softmax(self, axis)
-
-    def log_softmax(self, axis=-1):
-        return log_softmax(self, axis)
 
 
 def _wrap(x):

@@ -1,9 +1,16 @@
-"""Two-stage training loop: bridge pretraining and instruction finetuning.
+"""Two-stage training: bridge pretraining and instruction finetuning.
 
 Stage one trains the bridge on frozen atom features with the combined
 alignment objective (contrastive + conditional token prediction +
-pair-match classification).  Stage two trains the bridge plus the
-projection into the frozen language model on answer-token cross entropy.
+pair-match classification).  Stage two trains the bridge, its projection
+into the language model included, on answer-token cross entropy, and
+the language model with it when ``lm_trainable`` is set.  The overfit
+release gate (configs/overfit.json) sets it: the character LM is a
+random draw that knows no language, so a frozen one leaves the prefix
+alone to produce well-formed answers, and a gate run with the LM frozen
+parsed none of its 192 classification answers.  Both stages run the
+same optimizer-step loop, ``_train_stage``; they differ only in the
+micro-batch loss they hand it.
 
 Determinism contract: every random draw (epoch shuffles, hard-negative
 sampling, caption template picks) comes from a stateless stream derived
@@ -93,23 +100,17 @@ def encode_structure(structure, models):
 
 def all_tensors(models):
     """Every parameter array in the bundle under a dotted, prefixed name."""
-    out = {}
-    for key, arr in models.encoder.state_dict().items():
-        out["encoder." + key] = arr
-    for key, t in models.bridge.params.items():
-        out["bridge." + key] = t
-    for key, t in models.lm.params.items():
-        out["lm." + key] = t
+    out = {"encoder." + k: a for k, a in models.encoder.state_dict().items()}
+    for prefix, params in (("bridge.", models.bridge.params),
+                           ("lm.", models.lm.params)):
+        out.update((prefix + k, t.data) for k, t in params.items())
     return out
 
 
 def trainable_tensors(models):
-    out = {}
-    for key, t in models.bridge.params.items():
-        out["bridge." + key] = t
+    out = {"bridge." + k: t for k, t in models.bridge.params.items()}
     if models.lm.trainable:
-        for key, t in models.lm.params.items():
-            out["lm." + key] = t
+        out.update(("lm." + k, t) for k, t in models.lm.params.items())
     return out
 
 
@@ -205,8 +206,7 @@ def save_checkpoint(path, models, cfg, stage, step):
     offset = 0
     blobs = []
     for name in sorted(tensors):
-        t = tensors[name]
-        data = t.data if isinstance(t, Tensor) else t
+        data = tensors[name]
         blob = np.ascontiguousarray(data, dtype="<f8").tobytes()
         records.append({
             "name": name,
@@ -323,9 +323,8 @@ def restore_models(ckpt, cfg=None):
     if missing or extra:
         raise CheckpointError(
             f"tensor names do not match (missing {missing}, extra {extra})")
-    for name, t in tensors.items():
+    for name, target in tensors.items():
         arr = ckpt.arrays[name]
-        target = t.data if isinstance(t, Tensor) else t
         if arr.shape != target.shape:
             raise CheckpointError(
                 f"tensor {name!r} has shape {arr.shape}, expected {target.shape}")
@@ -365,7 +364,7 @@ class _LossLog:
             self._writer = csv.writer(self._fh)
             self._writer.writerow(self.FIELDS)
 
-    def add(self, step, stage, lr, loss, parts=(float("nan"),) * 3):
+    def add(self, step, stage, lr, loss, parts):
         row = (step, stage, repr(float(lr)), repr(float(loss)),
                repr(float(parts[0])), repr(float(parts[1])),
                repr(float(parts[2])))
@@ -418,6 +417,59 @@ def _nan_abort(loss_value, stage, step):
             f"non-finite loss at {stage} step {step}: {loss_value!r}")
 
 
+def _train_stage(stage, items, micro_loss, models, cfg, seed, log_path,
+                 ckpt_dir):
+    """The optimizer-step loop both training stages run.
+
+    Each epoch visits ``items`` in a seeded shuffle, in windows of
+    batch_size * <stage>_accum items, and takes one AdamW step per
+    window.  ``micro_loss(micro, step, k, n_micro)`` returns the loss
+    tensor of the micro-batch at offset k of the window (one of n_micro)
+    and its three detached parts; gradients, losses and parts are summed
+    over the window.  Returns the final checkpoint path when ckpt_dir is
+    given, else the trained bundle.
+    """
+    accum, epochs = {
+        "pretrain": (cfg.pretrain_accum, cfg.pretrain_epochs),
+        "finetune": (cfg.finetune_accum, cfg.finetune_epochs),
+    }[stage]
+    params = trainable_tensors(models)
+    state = init_optim_state(params)
+    window = cfg.batch_size * accum
+    total_steps = epochs * steps_per_epoch(len(items), cfg.batch_size, accum)
+    warmup = warmup_steps_for(total_steps, cfg)
+    log = _LossLog(log_path)
+    step = 0
+    try:
+        for epoch in range(epochs):
+            order = _epoch_order(len(items), seed, stage, epoch)
+            for lo in range(0, len(items), window):
+                idx = order[lo:lo + window]
+                step += 1
+                lr = lr_schedule(step - 1, total_steps, warmup, stage, cfg)
+                zero_grads(params)
+                n_micro = int(np.ceil(len(idx) / cfg.batch_size))
+                window_loss = 0.0
+                window_parts = np.zeros(3)
+                for k in range(0, len(idx), cfg.batch_size):
+                    micro = [items[i] for i in idx[k:k + cfg.batch_size]]
+                    loss, parts = micro_loss(micro, step, k, n_micro)
+                    loss.backward()
+                    window_loss += float(loss.data)
+                    window_parts += parts
+                _nan_abort(window_loss, stage, step)
+                adamw_step(params, state, step, lr, cfg)
+                log.add(step, stage, lr, window_loss, window_parts)
+                if step % cfg.checkpoint_interval == 0:
+                    _save_stage(ckpt_dir, f"step{step}", models, cfg, stage,
+                                step)
+            _save_stage(ckpt_dir, f"epoch{epoch + 1}", models, cfg, stage,
+                        step)
+    finally:
+        log.close()
+    return _save_stage(ckpt_dir, "final", models, cfg, stage, step)
+
+
 # ---------------------------------------------------------------------------
 # stage one
 
@@ -429,9 +481,7 @@ def _pretrain_micro_loss(batch, models, cfg, neg_seed):
     """
     vocab = models.vocab
     n = len(batch)
-    query_feats = []
-    text_feats = []
-    pred_losses = []
+    query_feats, text_feats, pred_losses = [], [], []
     for atoms, ids in batch:
         out = bridge_forward(atoms, ids, "correlation", models.bridge)
         query_feats.append(out["query_out"])
@@ -440,44 +490,32 @@ def _pretrain_micro_loss(batch, models, cfg, neg_seed):
         logits = text_logits(pred["text_out"], models.bridge)
         targets = np.array(ids[1:] + [vocab.eos_id], dtype=np.int64)
         pred_losses.append(lm_token_loss(logits, targets))
-    loss_pred = pred_losses[0]
-    for extra in pred_losses[1:]:
-        loss_pred = loss_pred + extra
-
+    loss_pred = sum(pred_losses[1:], pred_losses[0])
     texts = concat(text_feats, axis=0)
     loss_con = contrastive_loss(query_feats, texts, tau=cfg.tau,
                                 symmetric=cfg.symmetric_contrastive)
 
-    loss_assoc = None
-    if n >= 2:
-        sims = sim_matrix(query_feats, texts)
-        if not np.all(np.isfinite(sims.data)):
-            # poison the total instead of crashing mid-window so the
-            # step-boundary check can report the step index
-            loss_assoc = Tensor(np.full((), np.nan), requires_grad=False)
-    if loss_assoc is None and n >= 2:
-        text_negs, graph_negs = hard_negative_sample(sims.data, neg_seed)
+    sims = sim_matrix(query_feats, texts).data
+    if n < 2:
+        loss_assoc = Tensor(np.zeros(()))
+    elif not np.all(np.isfinite(sims)):
+        # poison the total instead of crashing mid-window so the
+        # step-boundary check can report the step index
+        loss_assoc = Tensor(np.full((), np.nan))
+    else:
+        text_negs, graph_negs = hard_negative_sample(sims, neg_seed)
+        # (graph, text, label): positives, text negatives, graph negatives
+        triples = ([(i, i, 1.0) for i in range(n)]
+                   + [(i, text_negs[i], 0.0) for i in range(n)]
+                   + [(graph_negs[i], i, 0.0) for i in range(n)])
         scores = []
-        labels = []
-        for i in range(n):
-            out = bridge_forward(batch[i][0], batch[i][1], "association",
+        for g, t, _ in triples:
+            out = bridge_forward(batch[g][0], batch[t][1], "association",
                                  models.bridge)
-            scores.append(match_score(out["query_out"], models.bridge))
-            labels.append(1.0)
-        for i in range(n):
-            out = bridge_forward(batch[i][0], batch[text_negs[i]][1],
-                                 "association", models.bridge)
-            scores.append(match_score(out["query_out"], models.bridge))
-            labels.append(0.0)
-        for i in range(n):
-            out = bridge_forward(batch[graph_negs[i]][0], batch[i][1],
-                                 "association", models.bridge)
-            scores.append(match_score(out["query_out"], models.bridge))
-            labels.append(0.0)
-        scores = [s.reshape((1,)) for s in scores]
-        loss_assoc = association_loss(concat(scores), np.array(labels))
-    elif loss_assoc is None:
-        loss_assoc = Tensor(np.zeros(()), requires_grad=False)
+            scores.append(match_score(out["query_out"], models.bridge)
+                          .reshape((1,)))
+        loss_assoc = association_loss(concat(scores),
+                                      np.array([y for _, _, y in triples]))
 
     total = loss_con + loss_pred + loss_assoc
     parts = (float(loss_con.data), float(loss_pred.data),
@@ -505,44 +543,12 @@ def pretrain(records, models, cfg, seed=None, log_path=None, ckpt_dir=None):
                 f"caption for {rec.material_id} exceeds max_text")
         pairs.append((atoms, ids))
 
-    params = trainable_tensors(models)
-    state = init_optim_state(params)
-    window = cfg.batch_size * cfg.pretrain_accum
-    per_epoch = steps_per_epoch(len(pairs), cfg.batch_size, cfg.pretrain_accum)
-    total_steps = cfg.pretrain_epochs * per_epoch
-    warmup = warmup_steps_for(total_steps, cfg)
-    log = _LossLog(log_path)
-    step = 0
-    try:
-        for epoch in range(cfg.pretrain_epochs):
-            order = _epoch_order(len(pairs), seed, "pretrain", epoch)
-            for lo in range(0, len(pairs), window):
-                idx = order[lo:lo + window]
-                step += 1
-                lr = lr_schedule(step - 1, total_steps, warmup, "pretrain", cfg)
-                zero_grads(params)
-                window_loss = 0.0
-                window_parts = np.zeros(3)
-                for k in range(0, len(idx), cfg.batch_size):
-                    micro = [pairs[i] for i in idx[k:k + cfg.batch_size]]
-                    neg_seed = int(stream_rng(
-                        seed, f"hardneg-{step}-{k}").integers(2**31))
-                    loss, parts = _pretrain_micro_loss(micro, models, cfg,
-                                                       neg_seed)
-                    loss.backward()
-                    window_loss += float(loss.data)
-                    window_parts += parts
-                _nan_abort(window_loss, "pretrain", step)
-                adamw_step(params, state, step, lr, cfg)
-                log.add(step, "pretrain", lr, window_loss, window_parts)
-                if step % cfg.checkpoint_interval == 0:
-                    _save_stage(ckpt_dir, f"step{step}", models, cfg,
-                                "pretrain", step)
-            _save_stage(ckpt_dir, f"epoch{epoch + 1}", models, cfg, "pretrain",
-                        step)
-    finally:
-        log.close()
-    return _save_stage(ckpt_dir, "final", models, cfg, "pretrain", step)
+    def micro_loss(micro, step, k, n_micro):
+        neg_seed = int(stream_rng(seed, f"hardneg-{step}-{k}").integers(2**31))
+        return _pretrain_micro_loss(micro, models, cfg, neg_seed)
+
+    return _train_stage("pretrain", pairs, micro_loss, models, cfg, seed,
+                        log_path, ckpt_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -609,44 +615,12 @@ def finetune(samples, records, ckpt, cfg, seed=None, log_path=None,
                 f"sample for {s.material_id} exceeds the LM context")
         entries.append((atom_cache[key], inputs, targets, mask))
 
-    params = trainable_tensors(models)
-    state = init_optim_state(params)
-    window = cfg.batch_size * cfg.finetune_accum
-    per_epoch = steps_per_epoch(len(entries), cfg.batch_size,
-                                cfg.finetune_accum)
-    total_steps = cfg.finetune_epochs * per_epoch
-    warmup = warmup_steps_for(total_steps, cfg)
-    log = _LossLog(log_path)
-    step = 0
-    try:
-        for epoch in range(cfg.finetune_epochs):
-            order = _epoch_order(len(entries), seed, "finetune", epoch)
-            for lo in range(0, len(entries), window):
-                idx = order[lo:lo + window]
-                step += 1
-                lr = lr_schedule(step - 1, total_steps, warmup, "finetune",
-                                 cfg)
-                zero_grads(params)
-                micro_losses = []
-                n_micro = int(np.ceil(len(idx) / cfg.batch_size))
-                for k in range(0, len(idx), cfg.batch_size):
-                    terms = [_finetune_sample_terms(entries[i], models)
-                             for i in idx[k:k + cfg.batch_size]]
-                    loss = finetune_loss(terms) * (1.0 / n_micro)
-                    loss.backward()
-                    micro_losses.append(float(loss.data))
-                window_loss = float(np.sum(micro_losses))
-                _nan_abort(window_loss, "finetune", step)
-                adamw_step(params, state, step, lr, cfg)
-                log.add(step, "finetune", lr, window_loss)
-                if step % cfg.checkpoint_interval == 0:
-                    _save_stage(ckpt_dir, f"step{step}", models, cfg,
-                                "finetune", step)
-            _save_stage(ckpt_dir, f"epoch{epoch + 1}", models, cfg, "finetune",
-                        step)
-    finally:
-        log.close()
-    return _save_stage(ckpt_dir, "final", models, cfg, "finetune", step)
+    def micro_loss(micro, step, k, n_micro):
+        terms = [_finetune_sample_terms(e, models) for e in micro]
+        return finetune_loss(terms) * (1.0 / n_micro), (float("nan"),) * 3
+
+    return _train_stage("finetune", entries, micro_loss, models, cfg, seed,
+                        log_path, ckpt_dir)
 
 
 def read_loss_log(path):

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from matterbridge.cli import run_cli
+from matterbridge.cli import _structure_from_file, run_cli
 from matterbridge.config import Config, load_config, save_config
 from matterbridge.crystal import structure_to_json
 from matterbridge.datasetgen import (generate_synthetic_records,
@@ -339,6 +339,31 @@ def _first_with(lines, **changes):
     return json.dumps({**json.loads(lines[0]), **changes})
 
 
+def _first_structure_with(lines, **changes):
+    structure = json.loads(lines[0])["structure"]
+    return _first_with(lines, structure={**structure, **changes})
+
+
+def _json_with(text, **changes):
+    return json.dumps({**json.loads(text), **changes})
+
+
+_CIF_WITHOUT_FRACT_Y = """data_nacl
+_cell_length_a 5.64
+_cell_length_b 5.64
+_cell_length_c 5.64
+_cell_angle_alpha 90
+_cell_angle_beta 90
+_cell_angle_gamma 90
+loop_
+_atom_site_type_symbol
+_atom_site_fract_x
+_atom_site_fract_z
+Na 0.0 0.0
+Cl 0.5 0.5
+"""
+
+
 # name -> (file kind, corruption); each corrupts one valid file
 CORRUPTIONS = {
     "ckpt-without-tensors":
@@ -359,6 +384,21 @@ CORRUPTIONS = {
         ("records", lambda lines: lines + ['{"material_id": "x"}']),
     "records-not-utf8": ("records", lambda lines: lines + ["\udcff{}"]),
     "config-not-utf8": ("config", lambda lines: ["\udcff"] + lines),
+    "records-lattice-not-numeric": ("records", lambda lines: lines + [
+        _first_structure_with(lines, lattice="abc")]),
+    # struct: (file name, text) of the --structure file
+    "struct-json-not-utf8":
+        ("struct", lambda text: ("q.json", "\udcff" + text)),
+    "struct-cif-not-utf8":
+        ("struct", lambda text: ("q.cif", "\udcff" + _CIF_WITHOUT_FRACT_Y)),
+    "struct-lattice-not-numeric":
+        ("struct", lambda text: ("q.json", _json_with(text, lattice="abc"))),
+    "struct-ragged-frac-coords": ("struct", lambda text: (
+        "q.json", _json_with(text, frac_coords=[[0.0, 0.0, 0.0], [0.5]]))),
+    "struct-species-not-list":
+        ("struct", lambda text: ("q.json", _json_with(text, species=5))),
+    "struct-cif-without-fract-y":
+        ("struct", lambda text: ("q.cif", _CIF_WITHOUT_FRACT_Y)),
 }
 
 
@@ -399,6 +439,11 @@ class TestCorruptInputs:
             payload = json.dumps(change(json.loads(raw[8:8 + n]))).encode()
             files["ckpt"].write_bytes(np.array(len(payload), dtype="<u8")
                                       .tobytes() + payload + raw[8 + n:])
+        elif kind == "struct":
+            name, text = change(files["struct"].read_text())
+            files["struct"] = files["tmp"] / name
+            files["struct"].write_text(text, encoding="utf-8",
+                                       errors="surrogateescape")
         elif kind == "store":
             path = files["store"] / "store.json"
             path.write_text(change(path.read_text()), encoding="utf-8",
@@ -417,6 +462,9 @@ class TestCorruptInputs:
             "ckpt": (load_checkpoint,
                      ["infer", "--ckpt", str(files["ckpt"]), "--structure",
                       str(files["struct"]), "--task", "is_metal"]),
+            "struct": (lambda path: _structure_from_file(path, None),
+                       ["infer", "--ckpt", str(files["ckpt"]), "--structure",
+                        str(files["struct"]), "--task", "is_metal"]),
             "store": (EmbeddingStore.load,
                       ["retrieve", "--store", str(files["store"]),
                        "--query-id", "a", "--k", "1"]),

@@ -42,7 +42,6 @@ class TestInit:
 
     def test_no_gradient_buffers(self):
         p = init_encoder(0)
-        assert p.frozen
         for arr in p.state_dict().values():
             assert isinstance(arr, np.ndarray)
 

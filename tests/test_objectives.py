@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from matterbridge import trainer as tr
+from matterbridge.config import Config
+from matterbridge.datasetgen import generate_synthetic_records
 from matterbridge.errors import ContractError, ValidationError
 from matterbridge.objectives import (
     association_loss,
@@ -10,9 +13,7 @@ from matterbridge.objectives import (
     finetune_loss,
     hard_negative_sample,
     lm_token_loss,
-    sim,
     sim_matrix,
-    total_pretrain_loss,
 )
 from matterbridge.tensor import Tensor
 
@@ -21,6 +22,11 @@ from test_tensor import check_grads
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
 E3 = np.array([0.0, 0.0, 1.0])
+
+
+def sim(q, t):
+    """One graph against one text, through the all-pairs matrix."""
+    return sim_matrix([q], np.asarray(t)[None])
 
 
 class TestSim:
@@ -205,17 +211,32 @@ class TestHardNegatives:
 
 
 class TestTotals:
+    """The pretraining total is the plain sum of its three parts."""
+
+    @staticmethod
+    def micro_loss(n):
+        cfg = Config(d_enc=8, L_enc=1, d_b=8, n_q=2, L_b=1, n_heads=1,
+                     d_lm=8, L_lm=1, lm_heads=1)
+        models = tr.build_models(cfg, seed=8)
+        batch = [(tr.encode_structure(rec.structure, models),
+                  tr._bridge_text_ids(models.vocab, tr.caption_for(rec, 8)))
+                 for rec in generate_synthetic_records(seed=8, n=n)]
+        return tr._pretrain_micro_loss(batch, models, cfg, neg_seed=8)
+
     def test_zero_sum(self):
-        assert total_pretrain_loss(0.0, 0.0, 0.0).item() == 0.0
+        # one pair: no contrast and no negatives, so two parts are zero
+        total, (con, pred, assoc) = self.micro_loss(1)
+        assert (con, assoc) == (0.0, 0.0)
+        assert total.item() == pred > 0.0
 
     def test_plain_sum(self):
-        assert total_pretrain_loss(0.5, 0.2, 0.3).item() == pytest.approx(1.0, 1e-12)
+        total, parts = self.micro_loss(4)
+        assert all(p > 0.0 for p in parts)
+        assert total.item() == pytest.approx(sum(parts), rel=1e-12)
 
     def test_matches_sequential_addition(self):
-        rng = np.random.default_rng(8)
-        a, b, c = (Tensor(abs(rng.standard_normal())) for _ in range(3))
-        got = total_pretrain_loss(a, b, c).item()
-        assert got == pytest.approx(a.item() + b.item() + c.item(), abs=1e-12)
+        total, (con, pred, assoc) = self.micro_loss(3)
+        assert total.item() == (con + pred) + assoc
 
 
 class TestFinetune:

@@ -98,7 +98,6 @@ class TestConfig:
         assert cfg.r_cut == 6.0
         assert cfg.n_max == 8
         assert cfg.l_max == 6
-        assert cfg.periodic is True
 
     def test_validation(self):
         with pytest.raises(ValidationError):

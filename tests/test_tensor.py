@@ -179,8 +179,8 @@ class TestGradients:
     def test_unary_ops(self):
         x = Tensor(self.rng.uniform(0.2, 2.0, (3, 3)), requires_grad=True)
         check_grads(
-            lambda: (x.exp() + x.log() + x.tanh() + x.sigmoid() + x.erf()
-                     + x.sqrt() + x.square()).sum(),
+            lambda: (x.log() + x.sigmoid() + x.erf() + x.sqrt()
+                     + x.square()).sum(),
             [x],
         )
 

@@ -271,10 +271,7 @@ class TestCheckpoint:
         theirs = tr.all_tensors(restored)
         assert set(ours) == set(theirs)
         for name in ours:
-            a = ours[name].data if isinstance(ours[name], Tensor) else ours[name]
-            b = (theirs[name].data if isinstance(theirs[name], Tensor)
-                 else theirs[name])
-            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(ours[name], theirs[name])
 
     def test_restore_from_path_equals_restore_from_checkpoint(self, tmp_path):
         path = tmp_path / "a.ckpt"
@@ -283,11 +280,8 @@ class TestCheckpoint:
         for arg in (path, str(path)):
             from_path = tr.all_tensors(tr.restore_models(arg))
             assert set(from_path) == set(from_ckpt)
-            for name, t in from_path.items():
-                a = t.data if isinstance(t, Tensor) else t
-                b = (from_ckpt[name].data if isinstance(from_ckpt[name], Tensor)
-                     else from_ckpt[name])
-                assert a.tobytes() == b.tobytes(), name
+            for name, arr in from_path.items():
+                assert arr.tobytes() == from_ckpt[name].tobytes(), name
 
     @pytest.mark.parametrize("bad", [None, 3, {"stage": "finetune"}, b"a.ckpt"])
     def test_restore_rejects_non_checkpoint(self, bad):
@@ -492,6 +486,75 @@ class TestFinetuneLoop:
                     log_path=log)
         rows = tr.read_loss_log(log)
         assert rows[-1]["loss"] < 0.1 * rows[0]["loss"]
+
+
+class TestWindowArithmetic:
+    """Both stages through the shared loop with batch 2 and accumulation
+    2 over 9 items: windows of 4, 4 and 1, so 3 steps per epoch."""
+
+    def setup_method(self):
+        self.cfg = small_config(batch_size=2, pretrain_accum=2,
+                                finetune_accum=2, pretrain_epochs=2,
+                                finetune_epochs=2, checkpoint_interval=2)
+        self.records = generate_synthetic_records(seed=3, n=9)
+        self.samples = build_instruction_corpus(self.records[:2], seed=2)[:9]
+        self.models = tr.build_models(self.cfg, seed=17)
+
+    def check_steps(self, log):
+        rows = tr.read_loss_log(log)
+        per_epoch = tr.steps_per_epoch(9, 2, 2)
+        assert per_epoch == 3
+        assert [r["step"] for r in rows] == list(range(1, 2 * per_epoch + 1))
+        return rows
+
+    def test_pretrain_steps_and_first_window_loss(self, tmp_path):
+        models = self.models
+        pairs = [(tr.encode_structure(r.structure, models),
+                  tr._bridge_text_ids(models.vocab, tr.caption_for(r, 17)))
+                 for r in self.records]
+        order = tr._epoch_order(len(pairs), 17, "pretrain", 0)
+        want = 0.0
+        for k in (0, 2):
+            neg_seed = int(tr.stream_rng(17, f"hardneg-1-{k}")
+                           .integers(2**31))
+            loss, _ = tr._pretrain_micro_loss(
+                [pairs[i] for i in order[k:k + 2]], models, self.cfg,
+                neg_seed)
+            want += float(loss.data)
+        log = tmp_path / "pre.csv"
+        tr.pretrain(self.records, models, self.cfg, seed=17, log_path=log)
+        assert self.check_steps(log)[0]["loss"] == want
+
+    def test_finetune_checkpoints_steps_and_first_window_loss(self,
+                                                              tmp_path):
+        models = self.models
+        pre = tmp_path / "pre.ckpt"
+        tr.save_checkpoint(pre, models, self.cfg, "pretrain", 0)
+        by_id = {r.material_id: r for r in self.records}
+        entries = [(tr.encode_structure(by_id[s.material_id].structure,
+                                        models),
+                    *tr.finetune_sequences(s, models.vocab))
+                   for s in self.samples]
+        order = tr._epoch_order(len(entries), 17, "finetune", 0)
+        want = 0.0
+        for k in (0, 2):
+            terms = [tr._finetune_sample_terms(entries[i], models)
+                     for i in order[k:k + 2]]
+            want += float((finetune_loss(terms) * 0.5).data)
+        out = tmp_path / "ft"
+        out.mkdir()
+        log = tmp_path / "ft.csv"
+        final = tr.finetune(self.samples, self.records, pre, self.cfg,
+                            seed=17, log_path=log, ckpt_dir=str(out))
+        assert self.check_steps(log)[0]["loss"] == want
+        written = {"step2": 2, "step4": 4, "step6": 6, "epoch1": 3,
+                   "epoch2": 6, "final": 6}
+        assert sorted(os.listdir(out)) == sorted(
+            f"finetune-{tag}.ckpt" for tag in written)
+        assert final == str(out / "finetune-final.ckpt")
+        for tag, step in written.items():
+            ck = tr.load_checkpoint(out / f"finetune-{tag}.ckpt")
+            assert (ck.stage, ck.step) == ("finetune", step)
 
 
 class TestStreams:
