@@ -32,10 +32,9 @@ from .nn import (
     init_layer_norm,
     init_weight,
     layer_norm_block,
-    linear,
     multi_head_attention,
 )
-from .tensor import Tensor, concat, embedding
+from .tensor import Tensor, affine, concat, embedding
 
 MODES = ("correlation", "prediction", "association", "inference")
 # init gains relative to the 1/sqrt(fan-in) scale (see init_bridge)
@@ -169,7 +168,7 @@ def bridge_forward(atoms, text_ids, mode, bp):
     x = p["queries"] + seg_q
     if n_text:
         tok = embedding(p["tok_embed"], text_ids)
-        pos = p["pos_embed"][np.arange(n_text)]
+        pos = p["pos_embed"][:n_text]
         seg_t = p["seg_embed"][np.ones(n_text, dtype=np.int64)]
         x = concat([x, tok + pos + seg_t], axis=0)
 
@@ -200,7 +199,7 @@ def project_to_lm(query_out, bp):
         raise ShapeError(
             f"query_out width {query_out.shape[1]} != d_b {bp.d_b}"
         )
-    return linear(query_out, bp.params["proj.w"], bp.params["proj.b"])
+    return affine(query_out, bp.params["proj.w"], bp.params["proj.b"])
 
 
 def lm_prefix(atoms, bp):
@@ -217,5 +216,5 @@ def text_logits(text_out, bp):
 def match_score(query_out, bp):
     """Scalar match probability in (0, 1): linear head on mean query output."""
     pooled = query_out.mean(axis=0).reshape(1, -1)
-    logit = linear(pooled, bp.params["match.w"], bp.params["match.b"])
+    logit = affine(pooled, bp.params["match.w"], bp.params["match.b"])
     return logit.sigmoid().reshape(())

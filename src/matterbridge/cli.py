@@ -202,11 +202,10 @@ def cmd_embed(args, cfg, seed):
 
 def cmd_retrieve(args, cfg, seed):
     store = EmbeddingStore.load(args.store)
-    ids = [r.material_id for r in store.records]
-    if args.query_id not in ids:
+    if args.query_id not in store.ids:
         raise ValidationError(
             f"query id {args.query_id!r} not in store")
-    query = store.records[ids.index(args.query_id)].vector
+    query = store.matrix()[store.ids.index(args.query_id)]
     exclude = None if args.include_self else args.query_id
     hits = retrieve_topk(store, query, args.k, exclude_id=exclude)
     for hit in hits:
@@ -250,8 +249,8 @@ def cmd_project(args, cfg, seed):
     store = EmbeddingStore.load(args.store)
     coords, frac = project_2d_pca(store.matrix())
     lines = ["material_id,x,y"]
-    for rec, (x, y) in zip(store.records, coords):
-        lines.append(f"{rec.material_id},{float(x)!r},{float(y)!r}")
+    for mid, (x, y) in zip(store.ids, coords):
+        lines.append(f"{mid},{float(x)!r},{float(y)!r}")
     with atomic_write(args.out) as fh:
         fh.write(("\n".join(lines) + "\n").encode())
     print(f"projected {len(store)} embeddings -> {args.out}")

@@ -232,6 +232,8 @@ _FLOAT_FIELDS = ("formation_energy", "energy_above_hull", "bandgap")
 
 def validate_record(r):
     """Raise ValidationError on the first violated record invariant."""
+    if not isinstance(r.material_id, str):
+        raise ValidationError("material_id must be a string")
     for f in _BOOL_FIELDS:
         if not isinstance(getattr(r, f), bool):
             raise ValidationError(f"{f} must be boolean")

@@ -28,6 +28,7 @@ from .lm import generate_greedy
 from .rag import embed_material, rag_aggregate, retrieve_topk
 from .templates import BINARY_FORMS, MAGNETIC_ORDERS, NUMERIC_TASKS
 from .templates import attribute_text, numeric_target
+from .tensor import no_grad
 from .trainer import as_checkpoint, encode_structure, restore_models
 
 CLASSIFICATION_TASKS = (
@@ -154,7 +155,8 @@ def generate_answer(models, atoms, prompt, max_new=None):
     """Greedy-decode an answer sentence for a prompt and encoded atoms."""
     if not prompt:
         raise ValidationError("prompt must be nonempty")
-    prefix = lm_prefix(atoms, models.bridge)
+    with no_grad():
+        prefix = lm_prefix(atoms, models.bridge)
     vocab = models.vocab
     ids = [vocab.bos_id] + vocab.tokenize(prompt) + [vocab.sep_id]
     room = models.lm.max_len - prefix.shape[0] - len(ids)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ContractError, ShapeError, TokenizationError
 from .nn import (
+    KVCache,
     feed_forward,
     init_attention,
     init_feed_forward,
@@ -27,7 +28,7 @@ from .nn import (
     layer_norm_block,
     multi_head_attention,
 )
-from .tensor import Tensor, concat, embedding
+from .tensor import Tensor, concat, embedding, no_grad
 
 __all__ = ["Vocab", "default_vocab", "LmParams", "init_lm", "lm_forward",
            "generate_greedy"]
@@ -118,17 +119,18 @@ def lm_forward(prefix_embs, token_ids, lp, cache=None):
     embeddings that precede the tokens; logits at token position t
     depend on the prefix and tokens <= t only.
 
-    ``cache`` lets a decoder feed one sequence in pieces: a list that
-    holds, per layer, the normed attention inputs of the positions fed
-    so far (empty before the first piece).  The new rows take the
-    positions after those, attend to every earlier one, and are
-    appended to it in place.
+    ``cache`` lets a decoder feed one sequence in pieces under
+    ``tensor.no_grad()``: a list, empty before the first piece, that
+    holds one ``nn.KVCache`` per layer with the projected keys and
+    values of the positions fed so far.  The new rows take the
+    positions after those; each layer projects only the new rows,
+    appends them to its cache and attends over all it holds.  Using a
+    cache with gradients enabled raises ``ContractError``.
     """
     token_ids = np.asarray(token_ids, dtype=np.int64)
     if token_ids.ndim != 1 or len(token_ids) < 1:
         raise ContractError("token_ids must be a nonempty 1-D sequence")
     p = lp.params
-    seen = [] if cache is None else cache
     n_prefix = 0
     if prefix_embs is not None:
         prefix_embs = (prefix_embs if isinstance(prefix_embs, Tensor)
@@ -136,7 +138,9 @@ def lm_forward(prefix_embs, token_ids, lp, cache=None):
         if prefix_embs.ndim != 2 or prefix_embs.shape[1] != lp.d_lm:
             raise ShapeError(f"prefix must be (n, {lp.d_lm})")
         n_prefix = prefix_embs.shape[0]
-    start = seen[0].shape[0] if seen else 0
+    if cache is not None and not cache:
+        cache.extend(KVCache(lp.max_len, lp.d_lm) for _ in range(lp.L_lm))
+    start = cache[0].n if cache else 0
     total = start + n_prefix + len(token_ids)
     if total > lp.max_len:
         raise ContractError(f"sequence length {total} exceeds {lp.max_len}")
@@ -144,16 +148,14 @@ def lm_forward(prefix_embs, token_ids, lp, cache=None):
     x = embedding(p["tok_embed"], token_ids)
     if prefix_embs is not None:
         x = concat([prefix_embs, x], axis=0)
-    x = x + p["pos_embed"][np.arange(start, total)]
-    mask = np.tri(total, dtype=bool)[start:]
+    x = x + p["pos_embed"][start:total]
+    # a single new row may attend to every position so far
+    mask = np.tri(total, dtype=bool)[start:] if total - start > 1 else None
     for l in range(lp.L_lm):
         normed = layer_norm_block(x, p, f"layers.{l}.ln1")
-        if len(seen) == l:
-            seen.append(normed)
-        else:
-            seen[l] = concat([seen[l], normed])
-        x = x + multi_head_attention(normed, seen[l], p, f"layers.{l}.self",
-                                     lp.n_heads, mask)
+        x = x + multi_head_attention(normed, normed, p, f"layers.{l}.self",
+                                     lp.n_heads, mask,
+                                     cache[l] if cache else None)
         x = x + feed_forward(layer_norm_block(x, p, f"layers.{l}.ln2"),
                              p, f"layers.{l}.ffn")
     x = layer_norm_block(x, p, "ln_f")
@@ -164,25 +166,25 @@ def lm_forward(prefix_embs, token_ids, lp, cache=None):
 def generate_greedy(prefix_embs, prompt_ids, max_new, lp):
     """Deterministic argmax decoding; np.argmax breaks ties on lowest id.
 
-    Runs prefix + prompt once, then one position per generated symbol
-    against ``lm_forward``'s cache of earlier positions.  Stops after
-    ``max_new`` symbols or at EOS; returns the decoded text of the
-    generated symbols (EOS excluded).
+    Under ``tensor.no_grad()``, runs prefix + prompt through
+    ``lm_forward`` once, then one position per generated symbol against
+    its K/V cache of earlier positions.  Stops after ``max_new`` symbols
+    or at EOS; returns the decoded text of the generated symbols (EOS
+    excluded).
     """
     if max_new < 1:
         raise ContractError("max_new must be >= 1")
     ids = list(prompt_ids)
     if not ids:
         raise ContractError("prompt must be nonempty")
-    if isinstance(prefix_embs, Tensor):
-        prefix_embs = prefix_embs.data  # decoding needs no gradient
     cache = []
     generated = []
-    for _ in range(max_new):
-        logits = lm_forward(prefix_embs, ids, lp, cache)
-        nxt = int(np.argmax(logits.data[-1]))
-        if nxt == lp.vocab.eos_id:
-            break
-        generated.append(nxt)
-        prefix_embs, ids = None, [nxt]
+    with no_grad():
+        for _ in range(max_new):
+            logits = lm_forward(prefix_embs, ids, lp, cache)
+            nxt = int(np.argmax(logits.data[-1]))
+            if nxt == lp.vocab.eos_id:
+                break
+            generated.append(nxt)
+            prefix_embs, ids = None, [nxt]
     return lp.vocab.detokenize(generated)

@@ -3,18 +3,19 @@
 All parameters are ``Tensor`` objects held in plain dicts keyed by
 dotted names; the same names index checkpoint blobs.  Attention masks
 are boolean (T_q, T_k) arrays where True marks an allowed key; forbidden
-positions receive an additive -1e30 before softmax, which underflows to
-an exactly zero weight.
+scores are replaced by -1e30 before softmax, which underflows to an
+exactly zero weight.  Each projection, GELU and attention is one
+autodiff node (``tensor.affine``, ``tensor.gelu``, ``tensor.attention``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError
-from .tensor import NEG_MASK, Tensor, concat, layer_norm, softmax
+from .errors import ContractError
+from .tensor import Tensor, affine, attention, gelu, grad_enabled, layer_norm
 
-__all__ = ["gelu", "linear", "multi_head_attention", "feed_forward", "init_weight"]
+__all__ = ["KVCache", "multi_head_attention", "feed_forward", "init_weight"]
 
 
 def init_weight(rng, fan_in, fan_out=None, scale=None):
@@ -25,52 +26,52 @@ def init_weight(rng, fan_in, fan_out=None, scale=None):
     return rng.standard_normal(shape) * scale
 
 
-def gelu(x):
-    # erf form keeps the op smooth for finite-difference checks
-    return x * (x * (1.0 / np.sqrt(2.0))).erf() * 0.5 + x * 0.5
+class KVCache:
+    """Projected keys and values of one attention block's earlier positions.
+
+    Preallocated (max_len, d_model) buffers and a fill count; only valid
+    under ``tensor.no_grad()``, since the stored rows carry no tape.
+    """
+
+    def __init__(self, max_len, d_model):
+        self.k = np.empty((max_len, d_model))
+        self.v = np.empty((max_len, d_model))
+        self.n = 0
+
+    def extend(self, k, v):
+        """Append new rows; return Tensors over every row stored so far."""
+        if grad_enabled():
+            raise ContractError("a K/V cache is only valid under no_grad()")
+        total = self.n + k.shape[0]
+        self.k[self.n:total] = k.data
+        self.v[self.n:total] = v.data
+        self.n = total
+        return Tensor(self.k[:total]), Tensor(self.v[:total])
 
 
-def linear(x, w, b=None):
-    out = x @ w
-    if b is not None:
-        out = out + b
-    return out
-
-
-def multi_head_attention(x_q, x_kv, p, prefix, n_heads, mask=None):
+def multi_head_attention(x_q, x_kv, p, prefix, n_heads, mask=None,
+                         cache=None):
     """Scaled dot-product attention with ``n_heads`` heads.
 
     ``p`` maps names to Tensors; this block reads ``{prefix}.wq/wk/wv/wo``
     and ``{prefix}.bq/bk/bv/bo``.  ``mask`` is boolean (T_q, T_k), True
-    where attention is allowed.
+    where attention is allowed.  With a ``KVCache``, the keys and values
+    projected from ``x_kv`` are appended to it and the queries attend to
+    every row it holds; T_k then counts those rows.
     """
-    wq, wk, wv, wo = (p[f"{prefix}.{n}"] for n in ("wq", "wk", "wv", "wo"))
-    bq, bk, bv, bo = (p[f"{prefix}.{n}"] for n in ("bq", "bk", "bv", "bo"))
-    d_model = wq.shape[1]
-    if d_model % n_heads:
-        raise ShapeError(f"d_model {d_model} not divisible by {n_heads} heads")
-    d_head = d_model // n_heads
-
-    q = linear(x_q, wq, bq)
-    k = linear(x_kv, wk, bk)
-    v = linear(x_kv, wv, bv)
-
-    heads = []
-    inv_scale = 1.0 / np.sqrt(d_head)
-    for h in range(n_heads):
-        sl = (slice(None), slice(h * d_head, (h + 1) * d_head))
-        scores = (q[sl] @ k[sl].T) * inv_scale
-        if mask is not None:
-            scores = scores.masked_fill(~np.asarray(mask, dtype=bool), NEG_MASK)
-        heads.append(softmax(scores, axis=-1) @ v[sl])
-    merged = concat(heads, axis=1) if n_heads > 1 else heads[0]
-    return linear(merged, wo, bo)
+    q = affine(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
+    k = affine(x_kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"])
+    v = affine(x_kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"])
+    if cache is not None:
+        k, v = cache.extend(k, v)
+    return affine(attention(q, k, v, n_heads, mask),
+                  p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 
 
 def feed_forward(x, p, prefix):
     """Two-layer GELU MLP reading ``{prefix}.w1/b1/w2/b2``."""
-    h = gelu(linear(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
-    return linear(h, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
+    h = gelu(affine(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
+    return affine(h, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
 
 
 def layer_norm_block(x, p, prefix):

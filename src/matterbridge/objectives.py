@@ -51,15 +51,20 @@ def sim_matrix(qs, ts):
     return scores.reshape(len(qs), n_q, len(qs)).max(axis=1)
 
 
-def contrastive_loss(qs, ts, tau=0.07, symmetric=False):
+def contrastive_loss(sims, tau=0.07, symmetric=False):
     """Graph-to-text InfoNCE over matched pairs (summed over the batch).
 
-    ``symmetric=True`` adds the text-to-graph direction; default off.
+    ``sims`` is the (N, N) ``sim_matrix`` of the batch, pair i on the
+    diagonal.  ``symmetric=True`` adds the text-to-graph direction;
+    default off.
     """
     if not tau > 0:
         raise ContractError(f"temperature must be positive, got {tau}")
-    s = sim_matrix(qs, ts) * (1.0 / tau)
-    n = s.shape[0]
+    sims = _wrap(sims)
+    if sims.ndim != 2 or sims.shape[0] != sims.shape[1]:
+        raise ContractError(f"need a square sim matrix, got {sims.shape}")
+    n = sims.shape[0]
+    s = sims * (1.0 / tau)
     diag = (np.arange(n), np.arange(n))
     loss = -(log_softmax(s, axis=-1)[diag]).sum()
     if symmetric:

@@ -17,6 +17,7 @@ import numpy as np
 from .bridge import lm_prefix
 from .errors import ContractError, ValidationError
 from .ioutil import atomic_write, canonical_json
+from .tensor import no_grad
 from .trainer import encode_structure
 
 STORE_BIN = "store.bin"
@@ -44,38 +45,50 @@ def embed_material(structure, models):
     The (n_q, d_lm) block of projected bridge queries is flattened
     row-major, so the vector length is n_q * d_lm.
     """
-    prefix = lm_prefix(encode_structure(structure, models), models.bridge)
+    with no_grad():
+        prefix = lm_prefix(encode_structure(structure, models), models.bridge)
     return prefix.data.reshape(-1).copy()
 
 
 class EmbeddingStore:
-    """Fixed-stride vector store with insertion-ordered records."""
+    """Fixed-stride vector store with insertion-ordered ids and labels.
+
+    The vectors form one (len, stride) matrix, row i belonging to
+    ``ids[i]``.
+    """
 
     def __init__(self, stride):
         if stride < 1:
             raise ValidationError("stride must be >= 1")
         self.stride = int(stride)
-        self.records = []
-        self._ids = set()
+        self.ids = []
+        self.labels = []
+        self._index = {}
+        self._block = np.zeros((0, self.stride))
+        self._pending = []  # vectors added since _block was last built
 
     def __len__(self):
-        return len(self.records)
+        return len(self.ids)
 
     def add(self, record):
         if record.vector.shape != (self.stride,):
             raise ValidationError(
                 f"vector for {record.material_id} has length "
                 f"{record.vector.size}, store stride is {self.stride}")
-        if record.material_id in self._ids:
+        if record.material_id in self._index:
             raise ValidationError(
                 f"duplicate material id {record.material_id!r}")
-        self.records.append(record)
-        self._ids.add(record.material_id)
+        self._index[record.material_id] = len(self.ids)
+        self.ids.append(record.material_id)
+        self.labels.append(record.labels)
+        self._pending.append(record.vector)
 
     def matrix(self):
-        if not self.records:
-            return np.zeros((0, self.stride))
-        return np.stack([r.vector for r in self.records])
+        if self._pending:
+            self._block = np.concatenate([self._block,
+                                          np.stack(self._pending)])
+            self._pending = []
+        return self._block
 
     def save(self, directory):
         os.makedirs(directory, exist_ok=True)
@@ -84,9 +97,9 @@ class EmbeddingStore:
             fh.write(blob)
         meta = {
             "stride": self.stride,
-            "count": len(self.records),
-            "ids": [r.material_id for r in self.records],
-            "labels": [r.labels for r in self.records],
+            "count": len(self),
+            "ids": self.ids,
+            "labels": self.labels,
         }
         with atomic_write(os.path.join(directory, STORE_JSON)) as fh:
             fh.write((canonical_json(meta) + "\n").encode())
@@ -122,9 +135,19 @@ class EmbeddingStore:
                 f"({count} vectors of stride {stride})")
         if len(ids) != count or len(labels) != count:
             raise ValidationError("store metadata lengths disagree with count")
-        vectors = np.frombuffer(raw, dtype="<f8").reshape(count, stride)
-        for mid, lab, vec in zip(ids, labels, vectors):
-            store.add(EmbeddingRecord(mid, vec.copy(), lab))
+        if not all(isinstance(mid, str) for mid in ids):
+            raise ValidationError("material id must be a string")
+        index = {mid: i for i, mid in enumerate(ids)}
+        if len(index) != count:
+            dup = next(m for i, m in enumerate(ids) if index[m] != i)
+            raise ValidationError(f"duplicate material id {dup!r}")
+        block = np.frombuffer(raw, dtype="<f8").reshape(count, stride)
+        finite = np.isfinite(block).all(axis=1)
+        if not finite.all():
+            raise ValidationError(
+                f"embedding for {ids[int(np.argmin(finite))]} is not finite")
+        store.ids, store.labels, store._index = ids, labels, index
+        store._block = block
         return store
 
 
@@ -138,15 +161,20 @@ def retrieve_topk(store, query, k, exclude_id=None):
     if query.shape != (store.stride,):
         raise ValidationError(
             f"query length {query.size} does not match stride {store.stride}")
-    candidates = [r for r in store.records if r.material_id != exclude_id]
+    rows = np.arange(len(store))
+    if exclude_id in store._index:
+        rows = np.delete(rows, store._index[exclude_id])
     if k < 1:
         raise ValidationError("k must be >= 1")
-    if k > len(candidates):
+    if k > len(rows):
         raise ValidationError(
-            f"k={k} exceeds the {len(candidates)} available records")
-    dists = np.array([np.linalg.norm(r.vector - query) for r in candidates])
-    order = np.argsort(dists, kind="stable")[:k]
-    return [candidates[i] for i in order]
+            f"k={k} exceeds the {len(rows)} available records")
+    matrix = store.matrix()
+    diff = matrix - query
+    diff *= diff
+    dists = np.sqrt(diff.sum(axis=1))[rows]
+    return [EmbeddingRecord(store.ids[i], matrix[i], store.labels[i])
+            for i in rows[np.argsort(dists, kind="stable")[:k]]]
 
 
 def rag_aggregate(self_pred, retrieved_preds, kind):

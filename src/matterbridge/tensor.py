@@ -9,21 +9,46 @@ there is no general broadcasting.
 
 Gradients accumulate additively into ``.grad`` buffers, so evaluating
 several micro-batches before an optimizer step sums their gradients.
+Inside ``no_grad()`` no operation records anything, so inference builds
+no tape whatever its inputs' ``requires_grad``.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 from scipy import special as _special
 
 from .errors import ContractError, ShapeError
 
-__all__ = ["Tensor", "concat", "matmul"]
+__all__ = ["Tensor", "concat", "matmul", "affine", "gelu", "attention",
+           "no_grad", "grad_enabled"]
 
-# Additive mask value: exp(_NEG_MASK - anything reasonable) underflows to
-# exactly 0.0, which keeps masked attention weights (and their gradients)
-# identically zero.
+# Score of a masked attention key: exp(NEG_MASK - anything reasonable)
+# underflows to exactly 0.0, which keeps masked attention weights (and
+# their gradients) identically zero.
 NEG_MASK = -1e30
+
+# False inside no_grad(); the package runs on one thread
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no tape inside the block; nests, and restores on exit."""
+    global _grad_enabled
+    prev = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
+
+
+def grad_enabled():
+    """False inside ``no_grad()``."""
+    return _grad_enabled
 
 
 def _as_array(x):
@@ -158,13 +183,6 @@ class Tensor:
         out = 1.0 / (1.0 + np.exp(-self.data))
         return _unary(self, out, lambda g, o: g * o * (1.0 - o))
 
-    def erf(self):
-        x = self.data
-        coef = 2.0 / np.sqrt(np.pi)
-        return _unary(
-            self, _special.erf(x), lambda g, out: g * coef * np.exp(-x * x)
-        )
-
     def sqrt(self):
         out = np.sqrt(self.data)
         return _unary(self, out, lambda g, o: g * 0.5 / o)
@@ -177,15 +195,6 @@ class Tensor:
         x = self.data
         inside = (x >= lo) & (x <= hi)
         return _unary(self, np.clip(x, lo, hi), lambda g, out: g * inside)
-
-    def masked_fill(self, mask, value):
-        """Replace entries where ``mask`` is True by ``value`` (no gradient there)."""
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != self.data.shape:
-            raise ShapeError(f"mask shape {mask.shape} != tensor shape {self.shape}")
-        out = np.where(mask, value, self.data)
-        keep = ~mask
-        return _unary(self, out, lambda g, o: g * keep)
 
 
 def _wrap(x):
@@ -213,6 +222,8 @@ def _toposort(root):
 
 def _make(data, parents, backward):
     out = Tensor(data)
+    if not _grad_enabled:
+        return out
     needs = tuple(p for p in parents if p.requires_grad)
     if needs:
         out.requires_grad = True
@@ -314,6 +325,109 @@ def matmul(a, b):
     return _make(a.data @ b.data, (a, b), _bw)
 
 
+def affine(x, w, b):
+    """``x @ w + b``: a 2-D product plus a bias on every row, as one node."""
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeError(f"affine needs (n, k) and (k, m), got {x.shape} "
+                         f"and {w.shape}")
+    if b.shape != (w.shape[1],):
+        raise ShapeError(f"affine bias must be ({w.shape[1]},), got {b.shape}")
+
+    def _bw(g, x=x, w=w, b=b):
+        if x.requires_grad:
+            x._accumulate(g @ w.data.T)
+        if w.requires_grad:
+            w._accumulate(x.data.T @ g)
+        if b.requires_grad:
+            b._accumulate(g.sum(axis=0))
+
+    return _make(x.data @ w.data + b.data, (x, w, b), _bw)
+
+
+_SQRT_HALF = 1.0 / np.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+
+def gelu(x):
+    """GELU in its erf form, x * Phi(x), as one node."""
+    x = _wrap(x)
+    xd = x.data
+    e = _special.erf(xd * _SQRT_HALF)
+
+    def _bw(g, x=x, xd=xd, e=e):
+        if x.requires_grad:
+            pdf = np.exp(xd * xd * -0.5) * _INV_SQRT_2PI
+            x._accumulate(g * ((e + 1.0) * 0.5 + xd * pdf))
+
+    return _make(xd * e * 0.5 + xd * 0.5, (x,), _bw)
+
+
+def attention(q, k, v, n_heads, mask=None):
+    """Scaled dot-product attention of all heads as one node.
+
+    ``q`` is (T_q, d), ``k`` (T_k, d) and ``v`` (T_k, d_v); head h reads
+    the h-th of ``n_heads`` equal column blocks of each and writes that
+    block of the (T_q, d_v) result.  ``mask`` is boolean (T_q, T_k),
+    True where a key is allowed, and must allow one key in every row:
+    other scores become ``NEG_MASK`` before the max-shifted softmax, so
+    their weights and gradients are exactly zero.
+    """
+    q, k, v = _wrap(q), _wrap(k), _wrap(v)
+    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
+        raise ShapeError("attention needs 2-D q, k and v")
+    (t_q, d), (t_k, d_v) = q.shape, v.shape
+    if k.shape != (t_k, d):
+        raise ShapeError(f"keys {k.shape} do not fit queries {q.shape} "
+                         f"and values {v.shape}")
+    if d % n_heads or d_v % n_heads:
+        raise ShapeError(f"d_model {d} not divisible by {n_heads} heads")
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (t_q, t_k):
+            raise ShapeError(f"mask {mask.shape} != scores {(t_q, t_k)}")
+        if not mask.any(axis=1).all():
+            raise ContractError("every attention row must allow a key")
+    dh, dvh = d // n_heads, d_v // n_heads
+    inv_scale = 1.0 / np.sqrt(dh)
+    qd, kd, vd = q.data, k.data, v.data
+    out = np.empty((t_q, d_v))
+    probs = []
+    for h in range(n_heads):
+        sl, svl = slice(h * dh, (h + 1) * dh), slice(h * dvh, (h + 1) * dvh)
+        scores = (qd[:, sl] @ kd[:, sl].T) * inv_scale
+        if mask is not None:
+            scores = np.where(mask, scores, NEG_MASK)
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        p = e / e.sum(axis=-1, keepdims=True)
+        out[:, svl] = p @ vd[:, svl]
+        probs.append(p)
+
+    def _bw(g, q=q, k=k, v=v, probs=probs):
+        dq = np.empty_like(qd) if q.requires_grad else None
+        dk = np.empty_like(kd) if k.requires_grad else None
+        dv = np.empty_like(vd) if v.requires_grad else None
+        for h, p in enumerate(probs):
+            sl, svl = slice(h * dh, (h + 1) * dh), slice(h * dvh, (h + 1) * dvh)
+            gh = g[:, svl]
+            if dv is not None:
+                dv[:, svl] = p.T @ gh
+            if dq is None and dk is None:
+                continue
+            dp = gh @ vd[:, svl].T
+            ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+            ds *= inv_scale
+            if dq is not None:
+                dq[:, sl] = ds @ kd[:, sl]
+            if dk is not None:
+                dk[:, sl] = ds.T @ qd[:, sl]
+        for t, grad in ((q, dq), (k, dk), (v, dv)):
+            if grad is not None:
+                t._accumulate(grad)
+
+    return _make(out, (q, k, v), _bw)
+
+
 def _transpose(a):
     def _bw(g, a=a):
         if a.requires_grad:
@@ -332,11 +446,20 @@ def _reshape(a, shape):
     return _make(a.data.reshape(shape), (a,), _bw)
 
 
+def _is_basic(key):
+    """True for int/slice keys, which select every entry at most once."""
+    keys = key if isinstance(key, tuple) else (key,)
+    return all(isinstance(k, (slice, int, np.integer)) for k in keys)
+
+
 def _getitem(a, key):
     def _bw(g, a=a, key=key):
         if a.requires_grad:
             full = np.zeros_like(a.data)
-            np.add.at(full, key, g)
+            if _is_basic(key):
+                full[key] += g
+            else:
+                np.add.at(full, key, g)
             a._accumulate(full)
 
     return _make(a.data[key], (a,), _bw)
@@ -384,23 +507,6 @@ def _max(a, axis):
         a._accumulate(full)
 
     return _make(out, (a,), _bw)
-
-
-def softmax(x, axis=-1):
-    """Numerically stabilized softmax along ``axis``."""
-    x = _wrap(x)
-    if x.data.shape == () or x.data.shape[axis] == 0:
-        raise ShapeError(f"softmax over empty axis {axis} of shape {x.shape}")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=axis, keepdims=True)
-
-    def _bw(g, x=x, p=p, axis=axis):
-        if x.requires_grad:
-            inner = (g * p).sum(axis=axis, keepdims=True)
-            x._accumulate(p * (g - inner))
-
-    return _make(p, (x,), _bw)
 
 
 def log_softmax(x, axis=-1):

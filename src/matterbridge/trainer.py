@@ -491,11 +491,11 @@ def _pretrain_micro_loss(batch, models, cfg, neg_seed):
         targets = np.array(ids[1:] + [vocab.eos_id], dtype=np.int64)
         pred_losses.append(lm_token_loss(logits, targets))
     loss_pred = sum(pred_losses[1:], pred_losses[0])
-    texts = concat(text_feats, axis=0)
-    loss_con = contrastive_loss(query_feats, texts, tau=cfg.tau,
+    sim_tensor = sim_matrix(query_feats, concat(text_feats, axis=0))
+    loss_con = contrastive_loss(sim_tensor, tau=cfg.tau,
                                 symmetric=cfg.symmetric_contrastive)
 
-    sims = sim_matrix(query_feats, texts).data
+    sims = sim_tensor.data
     if n < 2:
         loss_assoc = Tensor(np.zeros(()))
     elif not np.all(np.isfinite(sims)):

@@ -142,7 +142,7 @@ def test_criterion_01_gradient_suite(capsys):
 
         def loss_contrastive():
             feats, texts = correlation_features()
-            return contrastive_loss(feats, texts, tau=cfg.tau,
+            return contrastive_loss(sim_matrix(feats, texts), tau=cfg.tau,
                                     symmetric=cfg.symmetric_contrastive)
 
         def loss_token():
@@ -249,13 +249,14 @@ def test_criterion_02_closed_form_losses(capsys):
         rng = np.random.default_rng(2)
         single_q = [Tensor(rng.standard_normal((1, 4)))]
         single_t = Tensor(rng.standard_normal((1, 4)))
-        lone = contrastive_loss(single_q, single_t, tau=0.07).item()
+        lone = contrastive_loss(sim_matrix(single_q, single_t),
+                                tau=0.07).item()
         assert lone == 0.0
 
         u = rng.standard_normal(6)
         qs = [Tensor(u[None, :].copy()) for _ in range(4)]
         ts = Tensor(np.repeat(u[None, :], 4, axis=0))
-        uniform = contrastive_loss(qs, ts, tau=0.07).item()
+        uniform = contrastive_loss(sim_matrix(qs, ts), tau=0.07).item()
         assert abs(uniform - 4.0 * math.log(4.0)) < 1e-9
 
         T, V = 7, 13

@@ -380,6 +380,13 @@ CORRUPTIONS = {
         ("samples", lambda lines: lines + [_first_with(lines, prompt=5)]),
     "samples-bool-target": ("samples", lambda lines: lines + [
         _first_with(lines, numeric_target=True)]),
+    "records-material-id-not-string":
+        ("records", lambda lines: lines + [_first_with(lines, material_id=5)]),
+    "store-id-not-string":
+        ("store", lambda text: text.replace('"ids":["a"', '"ids":[5')),
+    "store-duplicate-ids":
+        ("store", lambda text: text.replace('"ids":["a","b"]',
+                                            '"ids":["a","a"]')),
     "records-missing-structure":
         ("records", lambda lines: lines + ['{"material_id": "x"}']),
     "records-not-utf8": ("records", lambda lines: lines + ["\udcff{}"]),

@@ -15,7 +15,7 @@ from matterbridge.lm import (
     init_lm,
     lm_forward,
 )
-from matterbridge.tensor import Tensor, log_softmax
+from matterbridge.tensor import Tensor, log_softmax, no_grad
 
 
 def tiny_lm(seed=0, **kw):
@@ -154,9 +154,10 @@ def reference_greedy(prefix, ids, max_new, lp):
 def cached_step_logits(prefix, prompt, generated, lp):
     """Last-row logits of each cached decode step along ``generated``."""
     cache = []
-    out = [lm_forward(prefix, prompt, lp, cache).data[-1]]
-    for nxt in generated:
-        out.append(lm_forward(None, [nxt], lp, cache).data[-1])
+    with no_grad():
+        out = [lm_forward(prefix, prompt, lp, cache).data[-1]]
+        for nxt in generated:
+            out.append(lm_forward(None, [nxt], lp, cache).data[-1])
     return out
 
 
@@ -203,6 +204,16 @@ class TestCachedDecoding:
                 generate_greedy(None, ids, max_new, lp)
         with pytest.raises(ContractError, match="length 10 exceeds 8"):
             generate_greedy(np.zeros((4, 16)), ids, 1, lp)
+
+    def test_cache_needs_no_grad(self):
+        lp = tiny_lm(trainable=True)
+        with pytest.raises(ContractError, match="no_grad"):
+            lm_forward(None, [4, 5], lp, [])
+        cache = []
+        with no_grad():
+            logits = lm_forward(None, [4, 5], lp, cache)
+        assert not logits.requires_grad
+        assert [c.n for c in cache] == [2] * lp.L_lm
 
     def test_early_eos_within_max_len_returns(self):
         vocab = Vocab([EOS, BOS, SEP] + list("abcdefg"))

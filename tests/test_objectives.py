@@ -60,21 +60,22 @@ class TestContrastive:
     def test_single_pair_is_zero(self):
         q = [np.stack([E1, E2])]
         t = np.stack([E1])
-        assert contrastive_loss(q, t, tau=1.0).item() == pytest.approx(0.0, abs=1e-15)
+        got = contrastive_loss(sim_matrix(q, t), tau=1.0).item()
+        assert got == pytest.approx(0.0, abs=1e-15)
 
     def test_identity_sim_n2_hand_value(self):
         # sim matrix [[1,0],[0,1]] at tau=1 -> 2 log(1 + e^-1)
         qs = [np.stack([E1]), np.stack([E2])]
         ts = np.stack([E1, E2])
         want = 2.0 * np.log(1.0 + np.exp(-1.0))
-        assert contrastive_loss(qs, ts, tau=1.0).item() == pytest.approx(
+        assert contrastive_loss(sim_matrix(qs, ts), tau=1.0).item() == pytest.approx(
             want, abs=1e-12
         )
 
     def test_uniform_batch_4ln4(self):
         qs = [np.stack([E1])] * 4
         ts = np.stack([E1] * 4)
-        got = contrastive_loss(qs, ts, tau=0.07).item()
+        got = contrastive_loss(sim_matrix(qs, ts), tau=0.07).item()
         assert got == pytest.approx(4.0 * np.log(4.0), abs=1e-9)
 
     def test_pair_permutation_invariance(self):
@@ -82,8 +83,9 @@ class TestContrastive:
         qs = [rng.standard_normal((3, 5)) for _ in range(4)]
         ts = rng.standard_normal((4, 5))
         perm = rng.permutation(4)
-        a = contrastive_loss(qs, ts).item()
-        b = contrastive_loss([qs[i] for i in perm], ts[perm]).item()
+        a = contrastive_loss(sim_matrix(qs, ts)).item()
+        b = contrastive_loss(
+            sim_matrix([qs[i] for i in perm], ts[perm])).item()
         assert a == pytest.approx(b, abs=1e-9)
 
     def test_temperature_monotone_gap(self):
@@ -94,22 +96,23 @@ class TestContrastive:
         gaps = []
         for tau in (1.0, 0.5, 0.1):
             gap = (
-                contrastive_loss(unq, unt, tau=tau).item()
-                - contrastive_loss(idq, idt, tau=tau).item()
+                contrastive_loss(sim_matrix(unq, unt), tau=tau).item()
+                - contrastive_loss(sim_matrix(idq, idt), tau=tau).item()
             )
             gaps.append(gap)
         assert gaps[0] < gaps[1] < gaps[2]
 
     def test_bad_tau(self):
         with pytest.raises(ContractError):
-            contrastive_loss([np.stack([E1])], np.stack([E1]), tau=0.0)
+            contrastive_loss(sim_matrix([np.stack([E1])], np.stack([E1])),
+                             tau=0.0)
 
     def test_symmetric_flag_adds_reverse_direction(self):
         rng = np.random.default_rng(2)
         qs = [rng.standard_normal((2, 4)) for _ in range(3)]
         ts = rng.standard_normal((3, 4))
-        one_way = contrastive_loss(qs, ts).item()
-        both = contrastive_loss(qs, ts, symmetric=True).item()
+        one_way = contrastive_loss(sim_matrix(qs, ts)).item()
+        both = contrastive_loss(sim_matrix(qs, ts), symmetric=True).item()
         assert both > one_way
 
     def test_gradients(self):
@@ -117,7 +120,8 @@ class TestContrastive:
         q0 = Tensor(rng.standard_normal((2, 4)), True)
         q1 = Tensor(rng.standard_normal((2, 4)), True)
         ts = Tensor(rng.standard_normal((2, 4)), True)
-        check_grads(lambda: contrastive_loss([q0, q1], ts, tau=0.5), [q0, q1, ts])
+        check_grads(lambda: contrastive_loss(sim_matrix([q0, q1], ts), tau=0.5),
+                    [q0, q1, ts])
 
 
 class TestLmLoss:
@@ -301,7 +305,7 @@ class TestNonnegativity:
         for _ in range(5):
             qs = [rng.standard_normal((2, 4)) for _ in range(3)]
             ts = rng.standard_normal((3, 4))
-            assert contrastive_loss(qs, ts).item() >= 0.0
+            assert contrastive_loss(sim_matrix(qs, ts)).item() >= 0.0
             logits = rng.standard_normal((4, 7))
             assert lm_token_loss(logits, rng.integers(0, 7, 4)).item() >= 0.0
             s = rng.uniform(0.01, 0.99, 4)

@@ -37,9 +37,18 @@ class TestStore:
         store.save(tmp_path)
         again = EmbeddingStore.load(tmp_path)
         assert len(again) == 3
-        assert [r.material_id for r in again.records] == ["a", "b", "c"]
+        assert again.ids == ["a", "b", "c"]
         np.testing.assert_array_equal(again.matrix(), store.matrix())
-        assert again.records[0].labels == {"is_metal": "yes"}
+        assert again.labels[0] == {"is_metal": "yes"}
+
+    def test_load_rejects_nonfinite_vector(self, tmp_path):
+        toy_store().save(tmp_path)
+        bin_path = tmp_path / "store.bin"
+        raw = bytearray(bin_path.read_bytes())
+        raw[16:24] = np.array([np.inf]).tobytes()  # first entry of row b
+        bin_path.write_bytes(bytes(raw))
+        with pytest.raises(ValidationError, match="embedding for b"):
+            EmbeddingStore.load(tmp_path)
 
     def test_bin_length_check(self, tmp_path):
         store = toy_store()
@@ -93,14 +102,19 @@ class TestRetrieve:
         rng = np.random.default_rng(12)
         store = EmbeddingStore(stride=4)
         vecs = rng.normal(size=(50, 4))
+        vecs[7] = vecs[3]  # an exact tie keeps insertion order
         for i, v in enumerate(vecs):
             store.add(EmbeddingRecord(f"m{i}", v, {}))
-        for _ in range(10):
-            q = rng.normal(size=4)
-            got = retrieve_topk(store, q, k=5)
-            dists = np.linalg.norm(vecs - q, axis=1)
-            want = np.argsort(dists, kind="stable")[:5]
-            assert [r.material_id for r in got] == [f"m{i}" for i in want]
+        for trial in range(10):
+            q = vecs[3] + 0.1 * rng.normal(size=4)
+            skip = f"m{trial}" if trial % 2 else None
+            got = retrieve_topk(store, q, k=5, exclude_id=skip)
+            # the per-row loop retrieval used before it was vectorised
+            rows = [(f"m{i}", v) for i, v in enumerate(vecs)
+                    if f"m{i}" != skip]
+            dists = np.array([np.linalg.norm(v - q) for _, v in rows])
+            want = [rows[i][0] for i in np.argsort(dists, kind="stable")[:5]]
+            assert [r.material_id for r in got] == want
 
 
 class TestAggregate:

@@ -1,24 +1,77 @@
 """Autodiff core: forward values against hand-computed results, gradients
-against central finite differences."""
+against central finite differences, fused ops bitwise against the
+composites they replace."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from matterbridge.errors import ContractError, ShapeError
 from matterbridge.tensor import (
     NEG_MASK,
     Tensor,
+    affine,
+    attention,
     concat,
     embedding,
+    gelu,
+    grad_enabled,
     layer_norm,
     log_softmax,
     matmul,
-    softmax,
+    no_grad,
 )
 
 H = 1e-5
+
+
+def composite_gelu(x):
+    """The six-op erf form GELU was built from: x*erf(x/sqrt2)*0.5 + x*0.5."""
+    return x * erf(x * (1.0 / np.sqrt(2.0))) * 0.5 + x * 0.5
+
+
+def composite_attention(q, k, v, n_heads, mask=None):
+    """Per-head loop of slices, scale, NEG_MASK fill and max-shifted softmax."""
+    d_head, dv_head = q.shape[1] // n_heads, v.shape[1] // n_heads
+    inv_scale = 1.0 / np.sqrt(d_head)
+    heads = []
+    for h in range(n_heads):
+        sl = slice(h * d_head, (h + 1) * d_head)
+        scores = (q[:, sl] @ k[:, sl].T) * inv_scale
+        if mask is not None:
+            scores = np.where(~mask, NEG_MASK, scores)
+        shifted = scores - scores.max(axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        p = e / e.sum(axis=-1, keepdims=True)
+        heads.append(p @ v[:, h * dv_head:(h + 1) * dv_head])
+    return np.concatenate(heads, axis=1)
+
+
+def attention_weights(scores, mask=None):
+    """attention's softmax weights for given scores: one head, v = I.
+
+    Query i is sqrt(d) e_i and key j holds column j of the scores, with
+    d a power of 4, so every score reaches the softmax exactly.
+    """
+    scores = np.asarray(scores, dtype=float)
+    t_q, t_k = scores.shape
+    d = 4
+    while d < t_q:
+        d *= 4
+    q = np.zeros((t_q, d))
+    q[np.arange(t_q), np.arange(t_q)] = np.sqrt(d)
+    k = np.zeros((t_k, d))
+    k[:, :t_q] = scores.T
+    return attention(Tensor(q), Tensor(k), Tensor(np.eye(t_k)), 1, mask)
+
+
+def random_mask(rng, t_q, t_k):
+    """Random allowed-key mask with at least one allowed key per row."""
+    mask = rng.random((t_q, t_k)) < 0.5
+    mask[np.arange(t_q), rng.integers(0, t_k, t_q)] = True
+    return mask
 
 
 def numeric_grad(build, param, h=H):
@@ -60,14 +113,14 @@ class TestForwardValues:
         )
 
     def test_softmax_quarter_three_quarters(self):
-        out = softmax(Tensor([[0.0, np.log(3.0)]]))
+        out = attention_weights([[0.0, np.log(3.0)]])
         np.testing.assert_allclose(out.data, [[0.25, 0.75]], rtol=0, atol=1e-15)
 
     def test_softmax_shift_invariance(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((4, 9))
-        a = softmax(Tensor(x)).data
-        b = softmax(Tensor(x + 123.456)).data
+        a = attention_weights(x).data
+        b = attention_weights(x + 123.456).data
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
     def test_square_grad_at_three(self):
@@ -80,20 +133,26 @@ class TestForwardValues:
         x = rng.standard_normal((5, 7))
         np.testing.assert_allclose(
             log_softmax(Tensor(x)).data,
-            np.log(softmax(Tensor(x)).data),
+            np.log(attention_weights(x).data),
             rtol=0,
             atol=1e-12,
         )
 
     def test_masked_fill_with_neg_mask_zeroes_softmax(self):
-        x = Tensor(np.zeros((2, 4)), requires_grad=True)
-        mask = np.array([[False, True, False, True]] * 2)
-        p = softmax(x.masked_fill(mask, NEG_MASK))
+        rng = np.random.default_rng(4)
+        k = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
+        v = Tensor(np.eye(4), requires_grad=True)
+        allowed = np.array([[True, False, True, False]] * 2)
+        p = attention(Tensor(np.zeros((2, 4))), k, v, 1, allowed)
         assert (p.data[:, 1] == 0.0).all() and (p.data[:, 3] == 0.0).all()
         np.testing.assert_allclose(p.data[:, 0], 0.5, atol=1e-15)
-        # masked positions must receive bitwise-zero gradient
-        p.sum().backward()
-        assert (x.grad[:, 1] == 0.0).all() and (x.grad[:, 3] == 0.0).all()
+        # masked keys must receive bitwise-zero gradient
+        q = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
+        p = attention(q, k, v, 1, allowed)
+        (p * Tensor(rng.standard_normal((2, 4)))).sum().backward()
+        for t in (k, v):
+            assert (t.grad[1] == 0.0).all() and (t.grad[3] == 0.0).all()
+            assert (t.grad[0] != 0.0).any()
 
 
 class TestInvariants:
@@ -102,7 +161,7 @@ class TestInvariants:
     def test_softmax_rows_sum_to_one(self, seed):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((3, 6)) * rng.uniform(0.1, 50.0)
-        s = softmax(Tensor(x)).data.sum(axis=-1)
+        s = attention_weights(x).data.sum(axis=-1)
         np.testing.assert_allclose(s, 1.0, rtol=0, atol=1e-12)
 
     @given(st.integers(0, 2**32 - 1))
@@ -179,7 +238,7 @@ class TestGradients:
     def test_unary_ops(self):
         x = Tensor(self.rng.uniform(0.2, 2.0, (3, 3)), requires_grad=True)
         check_grads(
-            lambda: (x.log() + x.sigmoid() + x.erf() + x.sqrt()
+            lambda: (x.log() + x.sigmoid() + gelu(x) + x.sqrt()
                      + x.square()).sum(),
             [x],
         )
@@ -200,9 +259,9 @@ class TestGradients:
         np.testing.assert_array_equal(x.grad, [[0, 1, 0], [1, 0, 0]])
 
     def test_softmax_grad(self):
-        x = self.param(4, 6)
+        q, k, v = self.param(4, 2), self.param(6, 2), self.param(6, 6)
         w = self.param(4, 6)
-        check_grads(lambda: (softmax(x) * w).sum(), [x, w])
+        check_grads(lambda: (attention(q, k, v, 1) * w).sum(), [q, k, v, w])
 
     def test_log_softmax_grad(self):
         x = self.param(4, 6)
@@ -231,6 +290,16 @@ class TestGradients:
     def test_getitem_rows(self):
         a = self.param(6, 3)
         check_grads(lambda: a[2:5].square().sum(), [a])
+        # a slice scatters bitwise as an index array does; repeats add up
+        g = self.rng.standard_normal((3, 3))
+        for key in (slice(2, 5), np.arange(2, 5)):
+            a.grad = None
+            (a[key] * Tensor(g)).sum().backward()
+            np.testing.assert_array_equal(a.grad[2:5], g)
+            assert not a.grad[:2].any() and not a.grad[5:].any()
+        a.grad = None
+        a[np.array([1, 1])].sum().backward()
+        np.testing.assert_array_equal(a.grad[1], 2.0)
 
     def test_layer_norm(self):
         x = self.param(4, 8)
@@ -241,15 +310,96 @@ class TestGradients:
                     [x, gamma, beta])
 
     def test_masked_fill_grad(self):
-        x = self.param(3, 5)
-        mask = self.rng.random((3, 5)) < 0.4
-        check_grads(lambda: softmax(x.masked_fill(mask, NEG_MASK)).square().sum(),
-                    [x])
+        q, k, v = self.param(3, 4), self.param(5, 4), self.param(5, 2)
+        mask = random_mask(self.rng, 3, 5)
+        check_grads(lambda: attention(q, k, v, 1, mask).square().sum(),
+                    [q, k, v])
 
     def test_attention_shaped_composite(self):
         # q @ k^T -> softmax -> @ v, the pattern the bridge relies on
         q, k, v = self.param(3, 4), self.param(5, 4), self.param(5, 6)
-        check_grads(
-            lambda: (softmax((q @ k.T) * (1.0 / 2.0)) @ v).square().sum(),
-            [q, k, v],
-        )
+        check_grads(lambda: attention(q, k, v, 1).square().sum(), [q, k, v])
+
+    def test_affine(self):
+        x, w, b = self.param(3, 4), self.param(4, 5), self.param(5)
+        check_grads(lambda: affine(x, w, b).square().sum(), [x, w, b])
+
+    def test_gelu(self):
+        x = Tensor(self.rng.uniform(-3.0, 3.0, (4, 5)), requires_grad=True)
+        w = self.param(4, 5)
+        check_grads(lambda: (gelu(x) * w).sum(), [x, w])
+
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("t_q, t_k", [(4, 4), (3, 5)],
+                             ids=["self", "cross"])
+    def test_attention(self, n_heads, masked, t_q, t_k):
+        q, k, v = self.param(t_q, 4), self.param(t_k, 4), self.param(t_k, 6)
+        w = self.param(t_q, 6)
+        mask = random_mask(self.rng, t_q, t_k) if masked else None
+        check_grads(lambda: (attention(q, k, v, n_heads, mask) * w).sum(),
+                    [q, k, v])
+
+
+class TestFusedForward:
+    """Each fused op equals, bit for bit, the composite it replaced."""
+
+    rng = np.random.default_rng(99)
+
+    def test_affine_matches_composite(self):
+        x, w, b = (self.rng.standard_normal(s) for s in ((7, 5), (5, 3), (3,)))
+        np.testing.assert_array_equal(affine(Tensor(x), Tensor(w),
+                                             Tensor(b)).data, x @ w + b)
+
+    def test_gelu_matches_composite(self):
+        x = np.concatenate([self.rng.standard_normal(200) * 4.0,
+                            [0.0, -0.0, 1e-300, -40.0, 40.0]]).reshape(5, 41)
+        np.testing.assert_array_equal(gelu(Tensor(x)).data, composite_gelu(x))
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("t_q, t_k", [(6, 6), (3, 7)],
+                             ids=["self", "cross"])
+    def test_attention_matches_per_head_composite(self, n_heads, masked,
+                                                  t_q, t_k):
+        q = self.rng.standard_normal((t_q, 8))
+        k = self.rng.standard_normal((t_k, 8))
+        v = self.rng.standard_normal((t_k, 8))
+        mask = random_mask(self.rng, t_q, t_k) if masked else None
+        got = attention(Tensor(q), Tensor(k), Tensor(v), n_heads, mask).data
+        np.testing.assert_array_equal(
+            got, composite_attention(q, k, v, n_heads, mask))
+
+    def test_attention_rejects_a_row_without_keys(self):
+        mask = np.array([[True, False], [False, False]])
+        with pytest.raises(ContractError):
+            attention(Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2))),
+                      Tensor(np.ones((2, 2))), 1, mask)
+        with pytest.raises(ShapeError):
+            attention(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))),
+                      Tensor(np.ones((2, 3))), 2)
+
+
+class TestNoGrad:
+    def test_records_nothing_inside(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        w = Tensor(np.ones((3, 2)), requires_grad=True)
+        with no_grad():
+            assert not grad_enabled()
+            y = gelu(affine(x, w, Tensor(np.zeros(2)))).sum()
+        assert not y.requires_grad and y._prev == () and y._backward is None
+        assert grad_enabled()
+        assert (x * 2.0).sum().requires_grad
+
+    def test_restored_after_exception(self):
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError("inside")
+        assert grad_enabled()
+
+    def test_nests(self):
+        with no_grad():
+            with no_grad():
+                assert not grad_enabled()
+            assert not grad_enabled()
+        assert grad_enabled()
