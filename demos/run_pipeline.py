@@ -57,11 +57,11 @@ def main():
     # the nearest neighbors of the first one
     sh(["embed", "--ckpt", str(ckpts / "finetune-final.ckpt"),
         "--records", str(data / "records_train.jsonl"),
-        "--out", str(root / "store.bin")] + base)
+        "--out", str(root / "store")] + base)
     first_id = json.loads(
         (data / "records_train.jsonl").read_text().splitlines()[0]
     )["material_id"]
-    sh(["retrieve", "--store", str(root / "store.bin"),
+    sh(["retrieve", "--store", str(root / "store"),
         "--query-id", first_id, "--k", "3"] + base)
 
     # answer one prompt for one structure; the structure file is just the

@@ -32,7 +32,6 @@ from .datasetgen import (
 )
 from .errors import MatterBridgeError, ValidationError
 from .evaluate import (
-    CLASSIFICATION_TASKS,
     DEFAULT_RAG_K,
     NUMERIC_TASKS,
     _AnswerCache,
@@ -43,11 +42,10 @@ from .evaluate import (
     write_eval_report,
 )
 from .ioutil import atomic_write
-from .rag import EmbeddingRecord, EmbeddingStore, embed_material, retrieve_topk
+from .rag import EmbeddingStore, embed_material, retrieve_topk
 from .rematch import RematchConfig, similarity_matrix
 from .soap import SoapConfig
-from .templates import TASKS, attribute_text, format_value, numeric_target
-from .templates import render_prompt
+from .templates import TASKS, format_value, render_prompt
 from .trainer import build_models, encode_structure, finetune, pretrain
 from .trainer import restore_models
 
@@ -73,13 +71,6 @@ def _structure_from_file(path, fmt):
         fmt = "cif-subset" if path.endswith(".cif") else "structure-json"
     with open(path, "rb") as fh:
         return parse_structure(fh.read(), fmt)
-
-
-def _record_labels(record):
-    labels = {t: attribute_text(record, t) for t in CLASSIFICATION_TASKS}
-    for t in NUMERIC_TASKS:
-        labels[t] = numeric_target(record, t)
-    return labels
 
 
 # -- subcommand bodies -------------------------------------------------------
@@ -188,12 +179,9 @@ def cmd_embed(args, cfg, seed):
     records = load_property_records(args.records)
     if not records:
         raise ValidationError("no records to embed")
-    store = None
-    for rec in records:
-        vec = embed_material(rec.structure, models)
-        if store is None:
-            store = EmbeddingStore(vec.size)
-        store.add(EmbeddingRecord(rec.material_id, vec, _record_labels(rec)))
+    store = EmbeddingStore(
+        [rec.material_id for rec in records],
+        np.stack([embed_material(rec.structure, models) for rec in records]))
     store.save(args.out)
     print(f"wrote {len(store)} embeddings of stride {store.stride} "
           f"to {args.out}")
@@ -205,12 +193,10 @@ def cmd_retrieve(args, cfg, seed):
     if args.query_id not in store.ids:
         raise ValidationError(
             f"query id {args.query_id!r} not in store")
-    query = store.matrix()[store.ids.index(args.query_id)]
+    query = store.matrix[store.ids.index(args.query_id)]
     exclude = None if args.include_self else args.query_id
-    hits = retrieve_topk(store, query, args.k, exclude_id=exclude)
-    for hit in hits:
-        dist = float(np.linalg.norm(hit.vector - query))
-        print(f"{hit.material_id} {dist!r}")
+    for hit in retrieve_topk(store, query, args.k, exclude_id=exclude):
+        print(f"{hit.material_id} {hit.distance!r}")
     return 0
 
 
@@ -247,7 +233,7 @@ def cmd_similarity(args, cfg, seed):
 
 def cmd_project(args, cfg, seed):
     store = EmbeddingStore.load(args.store)
-    coords, frac = project_2d_pca(store.matrix())
+    coords, frac = project_2d_pca(store.matrix)
     lines = ["material_id,x,y"]
     for mid, (x, y) in zip(store.ids, coords):
         lines.append(f"{mid},{float(x)!r},{float(y)!r}")

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import ContractError, ValidationError
-from .ioutil import canonical_json
+from .ioutil import atomic_write, canonical_json
 
 
 @dataclass
@@ -101,9 +101,8 @@ def load_config(path):
 
 
 def save_config(path, cfg):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(cfg.to_dict()))
-        fh.write("\n")
+    with atomic_write(path) as fh:
+        fh.write((canonical_json(cfg.to_dict()) + "\n").encode())
 
 
 def config_hash(cfg):

@@ -16,8 +16,10 @@ material therefore reproduces the plain prediction exactly.
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import re
-from dataclasses import dataclass
+import typing
 
 import numpy as np
 
@@ -260,7 +262,7 @@ def predict_sample(cache, sample, rag_store=None, k=DEFAULT_RAG_K):
 # -- report assembly ---------------------------------------------------------
 
 
-@dataclass
+@dataclasses.dataclass
 class EvalReport:
     """Per-task metrics plus the provenance needed to reproduce them."""
 
@@ -270,24 +272,22 @@ class EvalReport:
     tasks: dict
 
     def to_dict(self):
-        return {
-            "config_hash": self.config_hash,
-            "rag": self.rag,
-            "n_samples": self.n_samples,
-            "tasks": self.tasks,
-        }
+        return dataclasses.asdict(self)
 
 
 def report_from_dict(obj):
-    missing = {"config_hash", "rag", "n_samples", "tasks"} - set(obj)
+    if not isinstance(obj, dict):
+        raise ValidationError("report is not a JSON object")
+    fields = typing.get_type_hints(EvalReport)
+    missing = set(fields) - set(obj)
     if missing:
         raise ValidationError(f"report missing keys: {sorted(missing)}")
-    return EvalReport(
-        config_hash=obj["config_hash"],
-        rag=bool(obj["rag"]),
-        n_samples=int(obj["n_samples"]),
-        tasks=dict(obj["tasks"]),
-    )
+    for key, kind in fields.items():
+        if type(obj[key]) is not kind:
+            raise ValidationError(
+                f"report {key} must be a {kind.__name__}, "
+                f"not {type(obj[key]).__name__}")
+    return EvalReport(**{key: obj[key] for key in fields})
 
 
 def write_eval_report(path, report):
@@ -296,14 +296,13 @@ def write_eval_report(path, report):
 
 
 def read_eval_report(path):
-    import json
-
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ValidationError(
-                f"report {path} is not valid JSON: {e.msg}") from None
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        obj = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ValidationError(f"report {path} is not UTF-8 JSON: {e}") \
+            from None
     return report_from_dict(obj)
 
 

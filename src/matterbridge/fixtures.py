@@ -25,7 +25,7 @@ from .datasetgen import (
     sample_to_dict,
 )
 from .errors import ValidationError
-from .ioutil import canonical_json
+from .ioutil import atomic_write, canonical_json
 from .templates import AUXILIARY, TASKS, get_templates, render_answer
 
 FIXTURE_SEED = 42
@@ -102,13 +102,10 @@ def regenerate_fixtures(fixture_dir):
     for task in TASKS + AUXILIARY:
         name = f"{task}.txt"
         sums[f"templates/{name}"] = _sha256(_template_bytes(name))
+    blobs[CHECKSUMS_FILE] = (canonical_json(sums) + "\n").encode("utf-8")
     for name, blob in blobs.items():
-        with open(os.path.join(fixture_dir, name), "wb") as fh:
+        with atomic_write(os.path.join(fixture_dir, name)) as fh:
             fh.write(blob)
-    with open(os.path.join(fixture_dir, CHECKSUMS_FILE), "w",
-              encoding="utf-8") as fh:
-        fh.write(canonical_json(sums))
-        fh.write("\n")
     return fixture_dir
 
 

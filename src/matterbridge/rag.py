@@ -1,16 +1,19 @@
-"""Embedding store and retrieval-augmented aggregation.
+"""Embedding store and nearest-neighbour retrieval.
 
-Materials are embedded by flattening the projected bridge queries into
-one vector.  A store keeps those vectors with task labels; at inference
-time the nearest stored materials vote on classification answers and
-average on numeric ones.
+A material is embedded by flattening its LM prefix (the projected bridge
+queries) into one vector.  A store holds material ids and one matrix of
+those vectors, nothing else.  Retrieval ranks the stored materials by L2
+distance to a query.  Retrieval-augmented answering then decodes each
+neighbour's answer with the same prompt (``evaluate.predict_sample``);
+no answer is looked up in the store.  ``rag_aggregate`` combines the
+neighbours' answers with the model's own.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,21 +25,6 @@ from .trainer import encode_structure
 
 STORE_BIN = "store.bin"
 STORE_JSON = "store.json"
-
-
-@dataclass
-class EmbeddingRecord:
-    material_id: str
-    vector: np.ndarray
-    labels: dict
-
-    def __post_init__(self):
-        if not isinstance(self.material_id, str):
-            raise ValidationError("material id must be a string")
-        self.vector = np.asarray(self.vector, dtype=np.float64).ravel()
-        if not np.all(np.isfinite(self.vector)):
-            raise ValidationError(
-                f"embedding for {self.material_id} is not finite")
 
 
 def embed_material(structure, models):
@@ -51,56 +39,49 @@ def embed_material(structure, models):
 
 
 class EmbeddingStore:
-    """Fixed-stride vector store with insertion-ordered ids and labels.
+    """Material ids and one (count, stride) matrix, row i for ``ids[i]``.
 
-    The vectors form one (len, stride) matrix, row i belonging to
-    ``ids[i]``.
+    The constructor checks every invariant of a store: ids are a list of
+    unique strings, one per row; the matrix is 2-D with stride >= 1; and
+    every row is finite.  On disk a store is ``store.bin`` (the matrix as
+    little-endian float64, row-major) and ``store.json`` (``stride``,
+    ``count`` and ``ids``).
     """
 
-    def __init__(self, stride):
-        if stride < 1:
-            raise ValidationError("stride must be >= 1")
-        self.stride = int(stride)
-        self.ids = []
-        self.labels = []
-        self._index = {}
-        self._block = np.zeros((0, self.stride))
-        self._pending = []  # vectors added since _block was last built
+    def __init__(self, ids, matrix):
+        if not isinstance(ids, list):
+            raise ValidationError("store ids must be a list")
+        matrix = np.asarray(matrix, dtype=np.float64)
+        if matrix.ndim != 2 or matrix.shape[1] < 1:
+            raise ValidationError("store matrix must be 2-D with stride >= 1")
+        if len(ids) != matrix.shape[0]:
+            raise ValidationError(
+                f"{len(ids)} material ids for {matrix.shape[0]} vectors")
+        if not all(isinstance(mid, str) for mid in ids):
+            raise ValidationError("material id must be a string")
+        index = {mid: i for i, mid in enumerate(ids)}
+        if len(index) != len(ids):
+            dup = next(m for i, m in enumerate(ids) if index[m] != i)
+            raise ValidationError(f"duplicate material id {dup!r}")
+        finite = np.isfinite(matrix).all(axis=1)
+        if not finite.all():
+            raise ValidationError(
+                f"embedding for {ids[int(np.argmin(finite))]} is not finite")
+        self.ids, self.matrix, self._index = ids, matrix, index
 
     def __len__(self):
         return len(self.ids)
 
-    def add(self, record):
-        if record.vector.shape != (self.stride,):
-            raise ValidationError(
-                f"vector for {record.material_id} has length "
-                f"{record.vector.size}, store stride is {self.stride}")
-        if record.material_id in self._index:
-            raise ValidationError(
-                f"duplicate material id {record.material_id!r}")
-        self._index[record.material_id] = len(self.ids)
-        self.ids.append(record.material_id)
-        self.labels.append(record.labels)
-        self._pending.append(record.vector)
-
-    def matrix(self):
-        if self._pending:
-            self._block = np.concatenate([self._block,
-                                          np.stack(self._pending)])
-            self._pending = []
-        return self._block
+    @property
+    def stride(self):
+        return self.matrix.shape[1]
 
     def save(self, directory):
         os.makedirs(directory, exist_ok=True)
-        blob = np.ascontiguousarray(self.matrix(), dtype="<f8").tobytes()
+        blob = np.ascontiguousarray(self.matrix, dtype="<f8").tobytes()
         with atomic_write(os.path.join(directory, STORE_BIN)) as fh:
             fh.write(blob)
-        meta = {
-            "stride": self.stride,
-            "count": len(self),
-            "ids": self.ids,
-            "labels": self.labels,
-        }
+        meta = {"stride": self.stride, "count": len(self), "ids": self.ids}
         with atomic_write(os.path.join(directory, STORE_JSON)) as fh:
             fh.write((canonical_json(meta) + "\n").encode())
         return directory
@@ -121,41 +102,35 @@ class EmbeddingStore:
             raw = open(bin_path, "rb").read()
         except FileNotFoundError:
             raise ValidationError(f"missing {bin_path}") from None
-        try:
-            stride, count = int(meta["stride"]), int(meta["count"])
-            ids, labels = list(meta["ids"]), list(meta["labels"])
-        except (KeyError, TypeError, ValueError):
+        if not (isinstance(meta, dict)
+                and {"stride", "count", "ids"} <= meta.keys()):
+            raise ValidationError(f"{json_path} needs stride, count and ids")
+        stride, count = meta["stride"], meta["count"]
+        if not (type(stride) is int and type(count) is int
+                and min(stride, count) >= 0):
             raise ValidationError(
-                f"{json_path} needs stride, count, ids and labels") from None
-        store = cls(stride)
+                f"{json_path}: stride and count must be integers >= 0")
         expected = stride * count * 8
         if len(raw) != expected:
             raise ValidationError(
                 f"{bin_path} holds {len(raw)} bytes, expected {expected} "
                 f"({count} vectors of stride {stride})")
-        if len(ids) != count or len(labels) != count:
-            raise ValidationError("store metadata lengths disagree with count")
-        if not all(isinstance(mid, str) for mid in ids):
-            raise ValidationError("material id must be a string")
-        index = {mid: i for i, mid in enumerate(ids)}
-        if len(index) != count:
-            dup = next(m for i, m in enumerate(ids) if index[m] != i)
-            raise ValidationError(f"duplicate material id {dup!r}")
         block = np.frombuffer(raw, dtype="<f8").reshape(count, stride)
-        finite = np.isfinite(block).all(axis=1)
-        if not finite.all():
-            raise ValidationError(
-                f"embedding for {ids[int(np.argmin(finite))]} is not finite")
-        store.ids, store.labels, store._index = ids, labels, index
-        store._block = block
-        return store
+        return cls(meta["ids"], block)
+
+
+class Hit(NamedTuple):
+    """A retrieved material and its L2 distance to the query."""
+
+    material_id: str
+    distance: float
 
 
 def retrieve_topk(store, query, k, exclude_id=None):
-    """k nearest records by L2 distance, ascending; stable on ties.
+    """k nearest stored materials as Hits, by ascending L2 distance.
 
-    A record whose id equals exclude_id is skipped, so a stored material
-    never retrieves itself.
+    Ties keep store order.  The material whose id equals exclude_id is
+    skipped, so a stored material never retrieves itself.
     """
     query = np.asarray(query, dtype=np.float64).ravel()
     if query.shape != (store.stride,):
@@ -169,12 +144,11 @@ def retrieve_topk(store, query, k, exclude_id=None):
     if k > len(rows):
         raise ValidationError(
             f"k={k} exceeds the {len(rows)} available records")
-    matrix = store.matrix()
-    diff = matrix - query
+    diff = store.matrix - query
     diff *= diff
-    dists = np.sqrt(diff.sum(axis=1))[rows]
-    return [EmbeddingRecord(store.ids[i], matrix[i], store.labels[i])
-            for i in rows[np.argsort(dists, kind="stable")[:k]]]
+    dists = np.sqrt(diff.sum(axis=1))
+    best = rows[np.argsort(dists[rows], kind="stable")[:k]]
+    return [Hit(store.ids[i], float(dists[i])) for i in best]
 
 
 def rag_aggregate(self_pred, retrieved_preds, kind):

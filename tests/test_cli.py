@@ -15,7 +15,7 @@ from matterbridge.datasetgen import (generate_synthetic_records,
                                      write_property_records)
 from matterbridge.errors import MatterBridgeError
 from matterbridge.evaluate import parse_answer_value, read_eval_report
-from matterbridge.rag import EmbeddingRecord, EmbeddingStore
+from matterbridge.rag import EmbeddingStore
 from matterbridge.trainer import build_models, load_checkpoint, save_checkpoint
 
 
@@ -387,6 +387,12 @@ CORRUPTIONS = {
     "store-duplicate-ids":
         ("store", lambda text: text.replace('"ids":["a","b"]',
                                             '"ids":["a","a"]')),
+    "store-ids-a-string":
+        ("store", lambda text: text.replace('"ids":["a","b"]', '"ids":"ab"')),
+    "store-stride-not-integer":
+        ("store", lambda text: text.replace('"stride":2', '"stride":2.5')),
+    "store-count-a-string":
+        ("store", lambda text: text.replace('"count":2', '"count":"2"')),
     "records-missing-structure":
         ("records", lambda lines: lines + ['{"material_id": "x"}']),
     "records-not-utf8": ("records", lambda lines: lines + ["\udcff{}"]),
@@ -423,10 +429,8 @@ class TestCorruptInputs:
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(str(ckpt), build_models(cfg, seed=3), cfg,
                         "pretrain", 0)
-        store = EmbeddingStore(2)
-        store.add(EmbeddingRecord("a", np.zeros(2), {}))
-        store.add(EmbeddingRecord("b", np.ones(2), {}))
-        store.save(str(tmp_path / "store"))
+        EmbeddingStore(["a", "b"], np.array([[0.0, 0.0], [1.0, 1.0]])).save(
+            str(tmp_path / "store"))
         struct = tmp_path / "query.json"
         records = load_property_records(str(data / "records.jsonl"))
         struct.write_text(structure_to_json(records[0].structure))

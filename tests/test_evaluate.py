@@ -1,6 +1,7 @@
 """Answer parsing, metrics, PCA projection, and report assembly."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from matterbridge.evaluate import (
     read_eval_report,
     write_eval_report,
 )
-from matterbridge.rag import EmbeddingRecord, EmbeddingStore, embed_material
+from matterbridge.rag import EmbeddingStore, embed_material
 from matterbridge.templates import NUMERIC_TASKS, format_value
 from matterbridge.trainer import build_models, encode_structure, save_checkpoint
 
@@ -242,6 +243,36 @@ class TestGeneration:
             generate_answer(models, atoms, "")
 
 
+_GOOD_REPORT = {"config_hash": "abc", "rag": False, "n_samples": 3,
+                "tasks": {}}
+
+# name -> bytes of a malformed report file
+BAD_REPORTS = {
+    "not-utf8": b"\xff" + json.dumps(_GOOD_REPORT).encode(),
+    "a-number": b"5",
+    "a-list": json.dumps([_GOOD_REPORT]).encode(),
+    "config-hash-not-string":
+        json.dumps({**_GOOD_REPORT, "config_hash": 7}).encode(),
+    "rag-not-bool": json.dumps({**_GOOD_REPORT, "rag": 0}).encode(),
+    "n-samples-a-string":
+        json.dumps({**_GOOD_REPORT, "n_samples": "abc"}).encode(),
+    "n-samples-a-float":
+        json.dumps({**_GOOD_REPORT, "n_samples": 3.5}).encode(),
+    "n-samples-a-bool":
+        json.dumps({**_GOOD_REPORT, "n_samples": True}).encode(),
+    "tasks-a-list": json.dumps({**_GOOD_REPORT, "tasks": []}).encode(),
+}
+
+
+class TestReadReport:
+    @pytest.mark.parametrize("case", sorted(BAD_REPORTS))
+    def test_malformed_report_is_a_validation_error(self, tmp_path, case):
+        path = tmp_path / "report.json"
+        path.write_bytes(BAD_REPORTS[case])
+        with pytest.raises(ValidationError):
+            read_eval_report(str(path))
+
+
 class TestEvalReport:
     def _checkpoint(self, tmp_path, cfg, seed=3):
         models = build_models(cfg, seed)
@@ -319,9 +350,8 @@ class TestEvalReport:
 
         models = restore_models(load_checkpoint(path))
         vec = embed_material(base.structure, models)
-        store = EmbeddingStore(vec.size)
-        for rec in records:
-            store.add(EmbeddingRecord(rec.material_id, vec, {}))
+        store = EmbeddingStore([rec.material_id for rec in records],
+                               np.tile(vec, (len(records), 1)))
         plain = evaluate_checkpoint(path, records, samples, max_new=8)
         ragged = evaluate_checkpoint(path, records, samples,
                                      rag_store=store, k=2, max_new=8)

@@ -1,36 +1,42 @@
 """Embedding store, top-k retrieval, and vote/average aggregation."""
 
+import json
+
 import numpy as np
 import pytest
 
 from matterbridge.config import Config
 from matterbridge.datasetgen import generate_synthetic_records
 from matterbridge.errors import ContractError, ValidationError
-from matterbridge.rag import (EmbeddingRecord, EmbeddingStore, embed_material,
-                              rag_aggregate, retrieve_topk)
+from matterbridge.rag import (EmbeddingStore, embed_material, rag_aggregate,
+                              retrieve_topk)
 from matterbridge import trainer as tr
 
 
 def toy_store():
-    store = EmbeddingStore(stride=2)
-    store.add(EmbeddingRecord("a", np.array([0.0, 0.0]), {"is_metal": "yes"}))
-    store.add(EmbeddingRecord("b", np.array([1.0, 0.0]), {"is_metal": "no"}))
-    store.add(EmbeddingRecord("c", np.array([3.0, 0.0]), {"is_metal": "no"}))
-    return store
+    return EmbeddingStore(["a", "b", "c"],
+                          np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]]))
 
 
 class TestStore:
     def test_add_validates_stride_and_duplicates(self):
-        store = EmbeddingStore(stride=2)
-        store.add(EmbeddingRecord("a", np.zeros(2), {}))
-        with pytest.raises(ValidationError):
-            store.add(EmbeddingRecord("b", np.zeros(3), {}))
-        with pytest.raises(ValidationError):
-            store.add(EmbeddingRecord("a", np.zeros(2), {}))
+        assert EmbeddingStore(["a"], np.zeros((1, 2))).stride == 2
+        with pytest.raises(ValidationError, match="stride"):
+            EmbeddingStore(["a"], np.zeros((1, 0)))
+        with pytest.raises(ValidationError, match="stride"):
+            EmbeddingStore(["a", "b"], np.zeros(2))
+        with pytest.raises(ValidationError, match="2 material ids for 3"):
+            EmbeddingStore(["a", "b"], np.zeros((3, 2)))
+        with pytest.raises(ValidationError, match="duplicate material id 'a'"):
+            EmbeddingStore(["a", "b", "a"], np.zeros((3, 2)))
 
     def test_nonfinite_vector_rejected(self):
-        with pytest.raises(ValidationError):
-            EmbeddingRecord("x", np.array([1.0, np.nan]), {})
+        with pytest.raises(ValidationError, match="embedding for y is not"):
+            EmbeddingStore(["x", "y"], np.array([[1.0, 2.0], [1.0, np.nan]]))
+        with pytest.raises(ValidationError, match="must be a string"):
+            EmbeddingStore(["x", 5], np.zeros((2, 2)))
+        with pytest.raises(ValidationError, match="must be a list"):
+            EmbeddingStore("xy", np.zeros((2, 2)))
 
     def test_save_load_round_trip(self, tmp_path):
         store = toy_store()
@@ -38,8 +44,18 @@ class TestStore:
         again = EmbeddingStore.load(tmp_path)
         assert len(again) == 3
         assert again.ids == ["a", "b", "c"]
-        np.testing.assert_array_equal(again.matrix(), store.matrix())
-        assert again.labels[0] == {"is_metal": "yes"}
+        np.testing.assert_array_equal(again.matrix, store.matrix)
+        meta = json.loads((tmp_path / "store.json").read_text())
+        assert meta == {"count": 3, "ids": ["a", "b", "c"], "stride": 2}
+
+    def test_labels_key_is_ignored(self, tmp_path):
+        # stores written before the format dropped per-material labels
+        toy_store().save(tmp_path)
+        path = tmp_path / "store.json"
+        meta = json.loads(path.read_text())
+        meta["labels"] = [{"is_metal": "yes"}, {}, {}]
+        path.write_text(json.dumps(meta))
+        assert EmbeddingStore.load(tmp_path).ids == ["a", "b", "c"]
 
     def test_load_rejects_nonfinite_vector(self, tmp_path):
         toy_store().save(tmp_path)
@@ -74,9 +90,7 @@ class TestRetrieve:
         assert [r.material_id for r in got] == ["b", "a", "c"]
 
     def test_tie_prefers_insertion_order(self):
-        store = EmbeddingStore(stride=1)
-        store.add(EmbeddingRecord("first", np.array([1.0]), {}))
-        store.add(EmbeddingRecord("second", np.array([-1.0]), {}))
+        store = EmbeddingStore(["first", "second"], np.array([[1.0], [-1.0]]))
         got = retrieve_topk(store, np.array([0.0]), k=1)
         assert got[0].material_id == "first"
 
@@ -100,11 +114,9 @@ class TestRetrieve:
 
     def test_matches_exhaustive_scan(self):
         rng = np.random.default_rng(12)
-        store = EmbeddingStore(stride=4)
         vecs = rng.normal(size=(50, 4))
         vecs[7] = vecs[3]  # an exact tie keeps insertion order
-        for i, v in enumerate(vecs):
-            store.add(EmbeddingRecord(f"m{i}", v, {}))
+        store = EmbeddingStore([f"m{i}" for i in range(50)], vecs)
         for trial in range(10):
             q = vecs[3] + 0.1 * rng.normal(size=4)
             skip = f"m{trial}" if trial % 2 else None
@@ -113,8 +125,10 @@ class TestRetrieve:
             rows = [(f"m{i}", v) for i, v in enumerate(vecs)
                     if f"m{i}" != skip]
             dists = np.array([np.linalg.norm(v - q) for _, v in rows])
-            want = [rows[i][0] for i in np.argsort(dists, kind="stable")[:5]]
-            assert [r.material_id for r in got] == want
+            order = np.argsort(dists, kind="stable")[:5]
+            assert [r.material_id for r in got] == [rows[i][0] for i in order]
+            np.testing.assert_allclose([r.distance for r in got],
+                                       dists[order], rtol=0, atol=1e-12)
 
 
 class TestAggregate:

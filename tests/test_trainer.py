@@ -35,6 +35,16 @@ class TestConfig:
         again = load_config(path)
         assert again == cfg
 
+    def test_failed_save_leaves_previous_file(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        save_config(path, Config(batch_size=3))
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            save_config(path, Config(tau=float("nan")))  # not JSON
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["cfg.json"]
+        assert load_config(path) == Config(batch_size=3)
+
     def test_hash_stable_and_sensitive(self):
         a = Config()
         b = Config()
