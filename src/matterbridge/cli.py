@@ -42,11 +42,12 @@ from .evaluate import (
     write_eval_report,
 )
 from .ioutil import atomic_write
-from .rag import EmbeddingStore, embed_material, retrieve_topk
+from .rag import (EmbeddingStore, embed_material, material_prefix,
+                  retrieve_topk)
 from .rematch import RematchConfig, similarity_matrix
 from .soap import SoapConfig
 from .templates import TASKS, format_value, render_prompt
-from .trainer import build_models, encode_structure, finetune, pretrain
+from .trainer import build_models, finetune, pretrain
 from .trainer import restore_models
 
 SEED_ENV = "MATTERBRIDGE_SEED"
@@ -134,16 +135,20 @@ def cmd_infer(args, cfg, seed):
     structure = _structure_from_file(args.structure, args.fmt)
     prompt = render_prompt(args.task, args.template_index)
     if not args.rag:
-        print(generate_answer(models, encode_structure(structure, models),
+        print(generate_answer(models, material_prefix(structure, models),
                               prompt, max_new=args.max_new))
         return 0
     store = EmbeddingStore.load(args.store)
     cache = _AnswerCache(models, load_property_records(args.records),
                          max_new=args.max_new)
     cache.structures[args.id] = structure  # the file stands in for --id
+    neighbors = cache.neighbors(args.id, store, args.k)
+    # the own answer and the neighbours' in one batch, whether or not
+    # the own answer then parses
+    cache.decode([args.id] + neighbors, prompt)
     answer = cache.answer(args.id, prompt)
     print(f"self: {answer}")
-    print(f"retrieved: {','.join(cache.neighbors(args.id, store, args.k))}")
+    print(f"retrieved: {','.join(neighbors)}")
     sample = InstructionSample(args.id, args.task, prompt, answer="")
     final, failed = predict_sample(cache, sample, store, args.k)
     if failed:

@@ -12,6 +12,11 @@ retrieved neighbor (same prompt, neighbor's structure) and the final
 prediction aggregates the self answer with the neighbor answers by
 majority vote or mean.  A store holding only copies of the query
 material therefore reproduces the plain prediction exactly.
+
+Answers to one prompt are decoded together, up to ``DECODE_ROWS`` at a
+time: a material's own answer and, with a store, its neighbors'
+answers, whether or not the own answer then parses.  Batching changes
+no text: each row decodes bitwise as it would alone.
 """
 
 from __future__ import annotations
@@ -23,15 +28,13 @@ import typing
 
 import numpy as np
 
-from .bridge import lm_prefix
 from .errors import ContractError, MatterBridgeError, ValidationError
 from .ioutil import atomic_write, canonical_json
 from .lm import generate_greedy
-from .rag import embed_material, rag_aggregate, retrieve_topk
+from .rag import material_prefix, rag_aggregate, retrieve_topk
 from .templates import BINARY_FORMS, MAGNETIC_ORDERS, NUMERIC_TASKS
 from .templates import attribute_text, numeric_target
-from .tensor import no_grad
-from .trainer import as_checkpoint, encode_structure, restore_models
+from .trainer import as_checkpoint, restore_models
 
 CLASSIFICATION_TASKS = (
     "is_metal",
@@ -45,6 +48,9 @@ EVAL_TASKS = CLASSIFICATION_TASKS + NUMERIC_TASKS
 
 DEFAULT_MAX_NEW = 96
 DEFAULT_RAG_K = 2
+# Most rows one batched decode runs: a batch runs as many steps as its
+# longest answer, so more rows mean more steps spent on stopped ones.
+DECODE_ROWS = 16
 
 _NUMBER = r"[+-]?\d+(?:\.\d+)?"
 
@@ -153,15 +159,20 @@ def project_2d_pca(vectors):
 # -- greedy answer generation ------------------------------------------------
 
 
-def generate_answer(models, atoms, prompt, max_new=None):
-    """Greedy-decode an answer sentence for a prompt and encoded atoms."""
+def generate_answer(models, prefix, prompt, max_new=None):
+    """Greedy-decode the answer to a prompt after one or more LM prefixes.
+
+    ``prefix`` is one material's (n_q, d_lm) LM prefix
+    (``rag.material_prefix``), giving one answer string, or a
+    (B, n_q, d_lm) stack of B materials' prefixes, giving a list of B
+    answers decoded in one batch (``lm.generate_greedy``), each equal to
+    the answer decoded alone.
+    """
     if not prompt:
         raise ValidationError("prompt must be nonempty")
-    with no_grad():
-        prefix = lm_prefix(atoms, models.bridge)
     vocab = models.vocab
     ids = [vocab.bos_id] + vocab.tokenize(prompt) + [vocab.sep_id]
-    room = models.lm.max_len - prefix.shape[0] - len(ids)
+    room = models.lm.max_len - prefix.shape[-2] - len(ids)
     if room < 1:
         raise ValidationError(
             f"prompt of {len(ids)} symbols leaves no room to generate "
@@ -172,46 +183,53 @@ def generate_answer(models, atoms, prompt, max_new=None):
 
 
 class _AnswerCache:
-    """Per-material encodings, decodes, embeddings and retrievals of a run.
+    """Per-material LM prefixes, decodes and retrievals of a run.
 
     structures maps material id to structure (infer adds its query's);
-    one cache serves one embedding store.
+    one cache serves one embedding store.  A material's prefix is
+    computed once and serves both its answers and its store vector.
     """
 
     def __init__(self, models, records, max_new=None):
         self.models = models
         self.structures = {r.material_id: r.structure for r in records}
         self.max_new = max_new
-        self._atoms = {}
+        self._prefixes = {}
         self._texts = {}
-        self._vectors = {}
         self._neighbors = {}
 
-    def structure(self, material_id):
-        structure = self.structures.get(material_id)
-        if structure is None:
-            raise ValidationError(
-                f"unknown material {material_id!r}: not in the records")
-        return structure
+    def prefix(self, material_id):
+        if material_id not in self._prefixes:
+            structure = self.structures.get(material_id)
+            if structure is None:
+                raise ValidationError(
+                    f"unknown material {material_id!r}: not in the records")
+            self._prefixes[material_id] = material_prefix(structure,
+                                                          self.models)
+        return self._prefixes[material_id]
 
-    def atoms(self, material_id):
-        if material_id not in self._atoms:
-            self._atoms[material_id] = encode_structure(
-                self.structure(material_id), self.models)
-        return self._atoms[material_id]
+    def decode(self, material_ids, prompt):
+        """Decode the prompt's answers the cache lacks for these materials.
+
+        Rows of one batch share the prompt; a batch holds at most
+        DECODE_ROWS of them.
+        """
+        todo = [m for m in dict.fromkeys(material_ids)
+                if (m, prompt) not in self._texts]
+        for lo in range(0, len(todo), DECODE_ROWS):
+            chunk = todo[lo:lo + DECODE_ROWS]
+            texts = generate_answer(
+                self.models, np.stack([self.prefix(m) for m in chunk]),
+                prompt, self.max_new)
+            self._texts.update(((m, prompt), t) for m, t in zip(chunk, texts))
 
     def answer(self, material_id, prompt):
-        key = (material_id, prompt)
-        if key not in self._texts:
-            self._texts[key] = generate_answer(
-                self.models, self.atoms(material_id), prompt, self.max_new)
-        return self._texts[key]
+        self.decode([material_id], prompt)
+        return self._texts[(material_id, prompt)]
 
     def vector(self, material_id):
-        if material_id not in self._vectors:
-            self._vectors[material_id] = embed_material(
-                self.structure(material_id), self.models)
-        return self._vectors[material_id]
+        """The store vector, bitwise what ``rag.embed_material`` gives."""
+        return self.prefix(material_id).reshape(-1).copy()
 
     def neighbors(self, material_id, store, k):
         """Ids of the k stored materials nearest to one, itself excluded."""
@@ -322,6 +340,15 @@ def evaluate_checkpoint(ckpt, records, samples, rag_store=None,
     if not eval_samples:
         raise ValidationError("no scoreable samples in the corpus")
     cache = _AnswerCache(models, records, max_new=max_new)
+    # every answer a prediction may read, decoded in batches per prompt
+    pending = {}
+    for sample in eval_samples:
+        ids = pending.setdefault(sample.prompt, [])
+        ids.append(sample.material_id)
+        if rag_store is not None:
+            ids.extend(cache.neighbors(sample.material_id, rag_store, k))
+    for prompt, ids in pending.items():
+        cache.decode(ids, prompt)
     by_id = {r.material_id: r for r in records}
     preds = {t: [] for t in EVAL_TASKS}
     refs = {t: [] for t in EVAL_TASKS}

@@ -23,6 +23,16 @@ def atomic_write(path):
     A temporary file in the same directory is renamed over path when the
     block completes and removed if it raises: a failed write leaves the
     previous file intact.
+
+    Rewriting a file this way can wait tens of milliseconds.  With ext4's
+    default ``auto_da_alloc``, a rename that replaces an existing file
+    starts writing the new file's blocks, so that a crash cannot leave an
+    empty file under the old name; replacing that file again then waits
+    for those writes.  Measured on an ext4 root file system, 12 rewrites
+    of a 200 kB file: 0.01-0.08 ms for the first two, then 48-69 ms each
+    (median 54 ms).  ``renameat2(RENAME_EXCHANGE)`` plus an unlink of the
+    old file took 0.01 ms, but it starts no such write and so gives up
+    that crash ordering; ``os.replace`` is kept on purpose.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:

@@ -113,41 +113,49 @@ def init_lm(seed, vocab=None, d_lm=64, L_lm=2, n_heads=4, max_len=320,
 
 
 def lm_forward(prefix_embs, token_ids, lp, cache=None):
-    """Next-symbol logits (T, V) for the token positions.
+    """Next-symbol logits (T, V) for the token positions, or (B, T, V).
 
-    ``prefix_embs`` is an optional (n_prefix, d_lm) block of soft-prompt
-    embeddings that precede the tokens; logits at token position t
-    depend on the prefix and tokens <= t only.
+    ``token_ids`` is one (T,) sequence or a (B, T) batch of B sequences
+    of equal length.  ``prefix_embs`` is an optional (n_prefix, d_lm)
+    block of soft-prompt embeddings that precede the tokens, or
+    (B, n_prefix, d_lm) for a batch; logits at token position t depend
+    on the prefix and tokens <= t only.  Every batch item is computed on
+    its own, so its logits are bitwise those of feeding it alone.
 
-    ``cache`` lets a decoder feed one sequence in pieces under
-    ``tensor.no_grad()``: a list, empty before the first piece, that
-    holds one ``nn.KVCache`` per layer with the projected keys and
-    values of the positions fed so far.  The new rows take the
-    positions after those; each layer projects only the new rows,
-    appends them to its cache and attends over all it holds.  Using a
-    cache with gradients enabled raises ``ContractError``.
+    ``cache`` lets a decoder feed one sequence (or batch) in pieces under
+    ``tensor.no_grad()``: a list of one ``nn.KVCache`` per layer with the
+    projected keys and values of the positions fed so far; an empty list
+    is filled with ``max_len`` caches.  The new rows take the positions
+    after those; each layer projects only the new rows, appends them to
+    its cache and attends over all it holds.  Using a cache with
+    gradients enabled raises ``ContractError``.
     """
     token_ids = np.asarray(token_ids, dtype=np.int64)
-    if token_ids.ndim != 1 or len(token_ids) < 1:
-        raise ContractError("token_ids must be a nonempty 1-D sequence")
+    if token_ids.ndim not in (1, 2) or token_ids.shape[-1] < 1:
+        raise ContractError("token_ids must be a nonempty (T,) sequence "
+                            "or a (B, T) batch")
     p = lp.params
     n_prefix = 0
     if prefix_embs is not None:
         prefix_embs = (prefix_embs if isinstance(prefix_embs, Tensor)
                        else Tensor(prefix_embs))
-        if prefix_embs.ndim != 2 or prefix_embs.shape[1] != lp.d_lm:
-            raise ShapeError(f"prefix must be (n, {lp.d_lm})")
-        n_prefix = prefix_embs.shape[0]
+        if (prefix_embs.ndim != token_ids.ndim + 1
+                or prefix_embs.shape[:-2] != token_ids.shape[:-1]
+                or prefix_embs.shape[-1] != lp.d_lm):
+            raise ShapeError(f"prefix must be "
+                             f"({'B, ' * (token_ids.ndim - 1)}n, {lp.d_lm})"
+                             f" for token ids {token_ids.shape}")
+        n_prefix = prefix_embs.shape[-2]
     if cache is not None and not cache:
-        cache.extend(KVCache(lp.max_len, lp.d_lm) for _ in range(lp.L_lm))
+        cache.extend(KVCache(lp.max_len) for _ in range(lp.L_lm))
     start = cache[0].n if cache else 0
-    total = start + n_prefix + len(token_ids)
+    total = start + n_prefix + token_ids.shape[-1]
     if total > lp.max_len:
         raise ContractError(f"sequence length {total} exceeds {lp.max_len}")
 
     x = embedding(p["tok_embed"], token_ids)
     if prefix_embs is not None:
-        x = concat([prefix_embs, x], axis=0)
+        x = concat([prefix_embs, x], axis=-2)
     x = x + p["pos_embed"][start:total]
     # a single new row may attend to every position so far
     mask = np.tri(total, dtype=bool)[start:] if total - start > 1 else None
@@ -160,31 +168,50 @@ def lm_forward(prefix_embs, token_ids, lp, cache=None):
                              p, f"layers.{l}.ffn")
     x = layer_norm_block(x, p, "ln_f")
     # output head tied to the token embedding table
-    return x[n_prefix:] @ p["tok_embed"].T
+    return x[..., n_prefix:, :] @ p["tok_embed"].T
 
 
 def generate_greedy(prefix_embs, prompt_ids, max_new, lp):
     """Deterministic argmax decoding; np.argmax breaks ties on lowest id.
 
-    Under ``tensor.no_grad()``, runs prefix + prompt through
-    ``lm_forward`` once, then one position per generated symbol against
-    its K/V cache of earlier positions.  Stops after ``max_new`` symbols
-    or at EOS; returns the decoded text of the generated symbols (EOS
-    excluded).
+    ``prefix_embs`` is None, one (n_prefix, d_lm) prefix, or a
+    (B, n_prefix, d_lm) stack of B prefixes that share the prompt.
+    Under ``tensor.no_grad()``, runs the prefixes + prompt through
+    ``lm_forward`` once as a batch, then one position per row per step,
+    against one (B, L, d_lm) K/V cache per layer sized to the decode's
+    length budget L (prefix + prompt + max_new - 1, at most max_len).
+    A row stops after ``max_new`` symbols or at EOS; a stopped row rides
+    along, its further symbols discarded, until every row has stopped.
+    Each row's logits, and so its text, are bitwise those of decoding it
+    alone.  Returns the decoded text of each row's generated symbols
+    (EOS excluded): a list of B strings for a 3-D prefix, else a string.
     """
     if max_new < 1:
         raise ContractError("max_new must be >= 1")
     ids = list(prompt_ids)
     if not ids:
         raise ContractError("prompt must be nonempty")
-    cache = []
-    generated = []
+    if isinstance(prefix_embs, Tensor):
+        prefix_embs = prefix_embs.data
+    batched = np.ndim(prefix_embs) == 3
+    prefix = (prefix_embs if batched or prefix_embs is None
+              else np.asarray(prefix_embs)[None])
+    rows, n_prefix = (1, 0) if prefix is None else np.shape(prefix)[:2]
+    budget = min(n_prefix + len(ids) + max_new - 1, lp.max_len)
+    cache = [KVCache(budget) for _ in range(lp.L_lm)]
+    tokens = np.tile(np.asarray(ids, dtype=np.int64), (rows, 1))
+    eos = lp.vocab.eos_id
+    steps = []
+    stopped = np.zeros(rows, dtype=bool)
     with no_grad():
-        for _ in range(max_new):
-            logits = lm_forward(prefix_embs, ids, lp, cache)
-            nxt = int(np.argmax(logits.data[-1]))
-            if nxt == lp.vocab.eos_id:
-                break
-            generated.append(nxt)
-            prefix_embs, ids = None, [nxt]
-    return lp.vocab.detokenize(generated)
+        while len(steps) < max_new and not stopped.all():
+            logits = lm_forward(prefix, tokens, lp, cache)
+            nxt = np.argmax(logits.data[:, -1], axis=-1)
+            steps.append(nxt)
+            stopped |= nxt == eos
+            prefix, tokens = None, nxt[:, None]
+    texts = []
+    for row in np.stack(steps, axis=1).tolist():
+        end = row.index(eos) if eos in row else len(row)
+        texts.append(lp.vocab.detokenize(row[:end]))
+    return texts if batched else texts[0]

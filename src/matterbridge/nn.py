@@ -1,8 +1,9 @@
 """Transformer building blocks shared by the bridge and the language model.
 
 All parameters are ``Tensor`` objects held in plain dicts keyed by
-dotted names; the same names index checkpoint blobs.  Attention masks
-are boolean (T_q, T_k) arrays where True marks an allowed key; forbidden
+dotted names; the same names index checkpoint blobs.  Activations are
+(T, d) or carry leading batch axes, (B, T, d).  Attention masks are
+boolean (T_q, T_k) arrays where True marks an allowed key; forbidden
 scores are replaced by -1e30 before softmax, which underflows to an
 exactly zero weight.  Each projection, GELU and attention is one
 autodiff node (``tensor.affine``, ``tensor.gelu``, ``tensor.attention``).
@@ -29,24 +30,31 @@ def init_weight(rng, fan_in, fan_out=None, scale=None):
 class KVCache:
     """Projected keys and values of one attention block's earlier positions.
 
-    Preallocated (max_len, d_model) buffers and a fill count; only valid
+    Buffers of (..., max_len, d_model), their leading batch axes and
+    width taken from the first rows stored, and a fill count; only valid
     under ``tensor.no_grad()``, since the stored rows carry no tape.
     """
 
-    def __init__(self, max_len, d_model):
-        self.k = np.empty((max_len, d_model))
-        self.v = np.empty((max_len, d_model))
+    def __init__(self, max_len):
+        self.max_len = max_len
+        self.k = self.v = None
         self.n = 0
 
     def extend(self, k, v):
         """Append new rows; return Tensors over every row stored so far."""
         if grad_enabled():
             raise ContractError("a K/V cache is only valid under no_grad()")
-        total = self.n + k.shape[0]
-        self.k[self.n:total] = k.data
-        self.v[self.n:total] = v.data
+        total = self.n + k.shape[-2]
+        if total > self.max_len:
+            raise ContractError(f"sequence length {total} exceeds the "
+                                f"cache's {self.max_len}")
+        if self.k is None:
+            shape = (*k.shape[:-2], self.max_len, k.shape[-1])
+            self.k, self.v = np.empty(shape), np.empty(shape)
+        self.k[..., self.n:total, :] = k.data
+        self.v[..., self.n:total, :] = v.data
         self.n = total
-        return Tensor(self.k[:total]), Tensor(self.v[:total])
+        return Tensor(self.k[..., :total, :]), Tensor(self.v[..., :total, :])
 
 
 def multi_head_attention(x_q, x_kv, p, prefix, n_heads, mask=None,
@@ -54,8 +62,9 @@ def multi_head_attention(x_q, x_kv, p, prefix, n_heads, mask=None,
     """Scaled dot-product attention with ``n_heads`` heads.
 
     ``p`` maps names to Tensors; this block reads ``{prefix}.wq/wk/wv/wo``
-    and ``{prefix}.bq/bk/bv/bo``.  ``mask`` is boolean (T_q, T_k), True
-    where attention is allowed.  With a ``KVCache``, the keys and values
+    and ``{prefix}.bq/bk/bv/bo``.  ``x_q`` is (..., T_q, d) and ``x_kv``
+    (..., T_k, d_kv).  ``mask`` is boolean (T_q, T_k), True where
+    attention is allowed.  With a ``KVCache``, the keys and values
     projected from ``x_kv`` are appended to it and the queries attend to
     every row it holds; T_k then counts those rows.
     """

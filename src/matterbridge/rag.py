@@ -27,15 +27,20 @@ STORE_BIN = "store.bin"
 STORE_JSON = "store.json"
 
 
+def material_prefix(structure, models):
+    """The material's LM prefix, its (n_q, d_lm) projected bridge queries."""
+    with no_grad():
+        return lm_prefix(encode_structure(structure, models),
+                         models.bridge).data
+
+
 def embed_material(structure, models):
     """The material's LM prefix flattened into one vector.
 
     The (n_q, d_lm) block of projected bridge queries is flattened
     row-major, so the vector length is n_q * d_lm.
     """
-    with no_grad():
-        prefix = lm_prefix(encode_structure(structure, models), models.bridge)
-    return prefix.data.reshape(-1).copy()
+    return material_prefix(structure, models).reshape(-1).copy()
 
 
 class EmbeddingStore:

@@ -4,8 +4,10 @@ A ``Tensor`` wraps a numpy array and, when any input of an operation has
 ``requires_grad`` set, records a backward closure so that gradients of a
 scalar loss can be propagated to every traced parameter.  The tape is
 dynamic: it is rebuilt on every forward pass and discarded after
-``backward``.  Only the 1-D/2-D shapes this package needs are supported;
-there is no general broadcasting.
+``backward``.  Elementwise ops broadcast as numpy does, and the ops a
+transformer runs (``affine``, ``matmul``, ``attention``, ``layer_norm``,
+``gelu``, ``embedding``, ``concat``, slicing) accept leading batch axes:
+``(B, T, d)`` works as ``(T, d)`` does, one batch item at a time.
 
 Gradients accumulate additively into ``.grad`` buffers, so evaluating
 several micro-batches before an optimizer step sums their gradients.
@@ -243,36 +245,25 @@ def _unary(a, data, vjp):
 
 
 def _unbroadcast(g, shape):
-    """Sum ``g`` down to ``shape`` (row/column-vector or scalar operands)."""
+    """Sum ``g`` down to ``shape`` over the axes broadcasting added or
+    stretched."""
     if g.shape == shape:
         return g
-    if shape == ():
-        return g.sum()
-    if len(shape) == 1 and g.ndim == 2 and g.shape[1] == shape[0]:
-        return g.sum(axis=0)
-    if len(shape) == 2 and shape[1] == 1 and g.shape[0] == shape[0]:
-        return g.sum(axis=1, keepdims=True)
-    raise ShapeError(f"cannot reduce gradient {g.shape} to {shape}")
+    lead = g.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(
+        lead + i for i, n in enumerate(shape)
+        if n == 1 and g.shape[lead + i] != 1)
+    return g.sum(axis=axes).reshape(shape)
 
 
 def _check_elementwise(a, b):
+    """numpy's broadcasting rule: extents aligned from the last axis match
+    or one of them is 1."""
     sa, sb = a.data.shape, b.data.shape
-    if sa == sb:
-        return
-    # scalar with anything
-    if sa == () or sb == ():
-        return
-    # matrix with row vector
-    if len(sa) == 2 and sb == (sa[1],):
-        return
-    if len(sb) == 2 and sa == (sb[1],):
-        return
-    # matrix with column vector
-    if len(sa) == 2 and sb == (sa[0], 1):
-        return
-    if len(sb) == 2 and sa == (sb[0], 1):
-        return
-    raise ShapeError(f"incompatible shapes {sa} and {sb}")
+    if sa != sb:
+        for m, n in zip(sa[::-1], sb[::-1]):
+            if m != n and m != 1 and n != 1:
+                raise ShapeError(f"incompatible shapes {sa} and {sb}")
 
 
 def _add(a, b):
@@ -309,27 +300,36 @@ def _reciprocal(a):
 
 
 def matmul(a, b):
-    """Matrix product of two 2-D tensors."""
+    """``a @ b`` of a (..., n, k) tensor and a (k, m) matrix."""
     a, b = _wrap(a), _wrap(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.ndim < 2 or b.ndim != 2:
+        raise ShapeError(f"matmul needs (..., n, k) and (k, m) operands, "
+                         f"got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
 
     def _bw(g, a=a, b=b):
         if a.requires_grad:
             a._accumulate(g @ b.data.T)
         if b.requires_grad:
-            b._accumulate(a.data.T @ g)
+            b._accumulate(_rows(a.data).T @ _rows(g))
 
     return _make(a.data @ b.data, (a, b), _bw)
 
 
+def _rows(x):
+    """``x`` as a matrix of its last-axis rows: a view of a 2-D ``x``."""
+    return x.reshape(-1, x.shape[-1])
+
+
 def affine(x, w, b):
-    """``x @ w + b``: a 2-D product plus a bias on every row, as one node."""
+    """``x @ w + b``: a product plus a bias on every row, as one node.
+
+    ``x`` is (..., n, k), ``w`` (k, m) and ``b`` (m,).
+    """
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise ShapeError(f"affine needs (n, k) and (k, m), got {x.shape} "
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"affine needs (..., n, k) and (k, m), got {x.shape} "
                          f"and {w.shape}")
     if b.shape != (w.shape[1],):
         raise ShapeError(f"affine bias must be ({w.shape[1]},), got {b.shape}")
@@ -338,9 +338,9 @@ def affine(x, w, b):
         if x.requires_grad:
             x._accumulate(g @ w.data.T)
         if w.requires_grad:
-            w._accumulate(x.data.T @ g)
+            w._accumulate(_rows(x.data).T @ _rows(g))
         if b.requires_grad:
-            b._accumulate(g.sum(axis=0))
+            b._accumulate(_rows(g).sum(axis=0))
 
     return _make(x.data @ w.data + b.data, (x, w, b), _bw)
 
@@ -366,18 +366,20 @@ def gelu(x):
 def attention(q, k, v, n_heads, mask=None):
     """Scaled dot-product attention of all heads as one node.
 
-    ``q`` is (T_q, d), ``k`` (T_k, d) and ``v`` (T_k, d_v); head h reads
-    the h-th of ``n_heads`` equal column blocks of each and writes that
-    block of the (T_q, d_v) result.  ``mask`` is boolean (T_q, T_k),
-    True where a key is allowed, and must allow one key in every row:
-    other scores become ``NEG_MASK`` before the max-shifted softmax, so
-    their weights and gradients are exactly zero.
+    ``q`` is (..., T_q, d), ``k`` (..., T_k, d) and ``v`` (..., T_k, d_v),
+    with the same leading batch axes; head h reads the h-th of
+    ``n_heads`` equal column blocks of each and writes that block of the
+    (..., T_q, d_v) result.  ``mask`` is boolean (T_q, T_k), shared by
+    every batch item, True where a key is allowed, and must allow one key
+    in every row: other scores become ``NEG_MASK`` before the
+    max-shifted softmax, so their weights and gradients are exactly zero.
     """
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-        raise ShapeError("attention needs 2-D q, k and v")
-    (t_q, d), (t_k, d_v) = q.shape, v.shape
-    if k.shape != (t_k, d):
+    if q.ndim < 2 or k.ndim != q.ndim or v.ndim != q.ndim:
+        raise ShapeError("attention needs q, k and v of one rank >= 2")
+    *batch, t_q, d = q.shape
+    t_k, d_v = v.shape[-2:]
+    if k.shape != (*batch, t_k, d) or v.shape[:-2] != tuple(batch):
         raise ShapeError(f"keys {k.shape} do not fit queries {q.shape} "
                          f"and values {v.shape}")
     if d % n_heads or d_v % n_heads:
@@ -391,36 +393,38 @@ def attention(q, k, v, n_heads, mask=None):
     dh, dvh = d // n_heads, d_v // n_heads
     inv_scale = 1.0 / np.sqrt(dh)
     qd, kd, vd = q.data, k.data, v.data
-    out = np.empty((t_q, d_v))
+    kt = kd.swapaxes(-1, -2)
+    out = np.empty((*batch, t_q, d_v))
     probs = []
     for h in range(n_heads):
         sl, svl = slice(h * dh, (h + 1) * dh), slice(h * dvh, (h + 1) * dvh)
-        scores = (qd[:, sl] @ kd[:, sl].T) * inv_scale
+        scores = (qd[..., sl] @ kt[..., sl, :]) * inv_scale
         if mask is not None:
             scores = np.where(mask, scores, NEG_MASK)
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
         p = e / e.sum(axis=-1, keepdims=True)
-        out[:, svl] = p @ vd[:, svl]
+        out[..., svl] = p @ vd[..., svl]
         probs.append(p)
 
     def _bw(g, q=q, k=k, v=v, probs=probs):
         dq = np.empty_like(qd) if q.requires_grad else None
         dk = np.empty_like(kd) if k.requires_grad else None
         dv = np.empty_like(vd) if v.requires_grad else None
+        vt = vd.swapaxes(-1, -2)
         for h, p in enumerate(probs):
             sl, svl = slice(h * dh, (h + 1) * dh), slice(h * dvh, (h + 1) * dvh)
-            gh = g[:, svl]
+            gh = g[..., svl]
             if dv is not None:
-                dv[:, svl] = p.T @ gh
+                dv[..., svl] = p.swapaxes(-1, -2) @ gh
             if dq is None and dk is None:
                 continue
-            dp = gh @ vd[:, svl].T
+            dp = gh @ vt[..., svl, :]
             ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
             ds *= inv_scale
             if dq is not None:
-                dq[:, sl] = ds @ kd[:, sl]
+                dq[..., sl] = ds @ kd[..., sl]
             if dk is not None:
-                dk[:, sl] = ds.T @ qd[:, sl]
+                dk[..., sl] = ds.swapaxes(-1, -2) @ qd[..., sl]
         for t, grad in ((q, dq), (k, dk), (v, dv)):
             if grad is not None:
                 t._accumulate(grad)
@@ -447,9 +451,10 @@ def _reshape(a, shape):
 
 
 def _is_basic(key):
-    """True for int/slice keys, which select every entry at most once."""
+    """True for int/slice/ellipsis keys, which select every entry at most once."""
     keys = key if isinstance(key, tuple) else (key,)
-    return all(isinstance(k, (slice, int, np.integer)) for k in keys)
+    return all(k is Ellipsis or isinstance(k, (slice, int, np.integer))
+               for k in keys)
 
 
 def _getitem(a, key):
@@ -526,11 +531,14 @@ def log_softmax(x, axis=-1):
 
 
 def embedding(table, ids):
-    """Row lookup ``table[ids]`` with scatter-add backward."""
+    """Row lookup ``table[ids]`` with scatter-add backward.
+
+    ``ids`` of shape (T,) or (B, T) give (T, d) or (B, T, d).
+    """
     table = _wrap(table)
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise ShapeError(f"ids must be 1-D, got {ids.shape}")
+    if ids.ndim not in (1, 2):
+        raise ShapeError(f"ids must be 1-D or 2-D, got {ids.shape}")
     if table.ndim != 2:
         raise ShapeError(f"embedding table must be 2-D, got {table.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
@@ -569,10 +577,11 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     d = x.data.shape[-1]
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ShapeError("layer_norm scale/shift must match last axis")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    centred = x.data - x.data.mean(axis=-1, keepdims=True)
+    # the same ufunc steps as np.var, without recomputing the mean
+    var = (centred * centred).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = centred * inv
     out = xhat * gamma.data + beta.data
 
     def _bw(g, x=x, gamma=gamma, beta=beta, xhat=xhat, inv=inv, d=d):

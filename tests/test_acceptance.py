@@ -54,7 +54,8 @@ from matterbridge.templates import (
     get_templates,
     render_answer,
 )
-from matterbridge.tensor import Tensor, concat
+from matterbridge.tensor import (Tensor, affine, attention, concat,
+                                 embedding, gelu, layer_norm)
 from matterbridge.trainer import (
     _bridge_text_ids,
     _finetune_sample_terms,
@@ -118,6 +119,37 @@ def _fd_slope(build, tensor, flat_idx, h=1e-5):
     fm = build().item()
     flat[flat_idx] = orig
     return (fp - fm) / (2.0 * h)
+
+
+def _batched_ops_case(seed=5):
+    """Leaves and a scalar loss through the ops decoding runs batched.
+
+    Every op whose shape rule takes leading batch axes sees a 3-D input:
+    embedding of (B, T) ids, concat on axis -2, broadcasting + and *,
+    layer_norm, affine, attention, gelu, ellipsis slicing and matmul.
+    """
+    rng = np.random.default_rng(seed)
+    b, n, t, d, v = 2, 2, 3, 4, 5
+    shapes = {"table": (v, d), "prefix": (b, n, d), "pos": (n + t, d),
+              "gain": (b, n + t, 1), "gamma": (d,), "beta": (d,),
+              "w1": (d, 2 * d), "b1": (2 * d,)}
+    for name in ("q", "k", "v"):
+        shapes[f"w{name}"], shapes[f"b{name}"] = (d, d), (d,)
+    leaves = {name: Tensor(rng.standard_normal(shape), requires_grad=True)
+              for name, shape in shapes.items()}
+    ids = rng.integers(0, v, size=(b, t))
+    p = leaves
+
+    def loss():
+        x = concat([p["prefix"], embedding(p["table"], ids)], axis=-2)
+        h = layer_norm((x + p["pos"]) * p["gain"], p["gamma"], p["beta"])
+        q, k, val = (affine(h, p[f"w{m}"], p[f"b{m}"]) for m in "qkv")
+        a = attention(q, k, val, 2, np.tri(n + t, dtype=bool))
+        y = gelu(affine(a, p["w1"], p["b1"]))
+        logits = y[..., n:, :d] @ p["table"].T
+        return (logits * logits).sum()
+
+    return leaves, loss
 
 
 def test_criterion_01_gradient_suite(capsys):
@@ -204,14 +236,20 @@ def test_criterion_01_gradient_suite(capsys):
             "match": loss_match,
             "instruction": loss_instruction,
         }
+        batched_leaves, loss_batched = _batched_ops_case()
         covered = set()
         worst = 0.0
-        for loss_name, build in builders.items():
-            zero_grads(params)
+        for loss_name, build, tensors in (
+                [(name, b, params) for name, b in builders.items()]
+                + [("batched ops", loss_batched, batched_leaves)]):
+            zero_grads(tensors)
             build().backward()
-            touched = {k: t for k, t in params.items() if t.grad is not None}
+            touched = {k: t for k, t in tensors.items() if t.grad is not None}
             assert touched, f"{loss_name} reached no trainable tensor"
-            covered |= set(touched)
+            if tensors is params:
+                covered |= set(touched)
+            else:
+                assert set(touched) == set(tensors), loss_name
             for name, t in touched.items():
                 grad = t.grad.reshape(-1)
                 order = np.argsort(-np.abs(grad))[:3]
@@ -236,7 +274,8 @@ def test_criterion_01_gradient_suite(capsys):
         assert not missing, f"no loss reaches {missing}"
         elapsed = time.perf_counter() - t0
         assert elapsed < 60.0, f"gradient suite took {elapsed:.1f}s"
-        r.detail = (f"4 losses x {len(params)} tensors, worst rel "
+        r.detail = (f"4 losses x {len(params)} tensors + "
+                    f"{len(batched_leaves)} batched-op leaves, worst rel "
                     f"{worst:.1e}, {elapsed:.1f}s")
 
 

@@ -2,10 +2,12 @@
 
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
 
+from matterbridge import evaluate, trainer
 from matterbridge.cli import _structure_from_file, run_cli
 from matterbridge.config import Config, load_config, save_config
 from matterbridge.crystal import structure_to_json
@@ -268,6 +270,44 @@ class TestPipeline:
         assert set(lines) == {"self", "retrieved", "final"}
         assert len(lines["retrieved"].split(",")) == 2
         assert lines["final"] == lines["self"]
+
+    def test_infer_rag_encodes_each_material_once(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # k=2: the query and two neighbours, one prefix each, one batch
+        cfg = Config(d_enc=8, L_enc=1, d_b=8, n_q=2, L_b=1, n_heads=1,
+                     d_lm=8, L_lm=1, lm_heads=1)
+        ckpt = str(tmp_path / "untrained.ckpt")
+        save_checkpoint(ckpt, build_models(cfg, seed=3), cfg, "pretrain", 0)
+        records_path = str(tmp_path / "records.jsonl")
+        records = generate_synthetic_records(4, 6)
+        write_property_records(records_path, records)
+        store = str(tmp_path / "store")
+        assert run_cli(["embed", "--ckpt", ckpt, "--records", records_path,
+                        "--out", store]) == 0
+        struct_path = str(tmp_path / "query.json")
+        with open(struct_path, "w", encoding="utf-8") as fh:
+            fh.write(structure_to_json(records[0].structure))
+        encoded, decoded = [], []
+        original, answer = trainer.encode_structure, evaluate.generate_answer
+
+        def encode(structure, models):
+            encoded.append(structure)
+            return original(structure, models)
+
+        def generate(models, prefix, prompt, max_new=None):
+            decoded.append(prefix.shape)
+            return answer(models, prefix, prompt, max_new)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "encode_structure", None) is original:
+                monkeypatch.setattr(module, "encode_structure", encode)
+        monkeypatch.setattr(evaluate, "generate_answer", generate)
+        assert run_cli(["infer", "--ckpt", ckpt, "--structure", struct_path,
+                        "--task", "is_metal", "--rag", "--store", store,
+                        "--records", records_path, "--k", "2",
+                        "--id", records[0].material_id]) == 0
+        assert len(encoded) == 3
+        assert decoded == [(3, cfg.n_q, cfg.d_lm)]
 
     def test_rag_without_store_is_an_error(self, workspace, capsys):
         data = workspace["data"]

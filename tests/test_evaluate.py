@@ -2,16 +2,20 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from matterbridge.config import Config
 from matterbridge.datasetgen import build_instruction_corpus
+from matterbridge.datasetgen import InstructionSample
 from matterbridge.datasetgen import generate_synthetic_records, render_sample
+from matterbridge import evaluate
 from matterbridge.errors import ContractError, ValidationError
 from matterbridge.evaluate import (
     CLASSIFICATION_TASKS,
+    DECODE_ROWS,
     EVAL_TASKS,
     eval_classification,
     eval_rmse,
@@ -23,9 +27,16 @@ from matterbridge.evaluate import (
     read_eval_report,
     write_eval_report,
 )
-from matterbridge.rag import EmbeddingStore, embed_material
-from matterbridge.templates import NUMERIC_TASKS, format_value
-from matterbridge.trainer import build_models, encode_structure, save_checkpoint
+from matterbridge.fixtures import build_fixture_corpus
+from matterbridge.ioutil import canonical_json
+from matterbridge.rag import (EmbeddingStore, embed_material, material_prefix,
+                              retrieve_topk)
+from matterbridge.templates import NUMERIC_TASKS, format_value, render_prompt
+from matterbridge.trainer import (build_models, load_checkpoint,
+                                  restore_models, save_checkpoint)
+
+FROZEN_CKPT = (Path(__file__).resolve().parents[1] / "perfbench" / "data"
+               / "frozen.ckpt")
 
 
 def small_config(**overrides):
@@ -220,9 +231,9 @@ class TestGeneration:
         cfg = small_config()
         models = build_models(cfg, 3)
         rec = generate_synthetic_records(8, 2)[0]
-        atoms = encode_structure(rec.structure, models)
-        a = generate_answer(models, atoms, "Is this a metal?", max_new=12)
-        b = generate_answer(models, atoms, "Is this a metal?", max_new=12)
+        prefix = material_prefix(rec.structure, models)
+        a = generate_answer(models, prefix, "Is this a metal?", max_new=12)
+        b = generate_answer(models, prefix, "Is this a metal?", max_new=12)
         assert isinstance(a, str)
         assert a == b
 
@@ -230,17 +241,17 @@ class TestGeneration:
         cfg = small_config()
         models = build_models(cfg, 3)
         rec = generate_synthetic_records(8, 2)[0]
-        atoms = encode_structure(rec.structure, models)
+        prefix = material_prefix(rec.structure, models)
         with pytest.raises(ValidationError, match="room"):
-            generate_answer(models, atoms, "x" * 320, max_new=4)
+            generate_answer(models, prefix, "x" * 320, max_new=4)
 
     def test_empty_prompt_rejected(self):
         cfg = small_config()
         models = build_models(cfg, 3)
         rec = generate_synthetic_records(8, 2)[0]
-        atoms = encode_structure(rec.structure, models)
+        prefix = material_prefix(rec.structure, models)
         with pytest.raises(ValidationError):
-            generate_answer(models, atoms, "")
+            generate_answer(models, prefix, "")
 
 
 _GOOD_REPORT = {"config_hash": "abc", "rag": False, "n_samples": 3,
@@ -365,3 +376,77 @@ class TestEvalReport:
             else:
                 np.testing.assert_allclose(r["value"], p["value"],
                                            rtol=1e-12, atol=0)
+
+
+class _PerSampleCache:
+    """The reference for batched eval: one generate_answer per answer."""
+
+    def __init__(self, models, records, max_new=None):
+        self.models, self.max_new = models, max_new
+        self.structures = {r.material_id: r.structure for r in records}
+
+    def decode(self, material_ids, prompt):
+        pass
+
+    def answer(self, material_id, prompt):
+        prefix = material_prefix(self.structures[material_id], self.models)
+        return generate_answer(self.models, prefix, prompt, self.max_new)
+
+    def neighbors(self, material_id, store, k):
+        vec = embed_material(self.structures[material_id], self.models)
+        return [h.material_id
+                for h in retrieve_topk(store, vec, k, exclude_id=material_id)]
+
+
+class TestBatchedEval:
+    """evaluate_checkpoint decodes per prompt in batches of DECODE_ROWS."""
+
+    @pytest.fixture(params=["untrained", "frozen"])
+    def setup(self, request, tmp_path):
+        if request.param == "frozen":
+            # a trained model whose answers parse, so neighbours count
+            return str(FROZEN_CKPT), build_fixture_corpus()[0][:24], None
+        path = str(tmp_path / "model.ckpt")
+        cfg = small_config()
+        save_checkpoint(path, build_models(cfg, 3), cfg, "finetune", 5)
+        return path, generate_synthetic_records(6, 24), 8
+
+    @staticmethod
+    def samples(records):
+        """Prompt groups of DECODE_ROWS + 4, 5 and 2 materials; the last
+        two share a material, and so its neighbours."""
+        ids = [r.material_id for r in records]
+        groups = [("is_metal", 0, ids[:DECODE_ROWS + 4]),
+                  ("bandgap", 1, ids[3:8]),
+                  ("magnetic_order", 2, ids[7:9])]
+        return [InstructionSample(mid, task, render_prompt(task, idx), "")
+                for task, idx, members in groups for mid in members]
+
+    def test_report_equals_per_sample_loop(self, setup, monkeypatch):
+        path, records, max_new = setup
+        samples = self.samples(records)
+        models = restore_models(load_checkpoint(path))
+        store = EmbeddingStore(
+            [r.material_id for r in records],
+            np.stack([embed_material(r.structure, models) for r in records]))
+        rows = []
+        batched = evaluate.generate_answer
+
+        def counting(models, prefix, prompt, max_new=None):
+            rows.append(prefix.shape[0])
+            return batched(models, prefix, prompt, max_new)
+
+        monkeypatch.setattr(evaluate, "generate_answer", counting)
+        stores = (None, store)
+        got = [evaluate_checkpoint(path, records, samples, rag_store=rag,
+                                   max_new=max_new) for rag in stores]
+        assert max(rows) == DECODE_ROWS
+        assert len(rows) < len(samples)
+        monkeypatch.setattr(evaluate, "generate_answer", batched)
+        monkeypatch.setattr(evaluate, "_AnswerCache", _PerSampleCache)
+        want = [evaluate_checkpoint(path, records, samples, rag_store=rag,
+                                    max_new=max_new) for rag in stores]
+        for a, b in zip(got, want, strict=True):
+            assert canonical_json(a.to_dict()) == canonical_json(b.to_dict())
+        if path == str(FROZEN_CKPT):
+            assert got[0].tasks != got[1].tasks  # the neighbours count

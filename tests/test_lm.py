@@ -161,6 +161,18 @@ def cached_step_logits(prefix, prompt, generated, lp):
     return out
 
 
+def batched_step_logits(prefixes, prompt, n_steps, lp):
+    """Last-row logits (B, V) of each step of a batched cached argmax loop."""
+    cache = []
+    tokens = np.tile(prompt, (len(prefixes), 1))
+    out = []
+    with no_grad():
+        for _ in range(n_steps):
+            out.append(lm_forward(prefixes, tokens, lp, cache).data[:, -1])
+            prefixes, tokens = None, out[-1].argmax(axis=-1)[:, None]
+    return out
+
+
 class TestCachedDecoding:
     """generate_greedy against the full-recompute reference loop."""
 
@@ -193,6 +205,62 @@ class TestCachedDecoding:
         # the cases cover an EOS after some symbols and a full budget
         assert any(0 < n < self.MAX_NEW for n in lengths)
         assert self.MAX_NEW in lengths
+
+    @staticmethod
+    def batch_case(rows):
+        """A seeded LM, B = rows prefixes and one prompt; rows stop apart."""
+        rng = np.random.default_rng(rows)
+        lp = tiny_lm(rows)
+        lp.params["tok_embed"].data[lp.vocab.eos_id] *= 3.0
+        prefixes = rng.standard_normal((rows, 3, 16))
+        ids = [lp.vocab.bos_id] + rng.integers(
+            3, len(lp.vocab), size=4).tolist()
+        return lp, prefixes, ids
+
+    @pytest.mark.parametrize("rows", [1, 3, 8])
+    def test_batch_rows_match_single_decodes(self, rows):
+        lp, prefixes, ids = self.batch_case(rows)
+        got = generate_greedy(prefixes, ids, self.MAX_NEW, lp)
+        assert isinstance(got, list) and len(got) == rows
+        lengths = []
+        for r in range(rows):
+            want = reference_greedy(prefixes[r], ids, self.MAX_NEW, lp)
+            assert got[r] == lp.vocab.detokenize(want), r
+            assert got[r] == generate_greedy(prefixes[r], ids, self.MAX_NEW,
+                                             lp), r
+            lengths.append(len(want))
+        if rows > 1:
+            assert len(set(lengths)) > 1  # rows reach EOS at different steps
+        n_steps = min(max(lengths) + 1, self.MAX_NEW)
+        steps = batched_step_logits(prefixes, ids, n_steps, lp)
+        for r in range(rows):
+            fed = [int(step[r].argmax()) for step in steps[:-1]]
+            single = cached_step_logits(prefixes[r], ids, fed, lp)
+            for k, (step, alone) in enumerate(zip(steps, single, strict=True)):
+                assert np.array_equal(step[r], alone), (r, k)
+
+    @pytest.mark.parametrize("rows", [1, 3, 8])
+    def test_batch_overflow_raises_at_the_same_step(self, rows):
+        lp, prefixes, ids = self.batch_case(rows)
+        lp.max_len = prefixes.shape[1] + len(ids) + 4  # 5 decode steps fit
+        mixed = False
+        for max_new in range(1, 9):
+            texts, errors = [], set()
+            for r in range(rows):
+                try:
+                    texts.append(generate_greedy(prefixes[r], ids, max_new,
+                                                 lp))
+                except ContractError as e:
+                    errors.add(str(e))
+            if not errors:
+                assert generate_greedy(prefixes, ids, max_new, lp) == texts
+                continue
+            mixed |= bool(texts)
+            with pytest.raises(ContractError) as raised:
+                generate_greedy(prefixes, ids, max_new, lp)
+            assert {str(raised.value)} == errors
+        # some rows stop in time while another overflows
+        assert mixed or rows == 1
 
     def test_max_len_contract_at_the_overflowing_step(self):
         lp = tiny_lm(max_len=8)
