@@ -16,6 +16,12 @@ Interaction modes:
 * ``association``  - full bidirectional attention; used for match
   scoring.
 * ``inference``    - queries only, no text.
+
+Inference mode also takes the atoms of B structures with one atom count
+as a (B, n_atoms, d_enc) stack: the queries broadcast over B and every
+row comes out bitwise as it does alone.  ``rag.material_prefixes`` groups
+structures by atom count to build LM prefixes this way; the text modes
+take one structure.
 """
 
 from __future__ import annotations
@@ -141,7 +147,13 @@ def attention_mask(mode, n_q, n_text):
 
 
 def bridge_forward(atoms, text_ids, mode, bp):
-    """Run the bridge; returns {"query_out", "text_out"} Tensors."""
+    """Run the bridge; returns {"query_out", "text_out"} Tensors.
+
+    ``atoms`` is one structure's (n_atoms, d_enc) embeddings, and
+    ``query_out`` is (n_q, d_b).  Inference mode also takes a
+    (B, n_atoms, d_enc) stack of B structures and gives (B, n_q, d_b),
+    each row bitwise what its structure gives alone.
+    """
     if mode not in MODES:
         raise ContractError(f"unknown attention mode {mode!r}")
     if mode == "inference":
@@ -157,9 +169,11 @@ def bridge_forward(atoms, text_ids, mode, bp):
         raise ContractError(f"text length {n_text} exceeds {bp.max_text}")
 
     atoms = atoms if isinstance(atoms, Tensor) else Tensor(atoms)
-    if atoms.ndim != 2 or atoms.shape[1] != bp.d_enc:
-        raise ShapeError(f"atom embeddings must be (n, {bp.d_enc})")
-    if atoms.shape[0] < 1:
+    rank = 3 if mode == "inference" and atoms.ndim == 3 else 2
+    if atoms.ndim != rank or atoms.shape[-1] != bp.d_enc:
+        raise ShapeError(f"atom embeddings must be (n, {bp.d_enc}), or "
+                         f"(B, n, {bp.d_enc}) in inference mode")
+    if min(atoms.shape[:-1]) < 1:
         raise ContractError("bridge needs at least one atom")
 
     p = bp.params
@@ -178,7 +192,9 @@ def bridge_forward(atoms, text_ids, mode, bp):
         x = x + multi_head_attention(normed, normed, p, f"layers.{l}.self",
                                      bp.n_heads, mask)
         if l % 2 == 0:
-            q_rows = x[:n_q]
+            if x.ndim < atoms.ndim:  # the shared queries meet B structures
+                x = x + np.zeros((atoms.shape[0], 1, 1))
+            q_rows = x[..., :n_q, :]
             q_norm = layer_norm_block(q_rows, p, f"layers.{l}.lnc")
             crossed = q_rows + multi_head_attention(
                 q_norm, atoms, p, f"layers.{l}.cross", bp.n_heads
@@ -188,22 +204,29 @@ def bridge_forward(atoms, text_ids, mode, bp):
                              p, f"layers.{l}.ffn")
     x = layer_norm_block(x, p, "ln_f")
     return {
-        "query_out": x[:n_q],
+        "query_out": x[..., :n_q, :],
         "text_out": x[n_q:] if n_text else None,
     }
 
 
 def project_to_lm(query_out, bp):
-    """Affine map of query outputs into LM embedding space, rows independent."""
-    if query_out.shape[1] != bp.d_b:
+    """Affine map of query outputs into LM embedding space, rows independent.
+
+    ``query_out`` is (..., n_q, d_b); the result is (..., n_q, d_lm).
+    """
+    if query_out.shape[-1] != bp.d_b:
         raise ShapeError(
-            f"query_out width {query_out.shape[1]} != d_b {bp.d_b}"
+            f"query_out width {query_out.shape[-1]} != d_b {bp.d_b}"
         )
     return affine(query_out, bp.params["proj.w"], bp.params["proj.b"])
 
 
 def lm_prefix(atoms, bp):
-    """Inference-mode query outputs projected into the LM: (n_q, d_lm)."""
+    """Inference-mode query outputs projected into the LM.
+
+    (n_atoms, d_enc) atoms give an (n_q, d_lm) prefix and a
+    (B, n_atoms, d_enc) stack gives (B, n_q, d_lm).
+    """
     out = bridge_forward(atoms, None, "inference", bp)
     return project_to_lm(out["query_out"], bp)
 

@@ -16,8 +16,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from .config import Config, load_config
 from .crystal import parse_structure
 from .datasetgen import (
@@ -42,7 +40,7 @@ from .evaluate import (
     write_eval_report,
 )
 from .ioutil import atomic_write
-from .rag import (EmbeddingStore, embed_material, material_prefix,
+from .rag import (EmbeddingStore, material_prefix, material_prefixes,
                   retrieve_topk)
 from .rematch import RematchConfig, similarity_matrix
 from .soap import SoapConfig
@@ -184,9 +182,9 @@ def cmd_embed(args, cfg, seed):
     records = load_property_records(args.records)
     if not records:
         raise ValidationError("no records to embed")
-    store = EmbeddingStore(
-        [rec.material_id for rec in records],
-        np.stack([embed_material(rec.structure, models) for rec in records]))
+    prefixes = material_prefixes([rec.structure for rec in records], models)
+    store = EmbeddingStore([rec.material_id for rec in records],
+                           prefixes.reshape(len(records), -1))
     store.save(args.out)
     print(f"wrote {len(store)} embeddings of stride {store.stride} "
           f"to {args.out}")

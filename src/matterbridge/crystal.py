@@ -53,7 +53,7 @@ class Structure:
         try:
             self.lattice = np.asarray(self.lattice, dtype=np.float64)
             self.frac_coords = np.asarray(self.frac_coords, dtype=np.float64)
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise ValidationError(
                 f"lattice and frac_coords must be numeric arrays: {e}") from None
         self.species = list(self.species)

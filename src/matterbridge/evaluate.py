@@ -15,8 +15,10 @@ material therefore reproduces the plain prediction exactly.
 
 Answers to one prompt are decoded together, up to ``DECODE_ROWS`` at a
 time: a material's own answer and, with a store, its neighbors'
-answers, whether or not the own answer then parses.  Batching changes
-no text: each row decodes bitwise as it would alone.
+answers, whether or not the own answer then parses.  The LM prefixes a
+decode lacks are built together too, grouped by atom count
+(``rag.material_prefixes``).  Batching changes no text: each row
+decodes bitwise as it would alone.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 from .errors import ContractError, MatterBridgeError, ValidationError
 from .ioutil import atomic_write, canonical_json
 from .lm import generate_greedy
-from .rag import material_prefix, rag_aggregate, retrieve_topk
+from .rag import material_prefixes, rag_aggregate, retrieve_topk
 from .templates import BINARY_FORMS, MAGNETIC_ORDERS, NUMERIC_TASKS
 from .templates import attribute_text, numeric_target
 from .trainer import as_checkpoint, restore_models
@@ -187,7 +189,8 @@ class _AnswerCache:
 
     structures maps material id to structure (infer adds its query's);
     one cache serves one embedding store.  A material's prefix is
-    computed once and serves both its answers and its store vector.
+    computed once and serves both its answers and its store vector;
+    the prefixes a call lacks are built in one batched call.
     """
 
     def __init__(self, models, records, max_new=None):
@@ -198,15 +201,22 @@ class _AnswerCache:
         self._texts = {}
         self._neighbors = {}
 
-    def prefix(self, material_id):
-        if material_id not in self._prefixes:
-            structure = self.structures.get(material_id)
-            if structure is None:
+    def prefixes(self, material_ids):
+        """The (B, n_q, d_lm) LM prefixes of these materials.
+
+        The ones not yet cached come from one
+        ``rag.material_prefixes`` call.
+        """
+        todo = [m for m in dict.fromkeys(material_ids)
+                if m not in self._prefixes]
+        for m in todo:
+            if m not in self.structures:
                 raise ValidationError(
-                    f"unknown material {material_id!r}: not in the records")
-            self._prefixes[material_id] = material_prefix(structure,
-                                                          self.models)
-        return self._prefixes[material_id]
+                    f"unknown material {m!r}: not in the records")
+        if todo:
+            self._prefixes.update(zip(todo, material_prefixes(
+                [self.structures[m] for m in todo], self.models)))
+        return np.stack([self._prefixes[m] for m in material_ids])
 
     def decode(self, material_ids, prompt):
         """Decode the prompt's answers the cache lacks for these materials.
@@ -216,11 +226,14 @@ class _AnswerCache:
         """
         todo = [m for m in dict.fromkeys(material_ids)
                 if (m, prompt) not in self._texts]
+        if not todo:
+            return
+        prefixes = self.prefixes(todo)
         for lo in range(0, len(todo), DECODE_ROWS):
             chunk = todo[lo:lo + DECODE_ROWS]
-            texts = generate_answer(
-                self.models, np.stack([self.prefix(m) for m in chunk]),
-                prompt, self.max_new)
+            texts = generate_answer(self.models,
+                                    prefixes[lo:lo + DECODE_ROWS], prompt,
+                                    self.max_new)
             self._texts.update(((m, prompt), t) for m, t in zip(chunk, texts))
 
     def answer(self, material_id, prompt):
@@ -229,7 +242,7 @@ class _AnswerCache:
 
     def vector(self, material_id):
         """The store vector, bitwise what ``rag.embed_material`` gives."""
-        return self.prefix(material_id).reshape(-1).copy()
+        return self.prefixes([material_id]).reshape(-1)
 
     def neighbors(self, material_id, store, k):
         """Ids of the k stored materials nearest to one, itself excluded."""

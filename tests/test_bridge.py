@@ -8,12 +8,13 @@ from matterbridge.bridge import (
     attention_mask,
     bridge_forward,
     init_bridge,
+    lm_prefix,
     match_score,
     project_to_lm,
     text_logits,
 )
-from matterbridge.errors import ContractError
-from matterbridge.tensor import Tensor
+from matterbridge.errors import ContractError, ShapeError
+from matterbridge.tensor import Tensor, no_grad
 
 from test_tensor import check_grads
 
@@ -128,6 +129,34 @@ class TestForward:
         assert "layers.0.cross.wq" in names and "layers.2.cross.wq" in names
         assert not any(n.startswith(("layers.1.cross", "layers.3.cross"))
                        for n in names)
+
+    def test_inference_batch_rows_equal_single_runs(self):
+        rng = np.random.default_rng(7)
+        bp = tiny_bridge(L_b=4)
+        for n in (1, 3):
+            stack = rng.standard_normal((5, n, 5))
+            with no_grad():
+                out = bridge_forward(stack, None, "inference", bp)
+                prefix = lm_prefix(stack, bp).data
+            assert out["query_out"].shape == (5, 3, 8)
+            assert out["text_out"] is None
+            for atoms, row, lm_row in zip(stack, out["query_out"].data,
+                                          prefix):
+                alone = bridge_forward(atoms, None, "inference", bp)
+                assert row.tobytes() == alone["query_out"].data.tobytes()
+                assert lm_row.tobytes() == project_to_lm(
+                    alone["query_out"], bp).data.tobytes()
+
+    def test_text_modes_reject_a_batch_of_atoms(self):
+        stack = np.random.default_rng(8).standard_normal((2, 3, 5))
+        bp = tiny_bridge()
+        for mode in ("correlation", "prediction", "association"):
+            with pytest.raises(ShapeError):
+                bridge_forward(stack, [1, 2], mode, bp)
+        with pytest.raises(ShapeError):
+            bridge_forward(stack[None], None, "inference", bp)
+        with pytest.raises(ContractError):
+            bridge_forward(stack[:0], None, "inference", bp)
 
     def test_match_score_in_unit_interval(self):
         rng = np.random.default_rng(6)

@@ -1,11 +1,15 @@
 """Command-line surface: flags, exit codes, seed fallback, pipelines."""
 
+import contextlib
+import io
 import json
 import os
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matterbridge import evaluate, trainer
 from matterbridge.cli import _structure_from_file, run_cli
@@ -17,8 +21,13 @@ from matterbridge.datasetgen import (generate_synthetic_records,
                                      write_property_records)
 from matterbridge.errors import MatterBridgeError
 from matterbridge.evaluate import parse_answer_value, read_eval_report
-from matterbridge.rag import EmbeddingStore
-from matterbridge.trainer import build_models, load_checkpoint, save_checkpoint
+from matterbridge.fixtures import build_fixture_corpus
+from matterbridge.rag import EmbeddingStore, embed_material
+from matterbridge.trainer import (build_models, load_checkpoint,
+                                  restore_models, save_checkpoint)
+
+FROZEN_CKPT = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench", "data", "frozen.ckpt")
 
 
 @pytest.fixture()
@@ -271,6 +280,25 @@ class TestPipeline:
         assert len(lines["retrieved"].split(",")) == 2
         assert lines["final"] == lines["self"]
 
+    def test_embed_store_equals_per_record_vectors(self, tmp_path):
+        # embed batches the bridge by atom count; the oracle embeds the
+        # fixture one record at a time
+        records = build_fixture_corpus()[0]
+        counts = [r.structure.n_atoms for r in records]
+        assert max(counts.count(n) for n in counts) > 1
+        records_path = str(tmp_path / "records.jsonl")
+        write_property_records(records_path, records)
+        got = tmp_path / "got"
+        assert run_cli(["embed", "--ckpt", FROZEN_CKPT, "--records",
+                        records_path, "--out", str(got)]) == 0
+        models = restore_models(load_checkpoint(FROZEN_CKPT))
+        want = EmbeddingStore(
+            [r.material_id for r in records],
+            np.stack([embed_material(r.structure, models) for r in records]))
+        want.save(str(tmp_path / "want"))
+        for name in ("store.bin", "store.json"):
+            assert read_bytes(got / name) == read_bytes(tmp_path / "want" / name)
+
     def test_infer_rag_encodes_each_material_once(self, tmp_path, capsys,
                                                   monkeypatch):
         # k=2: the query and two neighbours, one prefix each, one batch
@@ -439,6 +467,10 @@ CORRUPTIONS = {
     "config-not-utf8": ("config", lambda lines: ["\udcff"] + lines),
     "records-lattice-not-numeric": ("records", lambda lines: lines + [
         _first_structure_with(lines, lattice="abc")]),
+    # a JSON integer past the float64 range
+    "records-frac-coords-overflow": ("records", lambda lines: [
+        _first_structure_with(lines, frac_coords=[[2 ** 1100, 0, 0]])]
+        + lines[1:]),
     # struct: (file name, text) of the --structure file
     "struct-json-not-utf8":
         ("struct", lambda text: ("q.json", "\udcff" + text)),
@@ -446,6 +478,8 @@ CORRUPTIONS = {
         ("struct", lambda text: ("q.cif", "\udcff" + _CIF_WITHOUT_FRACT_Y)),
     "struct-lattice-not-numeric":
         ("struct", lambda text: ("q.json", _json_with(text, lattice="abc"))),
+    "struct-lattice-overflow":
+        ("struct", lambda text: ("q.json", _json_with(text, lattice=2 ** 1100))),
     "struct-ragged-frac-coords": ("struct", lambda text: (
         "q.json", _json_with(text, frac_coords=[[0.0, 0.0, 0.0], [0.5]]))),
     "struct-species-not-list":
@@ -536,3 +570,83 @@ class TestCorruptInputs:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert captured.out == ""
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6)
+    # JSON integers are unbounded: these overflow a float64
+    | st.integers(min_value=2 ** 1024, max_value=2 ** 1100),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=8)
+
+
+@st.composite
+def _mutated_line(draw, line):
+    """One JSONL line truncated, with a byte inserted, or with one field
+    (at any depth of nested objects) replaced by an arbitrary JSON value."""
+    how = draw(st.sampled_from(["truncate", "insert", "replace"]))
+    if how == "truncate":
+        return line[:draw(st.integers(0, len(line) - 1))]
+    if how == "insert":
+        at = draw(st.integers(0, len(line)))
+        return line[:at] + bytes([draw(st.integers(0, 255))]) + line[at:]
+    obj = node = json.loads(line)
+    key = draw(st.sampled_from(sorted(node)))
+    while isinstance(node[key], dict) and node[key] and draw(st.booleans()):
+        node = node[key]
+        key = draw(st.sampled_from(sorted(node)))
+    node[key] = draw(_JSON_VALUES)
+    return json.dumps(obj).encode()
+
+
+class TestCorruptJsonlLines:
+    """One mutated line of a records or samples file: the loader returns
+    or raises a MatterBridgeError, and the command reading the file ends
+    with exit 0, or with exit 1 and an error line, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("jsonl")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_cli(["gen-data", "--out", str(root), "--n", "4",
+                            "--seed", "2"]) == 0
+        cfg = Config(d_enc=8, L_enc=1, d_b=8, n_q=2, L_b=1, n_heads=1,
+                     d_lm=8, L_lm=1, lm_heads=1)
+        ckpt = str(root / "model.ckpt")
+        save_checkpoint(ckpt, build_models(cfg, seed=3), cfg, "pretrain", 0)
+        return {"root": root, "ckpt": ckpt,
+                "records": root / "records.jsonl",
+                "samples": root / "samples_train.jsonl"}
+
+    @pytest.mark.parametrize("kind", ["records", "samples"])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_one_bad_line(self, corpus, kind, data):
+        lines = corpus[kind].read_bytes().splitlines()
+        i = data.draw(st.integers(0, len(lines) - 1))
+        lines[i] = data.draw(_mutated_line(lines[i]))
+        path = corpus["root"] / f"mutated-{kind}.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        if kind == "records":
+            loader = load_property_records
+            argv = ["similarity", "--records", str(path)]
+        else:
+            loader = load_instruction_samples
+            argv = ["eval", "--ckpt", corpus["ckpt"],
+                    "--records", str(corpus["records"]),
+                    "--samples", str(path), "--max-new", "4",
+                    "--out", str(corpus["root"] / "report.json")]
+        try:
+            loader(str(path))
+            loaded = True
+        except MatterBridgeError:
+            loaded = False
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            rc = run_cli(argv)
+        assert rc in ((0, 1) if loaded else (1,))
+        if rc:
+            assert err.getvalue().startswith("error: ")

@@ -1,14 +1,18 @@
 """Embedding store, top-k retrieval, and vote/average aggregation."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from matterbridge import rag
+from matterbridge.bridge import bridge_forward, project_to_lm
 from matterbridge.config import Config
 from matterbridge.datasetgen import generate_synthetic_records
 from matterbridge.errors import ContractError, ValidationError
-from matterbridge.rag import (EmbeddingStore, embed_material, rag_aggregate,
+from matterbridge.rag import (EmbeddingStore, embed_material,
+                              material_prefixes, rag_aggregate,
                               retrieve_topk)
 from matterbridge import trainer as tr
 
@@ -112,6 +116,12 @@ class TestRetrieve:
         with pytest.raises(ValidationError):
             retrieve_topk(toy_store(), np.zeros(3), k=1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_query_rejected(self, bad):
+        # a NaN distance sorts nowhere, so the first k rows would come back
+        with pytest.raises(ValidationError, match="not finite"):
+            retrieve_topk(toy_store(), np.array([0.5, bad]), k=2)
+
     def test_matches_exhaustive_scan(self):
         rng = np.random.default_rng(12)
         vecs = rng.normal(size=(50, 4))
@@ -182,3 +192,43 @@ class TestEmbedMaterial:
         va = embed_material(a.structure, models)
         vb = embed_material(b.structure, models)
         assert np.linalg.norm(va - vb) > 0.0
+
+
+def small_models(seed=3):
+    cfg = Config(d_enc=16, L_enc=1, d_b=16, n_q=4, L_b=2, n_heads=2,
+                 d_lm=32, L_lm=1, lm_heads=2).validate()
+    return tr.build_models(cfg, seed=seed)
+
+
+def prefix_alone(structure, models):
+    """One structure through the 2-D bridge path, as before batching."""
+    out = bridge_forward(tr.encode_structure(structure, models), None,
+                         "inference", models.bridge)
+    return project_to_lm(out["query_out"], models.bridge).data
+
+
+class TestMaterialPrefixes:
+    @pytest.mark.parametrize("cap", [1, 3, rag.PREFIX_ROWS])
+    def test_rows_equal_the_structure_alone(self, cap, monkeypatch):
+        monkeypatch.setattr(rag, "PREFIX_ROWS", cap)
+        models = small_models()
+        structures = [r.structure for r in generate_synthetic_records(2, 150)]
+        # duplicates: the same objects again, shuffled among the first
+        structures = structures + structures[::2]
+        order = np.random.default_rng(0).permutation(len(structures))
+        structures = [structures[i] for i in order]
+        counts = Counter(s.n_atoms for s in structures)
+        assert counts[1] > 0 and len(counts) >= 5
+        assert max(counts.values()) > rag.PREFIX_ROWS
+        got = material_prefixes(structures, models)
+        assert got.shape == (len(structures), 4, 32)
+        for row, structure in zip(got, structures, strict=True):
+            assert row.tobytes() == prefix_alone(structure, models).tobytes()
+
+    def test_empty_list_and_single_structure(self):
+        models = small_models()
+        assert material_prefixes([], models).shape == (0, 4, 32)
+        structure = generate_synthetic_records(5, 1)[0].structure
+        np.testing.assert_array_equal(
+            embed_material(structure, models),
+            prefix_alone(structure, models).reshape(-1))
