@@ -52,17 +52,21 @@ SEED_ENV = "MATTERBRIDGE_SEED"
 
 
 def resolve_seed(arg_seed, cfg):
-    """--seed wins, then MATTERBRIDGE_SEED, then the config seed."""
-    if arg_seed is not None:
-        return int(arg_seed)
+    """--seed wins, then MATTERBRIDGE_SEED, then the config seed.
+
+    A negative seed is rejected (the config's by ``Config.validate``).
+    """
     env = os.environ.get(SEED_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValidationError(
-                f"{SEED_ENV}={env!r} is not an integer") from None
-    return cfg.seed
+    if arg_seed is None and env is None:
+        return cfg.seed
+    source = "--seed" if arg_seed is not None else f"{SEED_ENV}={env!r}"
+    try:
+        seed = int(arg_seed if arg_seed is not None else env)
+    except ValueError:
+        raise ValidationError(f"{source} is not an integer") from None
+    if seed < 0:
+        raise ValidationError(f"{source}: seed must be >= 0")
+    return seed
 
 
 def _structure_from_file(path, fmt):

@@ -1,19 +1,19 @@
 """Run configuration: model dimensions, optimizer settings, stage schedules.
 
-A config is a flat JSON document.  Its canonical-JSON SHA-256 prefix is
-the config hash stored in checkpoints, so resuming detects silently
-changed settings.
+A config is a flat JSON document, decoded field by field against the
+annotations below (``ioutil.fields_from_json``).  Its canonical-JSON
+SHA-256 prefix is the config hash stored in checkpoints, so resuming
+detects silently changed settings.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 from dataclasses import dataclass
 
-from .errors import ContractError, ValidationError
-from .ioutil import atomic_write, canonical_json
+from .errors import ValidationError
+from .ioutil import atomic_write, canonical_json, fields_from_json, load_json
 
 
 @dataclass
@@ -56,6 +56,8 @@ class Config:
     checkpoint_interval: int = 300
 
     def validate(self):
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
         positive = (
             "warmup_start_lr", "pretrain_peak_lr", "finetune_peak_lr",
             "finetune_floor_lr",
@@ -79,25 +81,12 @@ class Config:
         return dataclasses.asdict(self)
 
 
-_FIELDS = {f.name for f in dataclasses.fields(Config)}
-
-
 def config_from_dict(obj):
-    unknown = set(obj) - _FIELDS
-    if unknown:
-        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    return Config(**obj).validate()
+    return Config(**fields_from_json(Config, obj)).validate()
 
 
 def load_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except UnicodeDecodeError as e:
-            raise ContractError(f"config {path} is not UTF-8: {e.reason}") from None
-        except json.JSONDecodeError as e:
-            raise ContractError(f"config {path} is not valid JSON: {e.msg}") from None
-    return config_from_dict(obj)
+    return config_from_dict(load_json(path))
 
 
 def save_config(path, cfg):

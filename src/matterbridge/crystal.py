@@ -95,7 +95,7 @@ def _validate_structure(s):
     if not np.isfinite(s.frac_coords).all():
         raise ValidationError("frac_coords contain non-finite entries")
     for sym in s.species:
-        if sym not in ATOMIC_NUMBERS:
+        if not isinstance(sym, str) or sym not in ATOMIC_NUMBERS:
             raise ValidationError(f"unknown element symbol {sym!r}")
 
 

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from .crystal import Structure, structure_from_dict, structure_to_dict
 from .errors import ContractError, ValidationError
-from .ioutil import load_jsonl, write_jsonl
+from .ioutil import fields_from_json, load_jsonl, write_jsonl
 from .templates import (
     CRYSTAL_SYSTEMS,
     MAGNETIC_ORDERS,
@@ -223,24 +223,8 @@ def generate_synthetic_records(seed, n):
 
 # -- record IO and validation ------------------------------------------------
 
-_BOOL_FIELDS = (
-    "is_metal", "is_direct_bandgap", "is_stable",
-    "is_experimentally_observed", "is_magnetic",
-)
-_FLOAT_FIELDS = ("formation_energy", "energy_above_hull", "bandgap")
-
-
 def validate_record(r):
-    """Raise ValidationError on the first violated record invariant."""
-    if not isinstance(r.material_id, str):
-        raise ValidationError("material_id must be a string")
-    for f in _BOOL_FIELDS:
-        if not isinstance(getattr(r, f), bool):
-            raise ValidationError(f"{f} must be boolean")
-    for f in _FLOAT_FIELDS:
-        val = getattr(r, f)
-        if not (isinstance(val, float) and math.isfinite(val)):
-            raise ValidationError(f"{f} must be a finite float")
+    """Raise ValidationError on the first violated domain rule of a record."""
     if r.energy_above_hull < 0:
         raise ValidationError("energy_above_hull must be >= 0")
     if r.bandgap < 0:
@@ -256,30 +240,14 @@ def validate_record(r):
 
 
 def record_to_dict(r):
-    return {
-        "material_id": r.material_id,
-        "structure": structure_to_dict(r.structure),
-        "reduced_formula": r.reduced_formula,
-        "space_group": r.space_group,
-        "crystal_system": r.crystal_system,
-        "is_metal": r.is_metal,
-        "is_direct_bandgap": r.is_direct_bandgap,
-        "is_stable": r.is_stable,
-        "is_experimentally_observed": r.is_experimentally_observed,
-        "is_magnetic": r.is_magnetic,
-        "magnetic_order": r.magnetic_order,
-        "formation_energy": r.formation_energy,
-        "energy_above_hull": r.energy_above_hull,
-        "bandgap": r.bandgap,
-    }
+    out = {f.name: getattr(r, f.name) for f in fields(PropertyRecord)}
+    out["structure"] = structure_to_dict(r.structure)
+    return out
 
 
 def record_from_dict(obj):
-    fields = dict(obj)
-    if "structure" not in fields:
-        raise ValidationError("record JSON missing key 'structure'")
-    structure = structure_from_dict(fields.pop("structure"))
-    rec = PropertyRecord(structure=structure, **fields)
+    rec = PropertyRecord(**fields_from_json(
+        PropertyRecord, obj, structure=structure_from_dict))
     validate_record(rec)
     return rec
 
@@ -336,31 +304,11 @@ def build_instruction_corpus(records, seed):
 
 
 def sample_to_dict(s):
-    out = {
-        "material_id": s.material_id,
-        "task": s.task,
-        "prompt": s.prompt,
-        "answer": s.answer,
-    }
-    if s.numeric_target is not None:
-        out["numeric_target"] = s.numeric_target
-    return out
+    return {k: v for k, v in asdict(s).items() if v is not None}
 
 
 def sample_from_dict(obj):
-    keys = ("material_id", "task", "prompt", "answer")
-    missing = set(keys) - set(obj)
-    if missing:
-        raise ValidationError(f"sample JSON missing keys: {sorted(missing)}")
-    not_text = [k for k in keys if not isinstance(obj[k], str)]
-    if not_text:
-        raise ValidationError(f"sample fields must be strings: {not_text}")
-    target = obj.get("numeric_target")
-    if target is not None and (isinstance(target, bool)
-                               or not isinstance(target, (int, float))):
-        raise ValidationError("numeric_target must be a number or null")
-    return InstructionSample(**{k: obj[k] for k in keys},
-                             numeric_target=target)
+    return InstructionSample(**fields_from_json(InstructionSample, obj))
 
 
 def write_instruction_samples(path, samples):

@@ -24,14 +24,12 @@ decodes bitwise as it would alone.
 from __future__ import annotations
 
 import dataclasses
-import json
 import re
-import typing
 
 import numpy as np
 
 from .errors import ContractError, MatterBridgeError, ValidationError
-from .ioutil import atomic_write, canonical_json
+from .ioutil import atomic_write, canonical_json, fields_from_json, load_json
 from .lm import generate_greedy
 from .rag import material_prefixes, rag_aggregate, retrieve_topk
 from .templates import BINARY_FORMS, MAGNETIC_ORDERS, NUMERIC_TASKS
@@ -307,18 +305,7 @@ class EvalReport:
 
 
 def report_from_dict(obj):
-    if not isinstance(obj, dict):
-        raise ValidationError("report is not a JSON object")
-    fields = typing.get_type_hints(EvalReport)
-    missing = set(fields) - set(obj)
-    if missing:
-        raise ValidationError(f"report missing keys: {sorted(missing)}")
-    for key, kind in fields.items():
-        if type(obj[key]) is not kind:
-            raise ValidationError(
-                f"report {key} must be a {kind.__name__}, "
-                f"not {type(obj[key]).__name__}")
-    return EvalReport(**{key: obj[key] for key in fields})
+    return EvalReport(**fields_from_json(EvalReport, obj))
 
 
 def write_eval_report(path, report):
@@ -327,14 +314,7 @@ def write_eval_report(path, report):
 
 
 def read_eval_report(path):
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        obj = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise ValidationError(f"report {path} is not UTF-8 JSON: {e}") \
-            from None
-    return report_from_dict(obj)
+    return report_from_dict(load_json(path))
 
 
 def evaluate_checkpoint(ckpt, records, samples, rag_store=None,

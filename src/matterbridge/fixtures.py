@@ -25,7 +25,7 @@ from .datasetgen import (
     sample_to_dict,
 )
 from .errors import ValidationError
-from .ioutil import atomic_write, canonical_json
+from .ioutil import atomic_write, canonical_json, parse_jsonl
 from .templates import AUXILIARY, TASKS, get_templates, render_answer
 
 FIXTURE_SEED = 42
@@ -64,23 +64,16 @@ def _samples_text(samples):
     return "".join(canonical_json(sample_to_dict(s)) + "\n" for s in samples)
 
 
+def _parse(blob, from_dict):
+    return [obj for _, obj in parse_jsonl(blob.split(b"\n"), from_dict)]
+
+
 def load_fixture_records(fixture_dir=None):
-    text = _read(fixture_dir, RECORDS_FILE)
-    return [record_from_dict(json.loads(line))
-            for line in text.splitlines() if line.strip()]
+    return _parse(_read_bytes(fixture_dir, RECORDS_FILE), record_from_dict)
 
 
 def load_fixture_samples(fixture_dir=None):
-    text = _read(fixture_dir, SAMPLES_FILE)
-    return [sample_from_dict(json.loads(line))
-            for line in text.splitlines() if line.strip()]
-
-
-def _read(fixture_dir, name):
-    if fixture_dir is None:
-        return fixture_root().joinpath(name).read_text(encoding="utf-8")
-    with open(os.path.join(fixture_dir, name), "r", encoding="utf-8") as fh:
-        return fh.read()
+    return _parse(_read_bytes(fixture_dir, SAMPLES_FILE), sample_from_dict)
 
 
 def _read_bytes(fixture_dir, name):
@@ -161,12 +154,15 @@ def verify_fixtures(fixture_dir=None):
     """Pass/fail report on fixture integrity against seed and templates."""
     report = VerifyReport()
     try:
-        sums = json.loads(_read(fixture_dir, CHECKSUMS_FILE))
+        sums = json.loads(_read_bytes(fixture_dir, CHECKSUMS_FILE))
     except FileNotFoundError:
         report.fail(f"{CHECKSUMS_FILE} is missing")
         return report
-    except json.JSONDecodeError as e:
-        report.fail(f"{CHECKSUMS_FILE} is not valid JSON: {e.msg}")
+    except ValueError as e:
+        report.fail(f"{CHECKSUMS_FILE} is not valid UTF-8 JSON: {e}")
+        return report
+    if type(sums) is not dict:
+        report.fail(f"{CHECKSUMS_FILE} is not a JSON object")
         return report
 
     shipped = {}
@@ -198,19 +194,15 @@ def verify_fixtures(fixture_dir=None):
             report.fail(f"template file {name} checksum mismatch")
 
     records, samples = build_fixture_corpus()
-    _diff_lines(report, RECORDS_FILE,
-                shipped[RECORDS_FILE].decode("utf-8"), _records_text(records))
-    _diff_lines(report, SAMPLES_FILE,
-                shipped[SAMPLES_FILE].decode("utf-8"), _samples_text(samples))
+    _diff_lines(report, RECORDS_FILE, shipped[RECORDS_FILE],
+                _records_text(records).encode("utf-8"))
+    _diff_lines(report, SAMPLES_FILE, shipped[SAMPLES_FILE],
+                _samples_text(samples).encode("utf-8"))
 
     try:
-        shipped_records = [record_from_dict(json.loads(line))
-                           for line in shipped[RECORDS_FILE].decode("utf-8")
-                           .splitlines() if line.strip()]
-        shipped_samples = [sample_from_dict(json.loads(line))
-                           for line in shipped[SAMPLES_FILE].decode("utf-8")
-                           .splitlines() if line.strip()]
-    except (json.JSONDecodeError, ValidationError, KeyError) as e:
+        shipped_records = _parse(shipped[RECORDS_FILE], record_from_dict)
+        shipped_samples = _parse(shipped[SAMPLES_FILE], sample_from_dict)
+    except ValidationError as e:
         report.fail(f"fixture corpus failed to parse: {e}")
         return report
     _validate_samples(report, shipped_records, shipped_samples)

@@ -1,7 +1,12 @@
-"""Small shared I/O helpers: canonical JSON, atomic writes, JSONL files."""
+"""Small shared I/O helpers: canonical JSON, atomic writes, JSONL files,
+and the one decoder from JSON objects to typed dataclass fields."""
 
+import dataclasses
+import functools
 import json
+import math
 import os
+import typing
 from contextlib import contextmanager
 
 from .errors import ValidationError
@@ -51,29 +56,107 @@ def write_jsonl(path, records):
             fh.write((canonical_json(rec) + "\n").encode())
 
 
-def load_jsonl(path, from_dict):
-    """[(line number, from_dict(object))] for each nonblank line of a file.
+def load_json(path):
+    """The JSON document in a file; one that is not UTF-8 JSON is a
+    ValidationError."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ValidationError(f"{path} is not UTF-8 JSON: {e}") from None
 
-    Bad lines (not UTF-8, malformed JSON, not an object, rejected by
-    from_dict) are itemized by line number in one ValidationError.
+
+def load_jsonl(path, from_dict):
+    """parse_jsonl over the lines of the file at path."""
+    with open(path, "rb") as fh:
+        return parse_jsonl(fh, from_dict)
+
+
+def parse_jsonl(lines, from_dict):
+    """[(line number, from_dict(object))] for each nonblank byte line.
+
+    Bad lines (not UTF-8, malformed JSON, rejected by from_dict) are
+    itemized by line number in one ValidationError.
     """
     problems = []
     out = []
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise ValidationError("not a JSON object")
-                out.append((lineno, from_dict(obj)))
-            except json.JSONDecodeError as e:
-                problems.append(f"line {lineno}: bad JSON ({e.msg})")
-            except UnicodeDecodeError as e:
-                problems.append(f"line {lineno}: not UTF-8 ({e.reason})")
-            except (ValidationError, TypeError) as e:
-                problems.append(f"line {lineno}: {e}")
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            out.append((lineno, from_dict(json.loads(line))))
+        except json.JSONDecodeError as e:
+            problems.append(f"line {lineno}: bad JSON ({e.msg})")
+        except UnicodeDecodeError as e:
+            problems.append(f"line {lineno}: not UTF-8 ({e.reason})")
+        except ValidationError as e:
+            problems.append(f"line {lineno}: {e}")
     if problems:
         raise ValidationError("; ".join(problems))
+    return out
+
+
+@functools.cache
+def _json_fields(cls):
+    """({field: (type, null allowed)}, required field names) of a
+    dataclass, read once per class from its annotations."""
+    hints = typing.get_type_hints(cls)
+    rules = {}
+    for f in dataclasses.fields(cls):
+        args = typing.get_args(hints[f.name])  # Optional[X]: (X, NoneType)
+        rules[f.name] = ((args[0], True) if type(None) in args
+                         else (hints[f.name], False))
+    required = frozenset(
+        f.name for f in dataclasses.fields(cls)
+        if f.default is f.default_factory is dataclasses.MISSING)
+    return rules, required
+
+
+def _json_value(key, kind, optional, value):
+    """value checked against one field's rule (see fields_from_json)."""
+    if kind is float and type(value) in (float, int):
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
+        if math.isfinite(value):
+            return value
+        raise ValidationError(f"{key} must be a finite number")
+    if type(value) is kind or (value is None and optional):
+        return value
+    raise ValidationError(
+        f"{key} must be {kind.__name__}, not {type(value).__name__}")
+
+
+def fields_from_json(cls, obj, **decoders):
+    """Keyword arguments for dataclass cls from a decoded JSON object.
+
+    Every key must name a field and every field without a default must
+    be present.  A value must have its field's exact type: a bool is not
+    an int and an int is not a str.  A float field takes any finite
+    number and stores it as a float.  null is taken only by an Optional
+    field.  A field named in decoders is built instead by calling its
+    decoder on the value.  Violations raise ValidationError.
+    """
+    if type(obj) is not dict:
+        raise ValidationError(f"{cls.__name__} JSON must be an object")
+    rules, required = _json_fields(cls)
+    if not obj.keys() <= rules.keys():
+        raise ValidationError(f"unknown {cls.__name__} keys: "
+                              f"{sorted(obj.keys() - rules.keys())}")
+    if not required <= obj.keys():
+        raise ValidationError(f"{cls.__name__} JSON missing keys: "
+                              f"{sorted(required - obj.keys())}")
+    # Most values already are what their field stores: copying obj and
+    # replacing the others costs much less than rebuilding every value.
+    out = dict(obj)
+    for key, value in obj.items():
+        kind, optional = rules[key]
+        if ((type(value) is not kind
+             or (kind is float and not math.isfinite(value)))
+                and key not in decoders):
+            out[key] = _json_value(key, kind, optional, value)
+    for key in decoders.keys() & obj.keys():
+        out[key] = decoders[key](obj[key])
     return out

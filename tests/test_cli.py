@@ -116,6 +116,21 @@ class TestSeedFallback:
         assert rc == 1
         assert "MATTERBRIDGE_SEED" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["flag", "env", "config"])
+    def test_negative_seed(self, tmp_path, monkeypatch, capsys, source):
+        monkeypatch.delenv("MATTERBRIDGE_SEED", raising=False)
+        argv = ["gen-data", "--out", str(tmp_path / "x"), "--n", "10"]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        elif source == "env":
+            monkeypatch.setenv("MATTERBRIDGE_SEED", "-3")
+        else:
+            save_config(str(tmp_path / "config.json"), Config(seed=-1))
+            argv += ["--config", str(tmp_path / "config.json")]
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed must be >= 0" in err
+
 
 class TestGenData:
     def test_writes_corpus_and_split(self, tmp_path, capsys):
@@ -448,6 +463,10 @@ CORRUPTIONS = {
         ("samples", lambda lines: lines + [_first_with(lines, prompt=5)]),
     "samples-bool-target": ("samples", lambda lines: lines + [
         _first_with(lines, numeric_target=True)]),
+    "samples-nan-target": ("samples", lambda lines: lines + [
+        _first_with(lines, numeric_target=float("nan"))]),
+    "samples-unknown-key":
+        ("samples", lambda lines: lines + [_first_with(lines, note="x")]),
     "records-material-id-not-string":
         ("records", lambda lines: lines + [_first_with(lines, material_id=5)]),
     "store-id-not-string":
@@ -465,6 +484,14 @@ CORRUPTIONS = {
         ("records", lambda lines: lines + ['{"material_id": "x"}']),
     "records-not-utf8": ("records", lambda lines: lines + ["\udcff{}"]),
     "config-not-utf8": ("config", lambda lines: ["\udcff"] + lines),
+    "config-lr-a-string":
+        ("config", lambda lines: [_first_with(lines, warmup_start_lr="x")]),
+    "config-d_b-a-float":
+        ("config", lambda lines: [_first_with(lines, d_b=2.5)]),
+    "config-flag-an-int":
+        ("config", lambda lines: [_first_with(lines, lm_trainable=1)]),
+    "config-tau-nan":
+        ("config", lambda lines: [_first_with(lines, tau=float("nan"))]),
     "records-lattice-not-numeric": ("records", lambda lines: lines + [
         _first_structure_with(lines, lattice="abc")]),
     # a JSON integer past the float64 range
@@ -484,6 +511,9 @@ CORRUPTIONS = {
         "q.json", _json_with(text, frac_coords=[[0.0, 0.0, 0.0], [0.5]]))),
     "struct-species-not-list":
         ("struct", lambda text: ("q.json", _json_with(text, species=5))),
+    "struct-species-element-a-list":
+        ("struct", lambda text: ("q.json", _json_with(
+            text, species=[[s] for s in json.loads(text)["species"]]))),
     "struct-cif-without-fract-y":
         ("struct", lambda text: ("q.cif", _CIF_WITHOUT_FRACT_Y)),
 }
@@ -602,9 +632,10 @@ def _mutated_line(draw, line):
 
 
 class TestCorruptJsonlLines:
-    """One mutated line of a records or samples file: the loader returns
-    or raises a MatterBridgeError, and the command reading the file ends
-    with exit 0, or with exit 1 and an error line, never a traceback."""
+    """One mutated line of a records or samples file, or of a config
+    (one line of JSON): the loader returns or raises a MatterBridgeError,
+    and the command reading the file ends with exit 0, or with exit 1 and
+    an error line, never a traceback."""
 
     @pytest.fixture(scope="class")
     def corpus(self, tmp_path_factory):
@@ -616,11 +647,13 @@ class TestCorruptJsonlLines:
                      d_lm=8, L_lm=1, lm_heads=1)
         ckpt = str(root / "model.ckpt")
         save_checkpoint(ckpt, build_models(cfg, seed=3), cfg, "pretrain", 0)
+        save_config(str(root / "config.json"), cfg)
         return {"root": root, "ckpt": ckpt,
                 "records": root / "records.jsonl",
-                "samples": root / "samples_train.jsonl"}
+                "samples": root / "samples_train.jsonl",
+                "config": root / "config.json"}
 
-    @pytest.mark.parametrize("kind", ["records", "samples"])
+    @pytest.mark.parametrize("kind", ["records", "samples", "config"])
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_one_bad_line(self, corpus, kind, data):
@@ -632,6 +665,10 @@ class TestCorruptJsonlLines:
         if kind == "records":
             loader = load_property_records
             argv = ["similarity", "--records", str(path)]
+        elif kind == "config":
+            loader = load_config
+            argv = ["gen-data", "--config", str(path),
+                    "--out", str(corpus["root"] / "gen"), "--n", "2"]
         else:
             loader = load_instruction_samples
             argv = ["eval", "--ckpt", corpus["ckpt"],

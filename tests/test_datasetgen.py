@@ -1,5 +1,6 @@
 """Templates, the synthetic oracle, record IO, rendering, splitting."""
 
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from matterbridge.crystal import Structure
 from matterbridge.datasetgen import (
     build_instruction_corpus,
     generate_synthetic_records,
+    load_instruction_samples,
     load_property_records,
     record_to_dict,
     render_sample,
@@ -216,8 +218,6 @@ class TestRecordIO:
             load_property_records(path)
 
     def test_missing_field_itemized(self, tmp_path):
-        import json
-
         recs = generate_synthetic_records(1, 1)
         obj = record_to_dict(recs[0])
         del obj["bandgap"]
@@ -225,6 +225,30 @@ class TestRecordIO:
         path.write_text(json.dumps(obj) + "\n")
         with pytest.raises(ValidationError, match="line 1"):
             load_property_records(path)
+
+
+    def test_integer_floats_load_as_floats(self, tmp_path):
+        recs = generate_synthetic_records(1, 4)
+        path = tmp_path / "ints.jsonl"
+        with open(path, "w") as fh:
+            for r in recs:
+                obj = record_to_dict(r)
+                obj.update(formation_energy=-1, energy_above_hull=0,
+                           bandgap=0 if r.is_metal else 2)
+                fh.write(json.dumps(obj) + "\n")
+        for r in load_property_records(path):
+            for name in ("formation_energy", "energy_above_hull", "bandgap"):
+                assert type(getattr(r, name)) is float
+            assert r.bandgap == (0.0 if r.is_metal else 2.0)
+
+    def test_integer_sample_target_loads_as_float(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        path.write_text(json.dumps({"material_id": "m", "task": "bandgap",
+                                    "prompt": "p", "answer": "a",
+                                    "numeric_target": 2}) + "\n")
+        (sample,) = load_instruction_samples(path)
+        assert type(sample.numeric_target) is float
+        assert sample.numeric_target == 2.0
 
 
 class TestRender:

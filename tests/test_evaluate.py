@@ -272,6 +272,7 @@ BAD_REPORTS = {
     "n-samples-a-bool":
         json.dumps({**_GOOD_REPORT, "n_samples": True}).encode(),
     "tasks-a-list": json.dumps({**_GOOD_REPORT, "tasks": []}).encode(),
+    "unknown-key": json.dumps({**_GOOD_REPORT, "note": "x"}).encode(),
 }
 
 

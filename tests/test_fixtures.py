@@ -5,6 +5,7 @@ import shutil
 
 import pytest
 
+from matterbridge.errors import ValidationError
 from matterbridge.fixtures import (
     FIXTURE_COUNT,
     FIXTURE_SEED,
@@ -110,6 +111,18 @@ class TestTampering:
         assert not report.ok
         assert any("checksums.json is missing" in f for f in report.failures)
 
+    @pytest.mark.parametrize("name, bad", [
+        ("records.jsonl", lambda blob: b"\xff" + blob),
+        ("checksums.json", lambda blob: b"\xff" + blob),
+        ("checksums.json", lambda blob: b"[" + blob + b"]"),
+    ])
+    def test_unreadable_file_reported(self, tmp_path, name, bad):
+        dst = copy_fixture_dir(tmp_path)
+        (dst / name).write_bytes(bad((dst / name).read_bytes()))
+        report = verify_fixtures(str(dst))
+        assert not report.ok
+        assert any(name in f for f in report.failures)
+
     def test_failure_report_is_itemized(self, tmp_path):
         dst = copy_fixture_dir(tmp_path)
         (dst / "records.jsonl").write_text("")
@@ -117,3 +130,30 @@ class TestTampering:
         text = str(report)
         assert "FAILED" in text
         assert "  - " in text
+
+
+def _with_unknown_key(line):
+    return json.dumps({**json.loads(line), "note": "x"}).encode()
+
+
+class TestMalformedLines:
+    """The fixture loaders read lines as the JSONL loaders do: a bad line
+    is a ValidationError that names it."""
+
+    @pytest.mark.parametrize("name, load, bad", [
+        ("records.jsonl", load_fixture_records, lambda line: b"{not json"),
+        ("records.jsonl", load_fixture_records, lambda line: line[:-9]),
+        ("samples.jsonl", load_fixture_samples, lambda line: b"[]"),
+        ("samples.jsonl", load_fixture_samples, _with_unknown_key),
+    ])
+    def test_bad_line_is_named(self, tmp_path, name, load, bad):
+        out = regenerate_fixtures(str(tmp_path / "fixtures"))
+        path = tmp_path / "fixtures" / name
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = bad(lines[2])
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ValidationError, match="line 3"):
+            load(out)
+        report = verify_fixtures(out)
+        assert any("failed to parse" in f and "line 3" in f
+                   for f in report.failures)

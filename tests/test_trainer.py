@@ -63,6 +63,12 @@ class TestConfig:
         with pytest.raises(ValidationError):
             config_from_dict({"no_such_key": 1})
 
+    def test_integer_floats_load_as_floats(self):
+        cfg = config_from_dict({"tau": 1, "weight_decay": 0})
+        assert type(cfg.tau) is float and type(cfg.weight_decay) is float
+        assert config_hash(cfg) == config_hash(Config(tau=1.0,
+                                                      weight_decay=0.0))
+
     def test_defaults(self):
         cfg = Config()
         assert cfg.pretrain_peak_lr == 2e-4
