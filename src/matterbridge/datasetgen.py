@@ -248,6 +248,10 @@ def record_to_dict(r):
 def record_from_dict(obj):
     rec = PropertyRecord(**fields_from_json(
         PropertyRecord, obj, structure=structure_from_dict))
+    if rec.structure.material_id != rec.material_id:
+        raise ValidationError(
+            f"structure material_id {rec.structure.material_id!r} differs "
+            f"from the record's {rec.material_id!r}")
     validate_record(rec)
     return rec
 

@@ -21,6 +21,12 @@ neighbors keeps an all-zero message term.
 Per-node sums reduce in a value-sorted order (distance, then neighbor
 species, then the message components themselves), which makes the
 result bitwise independent of atom labeling and edge enumeration order.
+The edges are sorted by (atom, distance, neighbor species) first, and
+only the runs that tie on all three are re-sorted by the message
+components; both sorts are stable, so the order is the one a single
+sort on every key gives.  Each atom's rows are then added one at a time
+in that order by a running sum (``np.cumsum``), which is sequential by
+definition, unlike ``np.sum``'s pairwise reduction.
 """
 
 from __future__ import annotations
@@ -94,25 +100,42 @@ def _gaussian_basis(dist, centers, width):
     return np.exp(-((dist[:, None] - centers[None, :]) ** 2) / (2.0 * width**2))
 
 
-def _ordered_segment_sums(rows, seg, keys, n_seg):
+def _ordered_segment_sums(rows, seg, keys, n_seg, tie_keys=()):
     """Per-segment sums of ``rows``, each added one at a time in key order.
 
-    Within a segment the rows are ordered by ``keys`` (np.lexsort
-    convention: the last key is the primary one), so the floating-point
-    result depends only on the values being summed, never on the order
-    in which they arrive.
+    Within a segment the rows are ordered by ``keys`` and then, among
+    rows equal on every key, by ``tie_keys`` (np.lexsort convention: the
+    last key is the primary one), so the floating-point result depends
+    only on the values being summed, never on the order in which they
+    arrive.  Only the runs that tie on the segment and ``keys`` are
+    re-sorted by ``tie_keys``; both sorts are stable, so the order is
+    that of one sort on every key, at a fraction of its cost.  The sum
+    is a running sum over a zero slot followed by the segment's rows in
+    order, so the first add is ``0.0 + row`` and each later one adds the
+    next row to the total so far.
     """
-    order = np.lexsort(tuple(keys) + (seg,))
+    keys = tuple(keys) + (seg,)
+    order = np.lexsort(keys)
+    if tie_keys:
+        # same[p]: sorted row p ties with row p - 1 on the segment and keys
+        same = np.ones(len(order), dtype=bool)
+        same[:1] = False
+        for k in keys:
+            k = k[order]
+            same[1:] &= k[1:] == k[:-1]
+        in_run = same.copy()
+        in_run[:-1] |= same[1:]  # or row p + 1 ties with row p
+        tied = np.flatnonzero(in_run)
+        run = np.cumsum(~same)[tied]
+        sub = order[tied]
+        order[tied] = sub[np.lexsort(tuple(k[sub] for k in tie_keys) + (run,))]
     seg_sorted = seg[order]
     counts = np.bincount(seg, minlength=n_seg)
     starts = np.cumsum(counts) - counts
     slot = np.arange(len(seg)) - starts[seg_sorted]
-    padded = np.zeros((n_seg, counts.max(), rows.shape[1]))
-    padded[seg_sorted, slot] = rows[order]
-    acc = np.zeros((n_seg, rows.shape[1]))
-    for k in range(padded.shape[1]):
-        acc += padded[:, k]
-    return acc
+    padded = np.zeros((n_seg, counts.max() + 1, rows.shape[1]))
+    padded[seg_sorted, slot + 1] = rows[order]
+    return np.cumsum(padded, axis=1)[:, -1]
 
 
 def encode_atoms(graph, params):
@@ -137,9 +160,9 @@ def encode_atoms(graph, params):
         msg = np.tanh(h[ej] @ layer["w_msg"] + edge_feat @ layer["w_edge"])
         # value-determined summation order: distance, neighbor species,
         # then the message components as tie-breakers
-        keys = tuple(msg[:, c] for c in range(msg.shape[1] - 1, -1, -1))
+        ties = tuple(msg[:, c] for c in range(msg.shape[1] - 1, -1, -1))
         agg = _ordered_segment_sums(msg * weight[:, None], ei,
-                                    keys + (z[ej], dist), n)
+                                    (z[ej], dist), n, ties)
         h = np.tanh(h @ layer["w_update"] + agg / weight_sum[:, None])
     return h
 

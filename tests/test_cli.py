@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from matterbridge import evaluate, trainer
 from matterbridge.cli import _structure_from_file, run_cli
 from matterbridge.config import Config, load_config, save_config
-from matterbridge.crystal import structure_to_json
+from matterbridge.crystal import build_graph, structure_to_json
 from matterbridge.datasetgen import (generate_synthetic_records,
                                      load_instruction_samples,
                                      load_property_records,
@@ -494,6 +494,9 @@ CORRUPTIONS = {
         ("config", lambda lines: [_first_with(lines, tau=float("nan"))]),
     "records-lattice-not-numeric": ("records", lambda lines: lines + [
         _first_structure_with(lines, lattice="abc")]),
+    # a new record id; its structure keeps the first record's
+    "records-structure-id-differs": ("records", lambda lines: lines + [
+        _first_with(lines, material_id="another-id")]),
     # a JSON integer past the float64 range
     "records-frac-coords-overflow": ("records", lambda lines: [
         _first_structure_with(lines, frac_coords=[[2 ** 1100, 0, 0]])]
@@ -516,6 +519,18 @@ CORRUPTIONS = {
             text, species=[[s] for s in json.loads(text)["species"]]))),
     "struct-cif-without-fract-y":
         ("struct", lambda text: ("q.cif", _CIF_WITHOUT_FRACT_Y)),
+    "struct-material-id-not-string":
+        ("struct", lambda text: ("q.json", _json_with(text, material_id=5))),
+    "struct-unknown-key":
+        ("struct", lambda text: ("q.json", _json_with(text, note="x"))),
+    # determinant 1.6e309 overflows to inf
+    "struct-determinant-overflow": ("struct", lambda text: (
+        "q.json", _json_with(text, lattice=[[1e308, 0, 0], [0, 4, 0],
+                                            [0, 0, 4]]))),
+    # determinant 1.6e-7 passes, but a 6 A search needs 3e10 images
+    "struct-thin-cell": ("struct", lambda text: (
+        "q.json", _json_with(text, lattice=[[4, 0, 0], [0, 4, 0],
+                                            [0, 0, 1e-8]]))),
 }
 
 
@@ -577,7 +592,8 @@ class TestCorruptInputs:
             "ckpt": (load_checkpoint,
                      ["infer", "--ckpt", str(files["ckpt"]), "--structure",
                       str(files["struct"]), "--task", "is_metal"]),
-            "struct": (lambda path: _structure_from_file(path, None),
+            "struct": (lambda path: build_graph(
+                           _structure_from_file(path, None)),
                        ["infer", "--ckpt", str(files["ckpt"]), "--structure",
                         str(files["struct"]), "--task", "is_metal"]),
             "store": (EmbeddingStore.load,

@@ -1,5 +1,7 @@
 """Structure parsing, periodic neighbor lists, graph construction."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,27 @@ Cl 0.5 0.5 0.5
 
 def cubic(a=1.0, species=("Si",), frac=((0, 0, 0),), mid="cube"):
     return Structure(mid, np.eye(3) * a, list(species), np.array(frac, float))
+
+
+def reference_neighbor_list(s, cutoff):
+    """neighbor_list_pbc with the image offsets from itertools.product,
+    the zero offset found by search and a final five-key sort."""
+    lat, frac, n = s.lattice, s.frac_coords, s.n_atoms
+    bound = np.floor(cutoff * np.linalg.norm(np.linalg.inv(lat), axis=0)
+                     + 1.0).astype(int)
+    axes = [np.arange(-b, b + 1) for b in bound]
+    offsets = np.array(list(itertools.product(*axes)), dtype=np.int64)
+    diff = frac[None, :, :] - frac[:, None, :]
+    dist = np.linalg.norm(
+        (diff[:, :, None, :] + offsets[None, None, :, :]) @ lat, axis=-1)
+    within = dist <= cutoff
+    zero_off = np.flatnonzero((offsets == 0).all(axis=1))[0]
+    within[np.arange(n), np.arange(n), zero_off] = False
+    ii, jj, mm = np.nonzero(within)
+    order = np.lexsort(
+        (offsets[mm, 2], offsets[mm, 1], offsets[mm, 0], jj, ii))
+    ii, jj, mm = ii[order], jj[order], mm[order]
+    return ii, jj, offsets[mm].copy(), dist[ii, jj, mm]
 
 
 class TestParsing:
@@ -132,9 +155,10 @@ class TestNeighborList:
             s = random_structure(rng)
             cutoff = float(rng.uniform(2.0, 5.0))
             i, j, off, d = neighbor_list_pbc(s, cutoff)
-            got = sorted(
+            got = list(
                 zip(i.tolist(), j.tolist(), map(tuple, off.tolist()), d.tolist())
             )
+            assert got == sorted(got)  # already in (i, j, offset) order
             want = supercell_neighbor_list(s, cutoff)
             assert [(a, b, c) for a, b, c, _ in got] == [
                 (a, b, c) for a, b, c, _ in want
@@ -142,6 +166,24 @@ class TestNeighborList:
             np.testing.assert_allclose(
                 [g[3] for g in got], [w[3] for w in want], atol=1e-9
             )
+
+    def test_bitwise_matches_reference_implementation(self):
+        rng = np.random.default_rng(99)
+        cells = [random_structure(rng) for _ in range(10)]
+        cells += [cubic(2.5), parse_structure(NACL_CIF, "cif-subset")]
+        for s in cells:
+            for cutoff in (2.0, 6.0, 9.5):
+                got = neighbor_list_pbc(s, cutoff)
+                want = reference_neighbor_list(s, cutoff)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype and g.shape == w.shape
+                    assert g.tobytes() == w.tobytes()
+
+    def test_thin_cell_rejected_before_allocation(self):
+        # the search would need 5 x 5 x 1,200,000,003 images
+        s = Structure("thin", np.diag([4.0, 4.0, 1e-8]), ["Si"], [[0, 0, 0]])
+        with pytest.raises(ValidationError, match="3e"):
+            neighbor_list_pbc(s, 6.0)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(5)

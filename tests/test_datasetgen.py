@@ -212,6 +212,7 @@ class TestRecordIO:
     def test_duplicate_ids_name_both_lines(self, tmp_path):
         recs = generate_synthetic_records(1, 2)
         recs[1].material_id = recs[0].material_id
+        recs[1].structure.material_id = recs[0].material_id
         path = tmp_path / "dup.jsonl"
         write_property_records(path, recs)
         with pytest.raises(ValidationError, match="line 2.*line 1"):

@@ -9,7 +9,8 @@ import pytest
 from helpers import random_structure
 from matterbridge.config import load_config
 from matterbridge.crystal import Structure, build_graph
-from matterbridge.encoder import encode_atoms, init_encoder
+from matterbridge.encoder import (NEIGHBOR_DECAY, _ordered_segment_sums,
+                                  encode_atoms, init_encoder)
 from matterbridge.errors import ContractError
 from matterbridge.fixtures import build_fixture_corpus
 from matterbridge.trainer import build_models
@@ -19,6 +20,52 @@ OVERFIT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "overfit.j
 
 def encode_structure(s, params, cutoff=3.0):
     return encode_atoms(build_graph(s, cutoff), params)
+
+
+def reference_segment_sums(rows, seg, keys, n_seg):
+    """Per-segment sums by one lexsort on every key (the last one
+    primary), then one Python-level add per padded neighbor slot."""
+    order = np.lexsort(tuple(keys) + (seg,))
+    seg_sorted = seg[order]
+    counts = np.bincount(seg, minlength=n_seg)
+    starts = np.cumsum(counts) - counts
+    slot = np.arange(len(seg)) - starts[seg_sorted]
+    padded = np.zeros((n_seg, counts.max(), rows.shape[1]))
+    padded[seg_sorted, slot] = rows[order]
+    acc = np.zeros((n_seg, rows.shape[1]))
+    for k in range(padded.shape[1]):
+        acc += padded[:, k]
+    return acc
+
+
+def reference_encode_atoms(graph, params):
+    """encode_atoms with every per-atom sum taken by reference_segment_sums,
+    its messages ordered by one sort on atom, distance, neighbor species
+    and all message components."""
+    z = np.asarray(graph.node_species, dtype=np.int64)
+    h = params.atom_embed[z - 1].copy()
+    ei, ej, dist = graph.edge_i, graph.edge_j, graph.edge_dist
+    edge_feat = np.exp(-((dist[:, None] - params.rbf_centers[None, :]) ** 2)
+                       / (2.0 * params.rbf_width ** 2))
+    n = len(z)
+    nearest = np.full(n, np.inf)
+    np.minimum.at(nearest, ei, dist)
+    weight = np.exp(-(dist - nearest[ei]) / NEIGHBOR_DECAY)
+    total = reference_segment_sums(weight[:, None], ei, (dist,), n)[:, 0]
+    total[total == 0.0] = 1.0
+    for layer in params.layers:
+        msg = np.tanh(h[ej] @ layer["w_msg"] + edge_feat @ layer["w_edge"])
+        keys = tuple(msg[:, c] for c in range(msg.shape[1] - 1, -1, -1))
+        agg = reference_segment_sums(msg * weight[:, None], ei,
+                                     keys + (z[ej], dist), n)
+        h = np.tanh(h @ layer["w_update"] + agg / total[:, None])
+    return h
+
+
+def rock_salt(a=5.64):
+    return Structure("nacl", np.eye(3) * a, ["Na"] * 4 + ["Cl"] * 4,
+                     [[0, 0, 0], [0.5, 0.5, 0], [0.5, 0, 0.5], [0, 0.5, 0.5],
+                      [0.5, 0, 0], [0, 0.5, 0], [0, 0, 0.5], [0.5, 0.5, 0.5]])
 
 
 class TestInit:
@@ -110,6 +157,64 @@ class TestEncode:
         assert np.isfinite(out).all()
         # with no edges the rows depend on species alone
         assert not np.array_equal(out[0], out[1])
+
+
+class TestReferenceOrder:
+    """encode_atoms is bitwise the reference: one sort on every key and
+    one add at a time, on inputs where many edges tie on (distance,
+    neighbor species) and the message components decide the order."""
+
+    ENCODERS = (init_encoder(4), init_encoder(7, d_enc=16, L_enc=1),
+                init_encoder(9, d_enc=8, L_enc=3))
+
+    def assert_bitwise(self, structure, cutoff=6.0):
+        graph = build_graph(structure, cutoff)
+        for p in self.ENCODERS:
+            got = encode_atoms(graph, p)
+            want = reference_encode_atoms(graph, p)
+            assert got.tobytes() == want.tobytes(), structure.material_id
+
+    def test_random_structures(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            self.assert_bitwise(random_structure(rng),
+                                cutoff=float(rng.choice([3.0, 6.0])))
+
+    def test_tie_heavy_cells(self):
+        self.assert_bitwise(rock_salt())
+        self.assert_bitwise(Structure("sc", np.eye(3) * 2.5, ["Po"],
+                                      [[0, 0, 0]]))
+        self.assert_bitwise(Structure("bcc", np.eye(3) * 2.87, ["Fe", "Fe"],
+                                      [[0, 0, 0], [0.5, 0.5, 0.5]]))
+        records, _ = build_fixture_corpus()
+        single = [r.structure for r in records
+                  if len(set(r.structure.species)) == 1]
+        assert {sp for s in single for sp in s.species} >= {"O", "N", "C",
+                                                            "Ga"}
+        for s in single:
+            self.assert_bitwise(s)
+
+    def test_isolated_atom(self):
+        self.assert_bitwise(Structure("far", np.eye(3) * 30.0, ["Si", "Fe"],
+                                      [[0, 0, 0], [0.5, 0.5, 0.5]]))
+        # one isolated atom beside a bonded pair
+        self.assert_bitwise(Structure("one-far", np.eye(3) * 20.0,
+                                      ["Si", "Fe", "O"],
+                                      [[0, 0, 0], [0.1, 0, 0],
+                                       [0.5, 0.5, 0.5]]), cutoff=3.0)
+
+    def test_ties_on_every_key_keep_arrival_order(self):
+        rng = np.random.default_rng(5)
+        n_seg, n_rows = 6, 400
+        seg = rng.integers(0, n_seg, n_rows)
+        keys = tuple(rng.integers(0, 3, n_rows).astype(float)
+                     for _ in range(2))
+        ties = tuple(rng.integers(0, 2, n_rows).astype(float)
+                     for _ in range(3))
+        rows = rng.standard_normal((n_rows, 4))
+        got = _ordered_segment_sums(rows, seg, keys, n_seg, ties)
+        want = reference_segment_sums(rows, seg, ties + keys, n_seg)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestFixtureSeparation:
