@@ -19,9 +19,10 @@ Interaction modes:
 
 Inference mode also takes the atoms of B structures with one atom count
 as a (B, n_atoms, d_enc) stack: the queries broadcast over B and every
-row comes out bitwise as it does alone.  ``rag.material_prefixes`` groups
-structures by atom count to build LM prefixes this way; the text modes
-take one structure.
+row comes out bitwise as it does alone.  ``rag.material_prefixes`` builds
+every prefix for decoding and embedding this way.  One structure's
+(n_atoms, d_enc) atoms remain a form: the text modes take one structure,
+and finetuning builds each sample's prefix alone (``lm_prefix``).
 """
 
 from __future__ import annotations

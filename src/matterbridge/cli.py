@@ -40,8 +40,7 @@ from .evaluate import (
     write_eval_report,
 )
 from .ioutil import atomic_write
-from .rag import (EmbeddingStore, material_prefix, material_prefixes,
-                  retrieve_topk)
+from .rag import EmbeddingStore, material_prefixes, retrieve_topk
 from .rematch import RematchConfig, similarity_matrix
 from .soap import SoapConfig
 from .templates import TASKS, format_value, render_prompt
@@ -137,8 +136,8 @@ def cmd_infer(args, cfg, seed):
     structure = _structure_from_file(args.structure, args.fmt)
     prompt = render_prompt(args.task, args.template_index)
     if not args.rag:
-        print(generate_answer(models, material_prefix(structure, models),
-                              prompt, max_new=args.max_new))
+        print(generate_answer(models, material_prefixes([structure], models),
+                              prompt, max_new=args.max_new)[0])
         return 0
     store = EmbeddingStore.load(args.store)
     cache = _AnswerCache(models, load_property_records(args.records),

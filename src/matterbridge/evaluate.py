@@ -18,7 +18,8 @@ time: a material's own answer and, with a store, its neighbors'
 answers, whether or not the own answer then parses.  The LM prefixes a
 decode lacks are built together too, grouped by atom count
 (``rag.material_prefixes``).  Batching changes no text: each row
-decodes bitwise as it would alone.
+decodes bitwise as it would alone.  ``generate_answer`` has this one
+form, B prefixes to B answers; a single answer is B = 1.
 """
 
 from __future__ import annotations
@@ -159,27 +160,25 @@ def project_2d_pca(vectors):
 # -- greedy answer generation ------------------------------------------------
 
 
-def generate_answer(models, prefix, prompt, max_new=None):
-    """Greedy-decode the answer to a prompt after one or more LM prefixes.
+def generate_answer(models, prefixes, prompt, max_new=None):
+    """Greedy-decode the answers to one prompt after B LM prefixes.
 
-    ``prefix`` is one material's (n_q, d_lm) LM prefix
-    (``rag.material_prefix``), giving one answer string, or a
-    (B, n_q, d_lm) stack of B materials' prefixes, giving a list of B
-    answers decoded in one batch (``lm.generate_greedy``), each equal to
-    the answer decoded alone.
+    ``prefixes`` is a (B, n_q, d_lm) stack of B materials' prefixes
+    (``rag.material_prefixes``); the B answers come from one batched
+    ``lm.generate_greedy`` call, each equal to the answer decoded alone.
     """
     if not prompt:
         raise ValidationError("prompt must be nonempty")
     vocab = models.vocab
     ids = [vocab.bos_id] + vocab.tokenize(prompt) + [vocab.sep_id]
-    room = models.lm.max_len - prefix.shape[-2] - len(ids)
+    room = models.lm.max_len - prefixes.shape[-2] - len(ids)
     if room < 1:
         raise ValidationError(
             f"prompt of {len(ids)} symbols leaves no room to generate "
             f"within max_len {models.lm.max_len}")
     if max_new is None:
         max_new = min(DEFAULT_MAX_NEW, room)
-    return generate_greedy(prefix, ids, max_new, models.lm)
+    return generate_greedy(prefixes, ids, max_new, models.lm)
 
 
 class _AnswerCache:

@@ -5,7 +5,10 @@ closed character vocabulary whose parameters are drawn once from a
 seed.  It stays frozen unless ``lm_trainable`` is set (default off);
 the overfit release gate sets it, for the reason ``trainer`` gives.
 Projected query embeddings are prepended to the token embeddings as a
-soft prefix; logits are emitted for token positions only.
+soft prefix; logits are emitted for token positions only.  Decoding has
+one form: ``generate_greedy`` maps a (B, n_prefix, d_lm) stack of
+prefixes to B strings; one material is B = 1.  ``lm_forward`` keeps (T,)
+ids next to (B, T) ones, as finetuning feeds one sample at a time.
 
 Tokenization is strict: any character outside the vocabulary raises
 instead of substituting an unknown marker.
@@ -124,11 +127,10 @@ def lm_forward(prefix_embs, token_ids, lp, cache=None):
 
     ``cache`` lets a decoder feed one sequence (or batch) in pieces under
     ``tensor.no_grad()``: a list of one ``nn.KVCache`` per layer with the
-    projected keys and values of the positions fed so far; an empty list
-    is filled with ``max_len`` caches.  The new rows take the positions
-    after those; each layer projects only the new rows, appends them to
-    its cache and attends over all it holds.  Using a cache with
-    gradients enabled raises ``ContractError``.
+    projected keys and values of the positions fed so far.  The new rows
+    take the positions after those; each layer projects only the new
+    rows, appends them to its cache and attends over all it holds.
+    Using a cache with gradients enabled raises ``ContractError``.
     """
     token_ids = np.asarray(token_ids, dtype=np.int64)
     if token_ids.ndim not in (1, 2) or token_ids.shape[-1] < 1:
@@ -146,8 +148,6 @@ def lm_forward(prefix_embs, token_ids, lp, cache=None):
                              f"({'B, ' * (token_ids.ndim - 1)}n, {lp.d_lm})"
                              f" for token ids {token_ids.shape}")
         n_prefix = prefix_embs.shape[-2]
-    if cache is not None and not cache:
-        cache.extend(KVCache(lp.max_len) for _ in range(lp.L_lm))
     start = cache[0].n if cache else 0
     total = start + n_prefix + token_ids.shape[-1]
     if total > lp.max_len:
@@ -171,47 +171,40 @@ def lm_forward(prefix_embs, token_ids, lp, cache=None):
     return x[..., n_prefix:, :] @ p["tok_embed"].T
 
 
-def generate_greedy(prefix_embs, prompt_ids, max_new, lp):
+def generate_greedy(prefixes, prompt_ids, max_new, lp):
     """Deterministic argmax decoding; np.argmax breaks ties on lowest id.
 
-    ``prefix_embs`` is None, one (n_prefix, d_lm) prefix, or a
-    (B, n_prefix, d_lm) stack of B prefixes that share the prompt.
-    Under ``tensor.no_grad()``, runs the prefixes + prompt through
-    ``lm_forward`` once as a batch, then one position per row per step,
-    against one (B, L, d_lm) K/V cache per layer sized to the decode's
-    length budget L (prefix + prompt + max_new - 1, at most max_len).
-    A row stops after ``max_new`` symbols or at EOS; a stopped row rides
-    along, its further symbols discarded, until every row has stopped.
-    Each row's logits, and so its text, are bitwise those of decoding it
-    alone.  Returns the decoded text of each row's generated symbols
-    (EOS excluded): a list of B strings for a 3-D prefix, else a string.
+    ``prefixes`` is a (B, n_prefix, d_lm) stack of B prefixes that share
+    the prompt; n_prefix may be 0.  Under ``tensor.no_grad()``, runs the
+    prefixes + prompt through ``lm_forward`` once as a batch, then one
+    position per row per step, against one (B, L, d_lm) K/V cache per
+    layer sized to the decode's length budget L (prefix + prompt +
+    max_new - 1, at most max_len).  A row stops after ``max_new``
+    symbols or at EOS; a stopped row rides along, its further symbols
+    discarded, until every row has stopped.  Each row's logits, and so
+    its text, are bitwise those of decoding it alone.  Returns a list of
+    B strings, each row's generated symbols decoded (EOS excluded).
     """
     if max_new < 1:
         raise ContractError("max_new must be >= 1")
-    ids = list(prompt_ids)
-    if not ids:
-        raise ContractError("prompt must be nonempty")
-    if isinstance(prefix_embs, Tensor):
-        prefix_embs = prefix_embs.data
-    batched = np.ndim(prefix_embs) == 3
-    prefix = (prefix_embs if batched or prefix_embs is None
-              else np.asarray(prefix_embs)[None])
-    rows, n_prefix = (1, 0) if prefix is None else np.shape(prefix)[:2]
-    budget = min(n_prefix + len(ids) + max_new - 1, lp.max_len)
+    if np.ndim(prefixes) != 3:
+        raise ShapeError("prefixes must be (B, n_prefix, d_lm)")
+    rows, n_prefix = np.shape(prefixes)[:2]
+    tokens = np.tile(np.asarray(prompt_ids, dtype=np.int64), (rows, 1))
+    budget = min(n_prefix + tokens.shape[1] + max_new - 1, lp.max_len)
     cache = [KVCache(budget) for _ in range(lp.L_lm)]
-    tokens = np.tile(np.asarray(ids, dtype=np.int64), (rows, 1))
     eos = lp.vocab.eos_id
     steps = []
     stopped = np.zeros(rows, dtype=bool)
     with no_grad():
         while len(steps) < max_new and not stopped.all():
-            logits = lm_forward(prefix, tokens, lp, cache)
+            logits = lm_forward(prefixes, tokens, lp, cache)
             nxt = np.argmax(logits.data[:, -1], axis=-1)
             steps.append(nxt)
             stopped |= nxt == eos
-            prefix, tokens = None, nxt[:, None]
+            prefixes, tokens = None, nxt[:, None]
     texts = []
     for row in np.stack(steps, axis=1).tolist():
         end = row.index(eos) if eos in row else len(row)
         texts.append(lp.vocab.detokenize(row[:end]))
-    return texts if batched else texts[0]
+    return texts

@@ -1,15 +1,16 @@
 """Embedding store and nearest-neighbour retrieval.
 
 A material is embedded by flattening its LM prefix (the projected bridge
-queries) into one vector.  ``material_prefixes`` builds the prefixes of
-many structures at once: structures with one atom count share one
-inference-mode bridge pass, and every prefix is bitwise what its
-structure gives alone.  A store holds material ids and one matrix of
-those vectors, nothing else.  Retrieval ranks the stored materials by L2
-distance to a query.  Retrieval-augmented answering then decodes each
-neighbour's answer with the same prompt (``evaluate.predict_sample``);
-no answer is looked up in the store.  ``rag_aggregate`` combines the
-neighbours' answers with the model's own.
+queries) into one vector.  ``material_prefixes`` is the one prefix
+builder, B structures to (B, n_q, d_lm) prefixes: structures with one
+atom count share one inference-mode bridge pass, and each prefix is
+bitwise what its structure gives alone.  ``embed_material``, one
+structure's vector, stays for the benchmark's ``infer`` check.  A store
+holds material ids and one matrix of those vectors, nothing else.
+Retrieval ranks the stored materials by L2 distance to a query, and
+retrieval-augmented answering decodes each neighbour's answer with the
+same prompt (``evaluate.predict_sample``); no answer is looked up in the
+store.  ``rag_aggregate`` combines them with the model's own answer.
 """
 
 from __future__ import annotations
@@ -58,18 +59,9 @@ def material_prefixes(structures, models):
     return out
 
 
-def material_prefix(structure, models):
-    """The material's LM prefix, its (n_q, d_lm) projected bridge queries."""
-    return material_prefixes([structure], models)[0]
-
-
 def embed_material(structure, models):
-    """The material's LM prefix flattened into one vector.
-
-    The (n_q, d_lm) block of projected bridge queries is flattened
-    row-major, so the vector length is n_q * d_lm.
-    """
-    return material_prefix(structure, models).reshape(-1).copy()
+    """The material's (n_q, d_lm) LM prefix flattened row-major."""
+    return material_prefixes([structure], models).reshape(-1)
 
 
 class EmbeddingStore:

@@ -265,9 +265,10 @@ def load_checkpoint(path):
     if tag != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path}: unrecognized format tag {tag!r}")
     missing = [key for key in MANIFEST_KEYS if key not in manifest]
-    if missing or not isinstance(manifest["tensors"], list):
+    if missing or not (isinstance(manifest["vocab"], list)
+                       and isinstance(manifest["tensors"], list)):
         raise CheckpointError(f"{path}: manifest needs the keys "
-                              f"{list(MANIFEST_KEYS)}, tensors a list")
+                              f"{list(MANIFEST_KEYS)}, vocab/tensors lists")
     body = raw[8 + n_manifest:]
     arrays = {}
     for rec in manifest["tensors"]:

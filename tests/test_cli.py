@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -23,6 +24,7 @@ from matterbridge.errors import MatterBridgeError
 from matterbridge.evaluate import parse_answer_value, read_eval_report
 from matterbridge.fixtures import build_fixture_corpus
 from matterbridge.rag import EmbeddingStore, embed_material
+from matterbridge.templates import TASKS, get_templates
 from matterbridge.trainer import (build_models, load_checkpoint,
                                   restore_models, save_checkpoint)
 
@@ -314,6 +316,33 @@ class TestPipeline:
         for name in ("store.bin", "store.json"):
             assert read_bytes(got / name) == read_bytes(tmp_path / "want" / name)
 
+    def test_plain_infer_prints_the_rag_self_answer(self, tmp_path, capsys):
+        # plain infer decodes its structure alone (B = 1), infer --rag
+        # together with its neighbours; one query per task
+        records = build_fixture_corpus()[0]
+        records_path = str(tmp_path / "records.jsonl")
+        write_property_records(records_path, records)
+        store = str(tmp_path / "store")
+        assert run_cli(["embed", "--ckpt", FROZEN_CKPT, "--records",
+                        records_path, "--out", store]) == 0
+        for i, task in enumerate(TASKS):
+            record = records[2 * i]
+            struct_path = str(tmp_path / f"{record.material_id}.json")
+            with open(struct_path, "w", encoding="utf-8") as fh:
+                fh.write(structure_to_json(record.structure))
+            template = i % len(get_templates(task).instructions)
+            argv = ["infer", "--ckpt", FROZEN_CKPT, "--structure",
+                    struct_path, "--task", task,
+                    "--template-index", str(template)]
+            capsys.readouterr()
+            assert run_cli(argv) == 0
+            plain = capsys.readouterr().out
+            assert run_cli(argv + ["--rag", "--store", store, "--records",
+                                   records_path,
+                                   "--id", record.material_id]) == 0
+            lines = capsys.readouterr().out.splitlines(keepends=True)
+            assert lines[0] == f"self: {plain}", task
+
     def test_infer_rag_encodes_each_material_once(self, tmp_path, capsys,
                                                   monkeypatch):
         # k=2: the query and two neighbours, one prefix each, one batch
@@ -413,6 +442,12 @@ class TestSimilarityCommand:
         assert "unknown material ids" in capsys.readouterr().err
 
 
+def _manifest_split(raw):
+    """A checkpoint's manifest bytes and the tensor bytes after them."""
+    n = int(np.frombuffer(raw[:8], dtype="<u8")[0])
+    return raw[8:8 + n], raw[8 + n:]
+
+
 def _first_tensor(manifest, **changes):
     manifest["tensors"][0].update(changes)
     return manifest
@@ -454,6 +489,7 @@ CORRUPTIONS = {
     "ckpt-list-manifest": ("ckpt", lambda m: [m]),
     "ckpt-nbytes-not-shape": ("ckpt", lambda m: _first_tensor(m, nbytes=8)),
     "ckpt-negative-offset": ("ckpt", lambda m: _first_tensor(m, offset=-8)),
+    "ckpt-vocab-not-a-list": ("ckpt", lambda m: {**m, "vocab": 5}),
     "store-without-count":
         ("store", lambda text: text.replace('"count":', '"uncounted":')),
     "store-not-utf8": ("store", lambda text: "\udcff" + text),
@@ -564,11 +600,10 @@ class TestCorruptInputs:
     @staticmethod
     def corrupt(files, kind, change):
         if kind == "ckpt":
-            raw = files["ckpt"].read_bytes()
-            n = int(np.frombuffer(raw[:8], dtype="<u8")[0])
-            payload = json.dumps(change(json.loads(raw[8:8 + n]))).encode()
+            manifest, body = _manifest_split(files["ckpt"].read_bytes())
+            payload = json.dumps(change(json.loads(manifest))).encode()
             files["ckpt"].write_bytes(np.array(len(payload), dtype="<u8")
-                                      .tobytes() + payload + raw[8 + n:])
+                                      .tobytes() + payload + body)
         elif kind == "struct":
             name, text = change(files["struct"].read_text())
             files["struct"] = files["tmp"] / name
@@ -629,9 +664,10 @@ _JSON_VALUES = st.recursive(
 
 
 @st.composite
-def _mutated_line(draw, line):
+def _mutated_line(draw, line, keep=()):
     """One JSONL line truncated, with a byte inserted, or with one field
-    (at any depth of nested objects) replaced by an arbitrary JSON value."""
+    (at any depth of nested objects and lists) replaced by an arbitrary
+    JSON value; no field under a top-level key in ``keep`` is replaced."""
     how = draw(st.sampled_from(["truncate", "insert", "replace"]))
     if how == "truncate":
         return line[:draw(st.integers(0, len(line) - 1))]
@@ -639,19 +675,22 @@ def _mutated_line(draw, line):
         at = draw(st.integers(0, len(line)))
         return line[:at] + bytes([draw(st.integers(0, 255))]) + line[at:]
     obj = node = json.loads(line)
-    key = draw(st.sampled_from(sorted(node)))
-    while isinstance(node[key], dict) and node[key] and draw(st.booleans()):
+    key = draw(st.sampled_from(sorted(set(node) - set(keep))))
+    while (isinstance(node[key], (dict, list)) and node[key]
+           and draw(st.booleans())):
         node = node[key]
-        key = draw(st.sampled_from(sorted(node)))
+        key = draw(st.sampled_from(
+            sorted(node) if isinstance(node, dict) else range(len(node))))
     node[key] = draw(_JSON_VALUES)
     return json.dumps(obj).encode()
 
 
 class TestCorruptJsonlLines:
-    """One mutated line of a records or samples file, or of a config
-    (one line of JSON): the loader returns or raises a MatterBridgeError,
-    and the command reading the file ends with exit 0, or with exit 1 and
-    an error line, never a traceback."""
+    """One mutated line of a records or samples file, of a config or a
+    checkpoint manifest (one line of JSON each), or of a store's
+    store.json: the loader returns or raises a MatterBridgeError, and the
+    command reading the file ends with exit 0, or with exit 1 and an
+    error line, never a traceback."""
 
     @pytest.fixture(scope="class")
     def corpus(self, tmp_path_factory):
@@ -664,33 +703,79 @@ class TestCorruptJsonlLines:
         ckpt = str(root / "model.ckpt")
         save_checkpoint(ckpt, build_models(cfg, seed=3), cfg, "pretrain", 0)
         save_config(str(root / "config.json"), cfg)
+        records = load_property_records(str(root / "records.jsonl"))
+        (root / "query.json").write_text(
+            structure_to_json(records[0].structure))
+        EmbeddingStore(["a", "b", "c"], np.arange(6.0).reshape(3, 2)).save(
+            str(root / "store"))
         return {"root": root, "ckpt": ckpt,
                 "records": root / "records.jsonl",
                 "samples": root / "samples_train.jsonl",
-                "config": root / "config.json"}
+                "config": root / "config.json",
+                "store": root / "store"}
 
-    @pytest.mark.parametrize("kind", ["records", "samples", "config"])
+    @staticmethod
+    def lines(corpus, kind):
+        if kind == "ckpt":
+            with open(corpus["ckpt"], "rb") as fh:
+                return [_manifest_split(fh.read())[0]]
+        if kind == "store":
+            return (corpus["store"] / "store.json").read_bytes().splitlines()
+        return corpus[kind].read_bytes().splitlines()
+
+    @staticmethod
+    def write(corpus, kind, lines):
+        """The mutated file (a directory for a store) and the command
+        that reads it."""
+        root = corpus["root"]
+        text = b"\n".join(lines) + b"\n"
+        if kind == "ckpt":
+            path = root / "mutated.ckpt"
+            with open(corpus["ckpt"], "rb") as fh:
+                body = _manifest_split(fh.read())[1]
+            (manifest,) = lines
+            path.write_bytes(np.array(len(manifest), dtype="<u8").tobytes()
+                             + manifest + body)
+            return path, load_checkpoint, [
+                "infer", "--ckpt", str(path), "--structure",
+                str(root / "query.json"), "--task", "is_metal",
+                "--max-new", "4"]
+        if kind == "store":
+            path = root / "mutated-store"
+            path.mkdir(exist_ok=True)
+            shutil.copy(corpus["store"] / "store.bin", path / "store.bin")
+            (path / "store.json").write_bytes(text)
+            return path, EmbeddingStore.load, [
+                "retrieve", "--store", str(path), "--query-id", "a",
+                "--k", "1"]
+        path = root / f"mutated-{kind}.jsonl"
+        path.write_bytes(text)
+        if kind == "records":
+            return path, load_property_records, [
+                "similarity", "--records", str(path)]
+        if kind == "config":
+            return path, load_config, [
+                "gen-data", "--config", str(path),
+                "--out", str(root / "gen"), "--n", "2"]
+        return path, load_instruction_samples, [
+            "eval", "--ckpt", corpus["ckpt"],
+            "--records", str(corpus["records"]),
+            "--samples", str(path), "--max-new", "4",
+            "--out", str(root / "report.json")]
+
+    @pytest.mark.parametrize("kind",
+                             ["records", "samples", "config", "ckpt", "store"])
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_one_bad_line(self, corpus, kind, data):
-        lines = corpus[kind].read_bytes().splitlines()
+        lines = self.lines(corpus, kind)
         i = data.draw(st.integers(0, len(lines) - 1))
-        lines[i] = data.draw(_mutated_line(lines[i]))
-        path = corpus["root"] / f"mutated-{kind}.jsonl"
-        path.write_bytes(b"\n".join(lines) + b"\n")
-        if kind == "records":
-            loader = load_property_records
-            argv = ["similarity", "--records", str(path)]
-        elif kind == "config":
-            loader = load_config
-            argv = ["gen-data", "--config", str(path),
-                    "--out", str(corpus["root"] / "gen"), "--n", "2"]
-        else:
-            loader = load_instruction_samples
-            argv = ["eval", "--ckpt", corpus["ckpt"],
-                    "--records", str(corpus["records"]),
-                    "--samples", str(path), "--max-new", "4",
-                    "--out", str(corpus["root"] / "report.json")]
+        # a replaced config field can ask build_models for an allocation
+        # of any size, so no config field is replaced; a one-byte edit
+        # can at most turn an integer into one ten times as large
+        keep = ("config",) if kind == "ckpt" else ()
+        lines[i] = data.draw(_mutated_line(lines[i], keep))
+        path, loader, argv = self.write(corpus, kind, lines)
         try:
             loader(str(path))
             loaded = True

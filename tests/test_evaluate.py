@@ -12,7 +12,7 @@ from matterbridge.datasetgen import build_instruction_corpus
 from matterbridge.datasetgen import InstructionSample
 from matterbridge.datasetgen import generate_synthetic_records, render_sample
 from matterbridge import evaluate
-from matterbridge.errors import ContractError, ValidationError
+from matterbridge.errors import ContractError, ShapeError, ValidationError
 from matterbridge.evaluate import (
     CLASSIFICATION_TASKS,
     DECODE_ROWS,
@@ -29,8 +29,8 @@ from matterbridge.evaluate import (
 )
 from matterbridge.fixtures import build_fixture_corpus
 from matterbridge.ioutil import canonical_json
-from matterbridge.rag import (EmbeddingStore, embed_material, material_prefix,
-                              retrieve_topk)
+from matterbridge.rag import (EmbeddingStore, embed_material,
+                              material_prefixes, retrieve_topk)
 from matterbridge.templates import NUMERIC_TASKS, format_value, render_prompt
 from matterbridge.trainer import (build_models, load_checkpoint,
                                   restore_models, save_checkpoint)
@@ -231,27 +231,35 @@ class TestGeneration:
         cfg = small_config()
         models = build_models(cfg, 3)
         rec = generate_synthetic_records(8, 2)[0]
-        prefix = material_prefix(rec.structure, models)
-        a = generate_answer(models, prefix, "Is this a metal?", max_new=12)
-        b = generate_answer(models, prefix, "Is this a metal?", max_new=12)
-        assert isinstance(a, str)
+        prefixes = material_prefixes([rec.structure], models)
+        a = generate_answer(models, prefixes, "Is this a metal?", max_new=12)
+        b = generate_answer(models, prefixes, "Is this a metal?", max_new=12)
+        assert isinstance(a, list) and len(a) == 1
         assert a == b
+
+    def test_prefix_must_be_a_stack(self):
+        cfg = small_config()
+        models = build_models(cfg, 3)
+        rec = generate_synthetic_records(8, 2)[0]
+        prefixes = material_prefixes([rec.structure], models)
+        with pytest.raises(ShapeError):
+            generate_answer(models, prefixes[0], "Is this a metal?", 4)
 
     def test_prompt_must_leave_room(self):
         cfg = small_config()
         models = build_models(cfg, 3)
         rec = generate_synthetic_records(8, 2)[0]
-        prefix = material_prefix(rec.structure, models)
+        prefixes = material_prefixes([rec.structure], models)
         with pytest.raises(ValidationError, match="room"):
-            generate_answer(models, prefix, "x" * 320, max_new=4)
+            generate_answer(models, prefixes, "x" * 320, max_new=4)
 
     def test_empty_prompt_rejected(self):
         cfg = small_config()
         models = build_models(cfg, 3)
         rec = generate_synthetic_records(8, 2)[0]
-        prefix = material_prefix(rec.structure, models)
+        prefixes = material_prefixes([rec.structure], models)
         with pytest.raises(ValidationError):
-            generate_answer(models, prefix, "")
+            generate_answer(models, prefixes, "")
 
 
 _GOOD_REPORT = {"config_hash": "abc", "rag": False, "n_samples": 3,
@@ -390,8 +398,10 @@ class _PerSampleCache:
         pass
 
     def answer(self, material_id, prompt):
-        prefix = material_prefix(self.structures[material_id], self.models)
-        return generate_answer(self.models, prefix, prompt, self.max_new)
+        prefixes = material_prefixes([self.structures[material_id]],
+                                     self.models)
+        [text] = generate_answer(self.models, prefixes, prompt, self.max_new)
+        return text
 
     def neighbors(self, material_id, store, k):
         vec = embed_material(self.structures[material_id], self.models)

@@ -4,7 +4,7 @@ baseline cross-entropy, cached greedy decoding against full recompute."""
 import numpy as np
 import pytest
 
-from matterbridge.errors import ContractError, TokenizationError
+from matterbridge.errors import ContractError, ShapeError, TokenizationError
 from matterbridge.lm import (
     BOS,
     EOS,
@@ -15,6 +15,7 @@ from matterbridge.lm import (
     init_lm,
     lm_forward,
 )
+from matterbridge.nn import KVCache
 from matterbridge.tensor import Tensor, log_softmax, no_grad
 
 
@@ -22,6 +23,15 @@ def tiny_lm(seed=0, **kw):
     defaults = dict(d_lm=16, L_lm=2, n_heads=2, max_len=64)
     defaults.update(kw)
     return init_lm(seed, **defaults)
+
+
+def one_row(prefix, lp):
+    """A (1, n, d_lm) stack of one prefix; no prefix is (1, 0, d_lm)."""
+    return np.zeros((1, 0, lp.d_lm)) if prefix is None else prefix[None]
+
+
+def new_cache(lp):
+    return [KVCache(lp.max_len) for _ in range(lp.L_lm)]
 
 
 class TestVocab:
@@ -116,14 +126,29 @@ class TestGenerate:
     def test_deterministic(self):
         lp = tiny_lm()
         ids = lp.vocab.tokenize("ab")
-        a = generate_greedy(None, ids, 8, lp)
-        b = generate_greedy(None, ids, 8, lp)
+        a = generate_greedy(one_row(None, lp), ids, 8, lp)
+        b = generate_greedy(one_row(None, lp), ids, 8, lp)
+        assert isinstance(a, list) and len(a) == 1
         assert a == b
 
     def test_max_new_one(self):
         lp = tiny_lm()
-        out = generate_greedy(None, lp.vocab.tokenize("ab"), 1, lp)
+        [out] = generate_greedy(one_row(None, lp), lp.vocab.tokenize("ab"),
+                                1, lp)
         assert len(out) <= 1
+
+    def test_prefix_must_be_a_stack(self):
+        lp = tiny_lm()
+        ids = lp.vocab.tokenize("ab")
+        for prefix in (None, np.zeros(16), np.zeros((2, 16)),
+                       np.zeros((1, 1, 2, 16))):
+            with pytest.raises(ShapeError):
+                generate_greedy(prefix, ids, 4, lp)
+
+    def test_empty_prompt_rejected(self):
+        lp = tiny_lm()
+        with pytest.raises(ContractError, match="nonempty"):
+            generate_greedy(one_row(None, lp), [], 4, lp)
 
     def test_tie_breaks_lowest_id(self):
         # a plain character first, so the tie winner shows in the text
@@ -135,7 +160,7 @@ class TestGenerate:
         prefix = np.random.default_rng(3).standard_normal((2, 16))
         for pref in (None, prefix):
             assert reference_greedy(pref, ids, 5, lp) == [0] * 5
-            assert generate_greedy(pref, ids, 5, lp) == "aaaaa"
+            assert generate_greedy(one_row(pref, lp), ids, 5, lp) == ["aaaaa"]
 
 
 def reference_greedy(prefix, ids, max_new, lp):
@@ -153,7 +178,7 @@ def reference_greedy(prefix, ids, max_new, lp):
 
 def cached_step_logits(prefix, prompt, generated, lp):
     """Last-row logits of each cached decode step along ``generated``."""
-    cache = []
+    cache = new_cache(lp)
     with no_grad():
         out = [lm_forward(prefix, prompt, lp, cache).data[-1]]
         for nxt in generated:
@@ -163,7 +188,7 @@ def cached_step_logits(prefix, prompt, generated, lp):
 
 def batched_step_logits(prefixes, prompt, n_steps, lp):
     """Last-row logits (B, V) of each step of a batched cached argmax loop."""
-    cache = []
+    cache = new_cache(lp)
     tokens = np.tile(prompt, (len(prefixes), 1))
     out = []
     with no_grad():
@@ -195,7 +220,8 @@ class TestCachedDecoding:
         for seed in range(16):
             lp, prefix, ids = self.case(seed)
             want = reference_greedy(prefix, ids, self.MAX_NEW, lp)
-            got = generate_greedy(prefix, ids, self.MAX_NEW, lp)
+            [got] = generate_greedy(one_row(prefix, lp), ids, self.MAX_NEW,
+                                    lp)
             assert got == lp.vocab.detokenize(want), seed
             steps = cached_step_logits(prefix, ids, want, lp)
             for k, logits in enumerate(steps):
@@ -226,8 +252,8 @@ class TestCachedDecoding:
         for r in range(rows):
             want = reference_greedy(prefixes[r], ids, self.MAX_NEW, lp)
             assert got[r] == lp.vocab.detokenize(want), r
-            assert got[r] == generate_greedy(prefixes[r], ids, self.MAX_NEW,
-                                             lp), r
+            assert [got[r]] == generate_greedy(prefixes[r:r + 1], ids,
+                                               self.MAX_NEW, lp), r
             lengths.append(len(want))
         if rows > 1:
             assert len(set(lengths)) > 1  # rows reach EOS at different steps
@@ -248,8 +274,8 @@ class TestCachedDecoding:
             texts, errors = [], set()
             for r in range(rows):
                 try:
-                    texts.append(generate_greedy(prefixes[r], ids, max_new,
-                                                 lp))
+                    texts += generate_greedy(prefixes[r:r + 1], ids, max_new,
+                                             lp)
                 except ContractError as e:
                     errors.add(str(e))
             if not errors:
@@ -266,18 +292,19 @@ class TestCachedDecoding:
         lp = tiny_lm(max_len=8)
         ids = list(range(3, 9))  # decode step k runs 6 + k positions
         for max_new in (1, 2, 3):
-            assert len(generate_greedy(None, ids, max_new, lp)) == max_new
+            [text] = generate_greedy(one_row(None, lp), ids, max_new, lp)
+            assert len(text) == max_new
         for max_new in (4, 5):
             with pytest.raises(ContractError, match="length 9 exceeds 8"):
-                generate_greedy(None, ids, max_new, lp)
+                generate_greedy(one_row(None, lp), ids, max_new, lp)
         with pytest.raises(ContractError, match="length 10 exceeds 8"):
-            generate_greedy(np.zeros((4, 16)), ids, 1, lp)
+            generate_greedy(np.zeros((1, 4, 16)), ids, 1, lp)
 
     def test_cache_needs_no_grad(self):
         lp = tiny_lm(trainable=True)
         with pytest.raises(ContractError, match="no_grad"):
-            lm_forward(None, [4, 5], lp, [])
-        cache = []
+            lm_forward(None, [4, 5], lp, new_cache(lp))
+        cache = new_cache(lp)
         with no_grad():
             logits = lm_forward(None, [4, 5], lp, cache)
         assert not logits.requires_grad
@@ -288,4 +315,4 @@ class TestCachedDecoding:
         lp = tiny_lm(vocab=vocab, max_len=8)
         lp.params["tok_embed"].data[:] = 0.0  # EOS (id 0) wins every tie
         ids = vocab.tokenize("abcdef")
-        assert generate_greedy(None, ids, 5, lp) == ""
+        assert generate_greedy(one_row(None, lp), ids, 5, lp) == [""]
