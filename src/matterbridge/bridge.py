@@ -18,7 +18,8 @@ Interaction modes:
 * ``inference``    - queries only, no text.
 
 Inference mode also takes the atoms of B structures with one atom count
-as a (B, n_atoms, d_enc) stack: the queries broadcast over B and every
+as a (B, n_atoms, d_enc) stack: the shared queries run once up to the
+first cross-attention, whose batch axes broadcast them over B, and every
 row comes out bitwise as it does alone.  ``rag.material_prefixes`` builds
 every prefix for decoding and embedding this way.  One structure's
 (n_atoms, d_enc) atoms remain a form: the text modes take one structure,
@@ -193,8 +194,6 @@ def bridge_forward(atoms, text_ids, mode, bp):
         x = x + multi_head_attention(normed, normed, p, f"layers.{l}.self",
                                      bp.n_heads, mask)
         if l % 2 == 0:
-            if x.ndim < atoms.ndim:  # the shared queries meet B structures
-                x = x + np.zeros((atoms.shape[0], 1, 1))
             q_rows = x[..., :n_q, :]
             q_norm = layer_norm_block(q_rows, p, f"layers.{l}.lnc")
             crossed = q_rows + multi_head_attention(

@@ -155,8 +155,7 @@ def cmd_infer(args, cfg, seed):
     if failed:
         final = answer
     elif args.task in NUMERIC_TASKS:
-        kind = "energy" if args.task == "bandgap" else "energy_per_atom"
-        final = format_value(final, kind)
+        final = format_value(final, args.task)
     print(f"final: {final}")
     return 0
 

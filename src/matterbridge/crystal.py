@@ -262,15 +262,15 @@ def _parse_cif(text):
 
     a, b, c = (cell[k] for k in needed[:3])
     alpha, beta, gamma = (np.deg2rad(cell[k]) for k in needed[3:])
-    ca, cb, cg, sg = np.cos(alpha), np.cos(beta), np.cos(gamma), np.sin(gamma)
-    v = np.sqrt(max(0.0, 1.0 - ca * ca - cb * cb - cg * cg + 2.0 * ca * cb * cg))
-    lattice = np.array(
-        [
-            [a, 0.0, 0.0],
-            [b * cg, b * sg, 0.0],
-            [c * cb, c * (ca - cb * cg) / sg, c * v / sg],
-        ]
-    )
+    # a degenerate cell (an angle of 0, an infinite length) comes out
+    # non-finite without a numpy warning, and Structure rejects it
+    with np.errstate(all="ignore"):
+        ca, cb, cg = np.cos(alpha), np.cos(beta), np.cos(gamma)
+        sg = np.sin(gamma)
+        v = np.sqrt(max(0.0, 1.0 - ca * ca - cb * cb - cg * cg
+                        + 2.0 * ca * cb * cg))
+        lattice = np.array([[a, 0.0, 0.0], [b * cg, b * sg, 0.0],
+                            [c * cb, c * (ca - cb * cg) / sg, c * v / sg]])
     return Structure(
         material_id=material_id,
         lattice=lattice,

@@ -33,18 +33,11 @@ from .errors import ContractError, MatterBridgeError, ValidationError
 from .ioutil import atomic_write, canonical_json, fields_from_json, load_json
 from .lm import generate_greedy
 from .rag import material_prefixes, rag_aggregate, retrieve_topk
-from .templates import BINARY_FORMS, MAGNETIC_ORDERS, NUMERIC_TASKS
+from .templates import LABELS, NUMERIC_TASKS, UNITS
 from .templates import attribute_text, numeric_target
 from .trainer import as_checkpoint, restore_models
 
-CLASSIFICATION_TASKS = (
-    "is_metal",
-    "direct_bandgap",
-    "stability",
-    "exp_observed",
-    "is_magnetic",
-    "magnetic_order",
-)
+CLASSIFICATION_TASKS = tuple(LABELS)
 EVAL_TASKS = CLASSIFICATION_TASKS + NUMERIC_TASKS
 
 DEFAULT_MAX_NEW = 96
@@ -56,20 +49,10 @@ DECODE_ROWS = 16
 _NUMBER = r"[+-]?\d+(?:\.\d+)?"
 
 
-def task_unit(task):
-    if task == "bandgap":
-        return "eV"
-    if task in ("formation_energy", "energy_above_hull"):
-        return "eV/atom"
-    raise ContractError(f"task {task!r} has no unit")
-
-
 def label_set(task):
     """The closed set of answer labels a classification task can take."""
-    if task == "magnetic_order":
-        return tuple(MAGNETIC_ORDERS)
-    if task in BINARY_FORMS:
-        return tuple(BINARY_FORMS[task])
+    if task in LABELS:
+        return LABELS[task]
     raise ContractError(f"{task!r} is not a classification task")
 
 
@@ -85,7 +68,7 @@ def parse_answer_value(text, task):
     if not isinstance(text, str) or not text:
         raise ValidationError("answer text must be a nonempty string")
     if task in NUMERIC_TASKS:
-        unit = task_unit(task)
+        unit = UNITS[task]
         m = re.search(rf"({_NUMBER})\s*{re.escape(unit)}", text)
         if m is None:
             raise ValidationError(

@@ -104,16 +104,7 @@ def rematch_score(desc_a, desc_b, cfg=None):
 
 def rematch_similarity(a, b, soap_cfg=None, rematch_cfg=None):
     """Normalized structure similarity in [0, 1]; 1 for identical inputs."""
-    if soap_cfg is None:
-        soap_cfg = SoapConfig()
-    if rematch_cfg is None:
-        rematch_cfg = RematchConfig()
-    desc_a = soap_descriptor(a, soap_cfg)
-    desc_b = soap_descriptor(b, soap_cfg)
-    k_ab = rematch_score(desc_a, desc_b, rematch_cfg)
-    k_aa = rematch_score(desc_a, desc_a, rematch_cfg)
-    k_bb = rematch_score(desc_b, desc_b, rematch_cfg)
-    return k_ab / np.sqrt(k_aa * k_bb)
+    return similarity_matrix([a, b], soap_cfg, rematch_cfg)[0, 1]
 
 
 def similarity_matrix(structures, soap_cfg=None, rematch_cfg=None):

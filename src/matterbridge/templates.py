@@ -7,8 +7,11 @@ through the graph branch; the sample's material_id records the
 binding).  Answers substitute ``<material attribute>`` with the task's
 formatted attribute.
 
-Twelve tasks carry answers and are evaluated; the ``generate`` and
-``general`` groups are auxiliary prompt-only material.
+Twelve tasks carry answers; the ``generate`` and ``general`` groups
+are auxiliary prompt-only material.  Every fact about a task is a table
+here, and the rest of the package derives from them: the record field
+its answer reads (``FIELDS``), a numeric task's unit (``UNITS``) and a
+classification task's closed label set (``LABELS``).
 """
 
 from __future__ import annotations
@@ -21,25 +24,29 @@ from .errors import ContractError, ValidationError
 STRUCTURE_TOKEN = "<material structure>"
 ATTRIBUTE_TOKEN = "<material attribute>"
 
-# description tasks first, then property tasks; order is the canonical
-# task enumeration used by dataset builds
-TASKS = (
-    "formula",
-    "space_group",
-    "crystal_system",
-    "is_metal",
-    "direct_bandgap",
-    "stability",
-    "exp_observed",
-    "is_magnetic",
-    "magnetic_order",
-    "bandgap",
-    "formation_energy",
-    "energy_above_hull",
-)
+# the record field each answer task reads; description tasks first,
+# then property tasks, in the canonical task order of dataset builds
+FIELDS = {
+    "formula": "reduced_formula",
+    "space_group": "space_group",
+    "crystal_system": "crystal_system",
+    "is_metal": "is_metal",
+    "direct_bandgap": "is_direct_bandgap",
+    "stability": "is_stable",
+    "exp_observed": "is_experimentally_observed",
+    "is_magnetic": "is_magnetic",
+    "magnetic_order": "magnetic_order",
+    "bandgap": "bandgap",
+    "formation_energy": "formation_energy",
+    "energy_above_hull": "energy_above_hull",
+}
+TASKS = tuple(FIELDS)
 AUXILIARY = ("generate", "general")
 
-NUMERIC_TASKS = ("bandgap", "formation_energy", "energy_above_hull")
+# the unit each numeric task's answer carries
+UNITS = {"bandgap": "eV", "formation_energy": "eV/atom",
+         "energy_above_hull": "eV/atom"}
+NUMERIC_TASKS = tuple(UNITS)
 
 # fixed classification surface forms: (value when True, value when False)
 BINARY_FORMS = {
@@ -51,6 +58,8 @@ BINARY_FORMS = {
 }
 
 MAGNETIC_ORDERS = ("NM", "FM", "AFM", "FiM")
+# the closed label set of each classification task
+LABELS = {**BINARY_FORMS, "magnetic_order": MAGNETIC_ORDERS}
 CRYSTAL_SYSTEMS = (
     "triclinic", "monoclinic", "orthorhombic", "tetragonal",
     "trigonal", "hexagonal", "cubic",
@@ -97,57 +106,31 @@ def get_templates(task):
     return _CACHE[task]
 
 
-def format_value(x, kind):
-    """Fixed 5-decimal rendering with a unit suffix (round-half-even)."""
+def format_value(x, task):
+    """Fixed 5-decimal rendering with the task's unit (round-half-even)."""
     x = float(x)
     if not abs(x) < float("inf"):
         raise ContractError(f"non-finite value {x}")
-    if kind == "energy_per_atom":
-        unit = "eV/atom"
-    elif kind == "energy":
-        unit = "eV"
-    else:
-        raise ContractError(f"unknown value kind {kind!r}")
-    return f"{x:.5f} {unit}"
+    if task not in UNITS:
+        raise ContractError(f"task {task!r} has no unit")
+    return f"{x:.5f} {UNITS[task]}"
 
 
 def attribute_text(record, task):
     """The attribute surface form a rendered answer embeds for ``task``."""
-    if task == "formula":
-        return record.reduced_formula
-    if task == "space_group":
-        return record.space_group
-    if task == "crystal_system":
-        return record.crystal_system
+    if task not in FIELDS:
+        raise ContractError(f"unknown task {task!r}")
+    value = getattr(record, FIELDS[task])
+    if task in UNITS:
+        return format_value(value, task)
     if task in BINARY_FORMS:
-        flag = {
-            "is_metal": record.is_metal,
-            "direct_bandgap": record.is_direct_bandgap,
-            "stability": record.is_stable,
-            "exp_observed": record.is_experimentally_observed,
-            "is_magnetic": record.is_magnetic,
-        }[task]
         yes, no = BINARY_FORMS[task]
-        return yes if flag else no
-    if task == "magnetic_order":
-        return record.magnetic_order
-    if task == "bandgap":
-        return format_value(record.bandgap, "energy")
-    if task == "formation_energy":
-        return format_value(record.formation_energy, "energy_per_atom")
-    if task == "energy_above_hull":
-        return format_value(record.energy_above_hull, "energy_per_atom")
-    raise ContractError(f"unknown task {task!r}")
+        return yes if value else no
+    return value
 
 
 def numeric_target(record, task):
-    if task == "bandgap":
-        return float(record.bandgap)
-    if task == "formation_energy":
-        return float(record.formation_energy)
-    if task == "energy_above_hull":
-        return float(record.energy_above_hull)
-    return None
+    return float(getattr(record, FIELDS[task])) if task in UNITS else None
 
 
 def render_prompt(task, instr_idx):

@@ -8,6 +8,8 @@ dynamic: it is rebuilt on every forward pass and discarded after
 transformer runs (``affine``, ``matmul``, ``attention``, ``layer_norm``,
 ``gelu``, ``embedding``, ``concat``, slicing) accept leading batch axes:
 ``(B, T, d)`` works as ``(T, d)`` does, one batch item at a time.
+``attention`` broadcasts the batch axes of its queries against those of
+its keys and values, and runs its heads as one more stacked axis.
 
 Gradients accumulate additively into ``.grad`` buffers, so evaluating
 several micro-batches before an optimizer step sums their gradients.
@@ -363,23 +365,41 @@ def gelu(x):
     return _make(xd * e * 0.5 + xd * 0.5, (x,), _bw)
 
 
+def _split_heads(x, n_heads):
+    """(..., T, n_heads * e) -> (..., n_heads, T, e), a view."""
+    return x.reshape(*x.shape[:-1], n_heads, -1).swapaxes(-2, -3)
+
+
+def _merge_heads(x):
+    """(..., n_heads, T, e) -> (..., T, n_heads * e)."""
+    return x.swapaxes(-2, -3).reshape(*x.shape[:-3], x.shape[-2], -1)
+
+
 def attention(q, k, v, n_heads, mask=None):
     """Scaled dot-product attention of all heads as one node.
 
-    ``q`` is (..., T_q, d), ``k`` (..., T_k, d) and ``v`` (..., T_k, d_v),
-    with the same leading batch axes; head h reads the h-th of
-    ``n_heads`` equal column blocks of each and writes that block of the
-    (..., T_q, d_v) result.  ``mask`` is boolean (T_q, T_k), shared by
-    every batch item, True where a key is allowed, and must allow one key
-    in every row: other scores become ``NEG_MASK`` before the
-    max-shifted softmax, so their weights and gradients are exactly zero.
+    ``q`` is (..., T_q, d), ``k`` (..., T_k, d) and ``v`` (..., T_k, d_v);
+    their leading batch axes broadcast as numpy's do, and a gradient is
+    summed back over the axes its input was broadcast along.  Head h
+    reads the h-th of ``n_heads`` equal column blocks of each and writes
+    that block of the (..., T_q, d_v) result; the heads are one more
+    array axis, so every product runs stacked.  ``mask`` is boolean
+    (T_q, T_k), shared by every batch item, True where a key is allowed,
+    and must allow one key in every row: other scores become
+    ``NEG_MASK`` before the max-shifted softmax, so their weights and
+    gradients are exactly zero.
     """
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
-    if q.ndim < 2 or k.ndim != q.ndim or v.ndim != q.ndim:
-        raise ShapeError("attention needs q, k and v of one rank >= 2")
-    *batch, t_q, d = q.shape
+    if min(q.ndim, k.ndim, v.ndim) < 2:
+        raise ShapeError("attention needs q, k and v of rank >= 2")
+    t_q, d = q.shape[-2:]
     t_k, d_v = v.shape[-2:]
-    if k.shape != (*batch, t_k, d) or v.shape[:-2] != tuple(batch):
+    try:
+        np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
+        fits = k.shape[-2:] == (t_k, d)
+    except ValueError:
+        fits = False
+    if not fits:
         raise ShapeError(f"keys {k.shape} do not fit queries {q.shape} "
                          f"and values {v.shape}")
     if d % n_heads or d_v % n_heads:
@@ -390,44 +410,31 @@ def attention(q, k, v, n_heads, mask=None):
             raise ShapeError(f"mask {mask.shape} != scores {(t_q, t_k)}")
         if not mask.any(axis=1).all():
             raise ContractError("every attention row must allow a key")
-    dh, dvh = d // n_heads, d_v // n_heads
-    inv_scale = 1.0 / np.sqrt(dh)
-    qd, kd, vd = q.data, k.data, v.data
-    kt = kd.swapaxes(-1, -2)
-    out = np.empty((*batch, t_q, d_v))
-    probs = []
-    for h in range(n_heads):
-        sl, svl = slice(h * dh, (h + 1) * dh), slice(h * dvh, (h + 1) * dvh)
-        scores = (qd[..., sl] @ kt[..., sl, :]) * inv_scale
-        if mask is not None:
-            scores = np.where(mask, scores, NEG_MASK)
-        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        p = e / e.sum(axis=-1, keepdims=True)
-        out[..., svl] = p @ vd[..., svl]
-        probs.append(p)
+    inv_scale = 1.0 / np.sqrt(d // n_heads)
+    qh, kh, vh = (_split_heads(t.data, n_heads) for t in (q, k, v))
+    scores = (qh @ kh.swapaxes(-1, -2)) * inv_scale
+    if mask is not None:
+        scores = np.where(mask, scores, NEG_MASK)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    out = _merge_heads(probs @ vh)
 
     def _bw(g, q=q, k=k, v=v, probs=probs):
-        dq = np.empty_like(qd) if q.requires_grad else None
-        dk = np.empty_like(kd) if k.requires_grad else None
-        dv = np.empty_like(vd) if v.requires_grad else None
-        vt = vd.swapaxes(-1, -2)
-        for h, p in enumerate(probs):
-            sl, svl = slice(h * dh, (h + 1) * dh), slice(h * dvh, (h + 1) * dvh)
-            gh = g[..., svl]
-            if dv is not None:
-                dv[..., svl] = p.swapaxes(-1, -2) @ gh
-            if dq is None and dk is None:
-                continue
-            dp = gh @ vt[..., svl, :]
-            ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+        gh = _split_heads(g, n_heads)
+        dq = dk = dv = None
+        if v.requires_grad:
+            dv = probs.swapaxes(-1, -2) @ gh
+        if q.requires_grad or k.requires_grad:
+            dp = gh @ vh.swapaxes(-1, -2)
+            ds = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True))
             ds *= inv_scale
-            if dq is not None:
-                dq[..., sl] = ds @ kd[..., sl]
-            if dk is not None:
-                dk[..., sl] = ds.swapaxes(-1, -2) @ qd[..., sl]
+            if q.requires_grad:
+                dq = ds @ kh
+            if k.requires_grad:
+                dk = ds.swapaxes(-1, -2) @ qh
         for t, grad in ((q, dq), (k, dk), (v, dv)):
             if grad is not None:
-                t._accumulate(grad)
+                t._accumulate(_unbroadcast(_merge_heads(grad), t.shape))
 
     return _make(out, (q, k, v), _bw)
 

@@ -266,9 +266,11 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: unrecognized format tag {tag!r}")
     missing = [key for key in MANIFEST_KEYS if key not in manifest]
     if missing or not (isinstance(manifest["vocab"], list)
-                       and isinstance(manifest["tensors"], list)):
+                       and isinstance(manifest["tensors"], list)
+                       and isinstance(manifest["config_hash"], str)):
         raise CheckpointError(f"{path}: manifest needs the keys "
-                              f"{list(MANIFEST_KEYS)}, vocab/tensors lists")
+                              f"{list(MANIFEST_KEYS)}, vocab/tensors lists "
+                              f"and a string config_hash")
     body = raw[8 + n_manifest:]
     arrays = {}
     for rec in manifest["tensors"]:

@@ -581,8 +581,7 @@ def test_criterion_08_rag_mechanics(capsys, overfit_run):
             assert lines["retrieved"] == expected_ids
             assert not failed
             if sample.task in NUMERIC_TASKS:
-                kind = "energy" if sample.task == "bandgap" else "energy_per_atom"
-                assert lines["final"] == format_value(pred, kind)
+                assert lines["final"] == format_value(pred, sample.task)
             else:
                 assert lines["final"] == pred
         r.detail = (f"{len(scoreable)} samples: cli output equals composed "
@@ -686,11 +685,10 @@ def test_criterion_10_template_fidelity(capsys):
 
         rng = np.random.default_rng(1010)
         worst = 0.0
-        for task, kind in (("bandgap", "energy"),
-                           ("formation_energy", "energy_per_atom")):
+        for task in ("bandgap", "formation_energy"):
             values = rng.uniform(-50.0, 50.0, 5000)
             for value in values:
-                parsed = parse_answer_value(format_value(value, kind), task)
+                parsed = parse_answer_value(format_value(value, task), task)
                 worst = max(worst, abs(parsed - value))
         assert worst <= 5e-6
         r.detail = (f"384 samples template-exact; 10^4 round trips, worst "

@@ -490,6 +490,8 @@ CORRUPTIONS = {
     "ckpt-nbytes-not-shape": ("ckpt", lambda m: _first_tensor(m, nbytes=8)),
     "ckpt-negative-offset": ("ckpt", lambda m: _first_tensor(m, offset=-8)),
     "ckpt-vocab-not-a-list": ("ckpt", lambda m: {**m, "vocab": 5}),
+    "ckpt-config-hash-not-a-string":
+        ("ckpt", lambda m: {**m, "config_hash": 5}),
     "store-without-count":
         ("store", lambda text: text.replace('"count":', '"uncounted":')),
     "store-not-utf8": ("store", lambda text: "\udcff" + text),
@@ -663,17 +665,29 @@ _JSON_VALUES = st.recursive(
     max_leaves=8)
 
 
+# a word of a CIF line: numbers past float64, CIF keywords, any text
+_CIF_WORDS = st.sampled_from(
+    [b"nan", b"inf", b"-1e400", b"1e-320", b"0", b"-90", b"180", b"1(",
+     b"loop_", b"data_", b"_atom_site_fract_x", b"#"]
+) | st.text(max_size=6).map(str.encode)
+
+
 @st.composite
-def _mutated_line(draw, line, keep=()):
-    """One JSONL line truncated, with a byte inserted, or with one field
-    (at any depth of nested objects and lists) replaced by an arbitrary
-    JSON value; no field under a top-level key in ``keep`` is replaced."""
+def _mutated_line(draw, line, keep=(), words=False):
+    """One line truncated, with a byte inserted, or with one part
+    replaced: one word by a CIF-like word if ``words``, else one JSON
+    field (at any depth of nested objects and lists) by an arbitrary JSON
+    value; no field under a top-level key in ``keep`` is replaced."""
     how = draw(st.sampled_from(["truncate", "insert", "replace"]))
     if how == "truncate":
         return line[:draw(st.integers(0, len(line) - 1))]
     if how == "insert":
         at = draw(st.integers(0, len(line)))
         return line[:at] + bytes([draw(st.integers(0, 255))]) + line[at:]
+    if words:
+        parts = line.split()
+        parts[draw(st.integers(0, len(parts) - 1))] = draw(_CIF_WORDS)
+        return b" ".join(parts)
     obj = node = json.loads(line)
     key = draw(st.sampled_from(sorted(set(node) - set(keep))))
     while (isinstance(node[key], (dict, list)) and node[key]
@@ -685,12 +699,29 @@ def _mutated_line(draw, line, keep=()):
     return json.dumps(obj).encode()
 
 
+_CIF = b"""data_gan
+_cell_length_a 3.2
+_cell_length_b 3.2
+_cell_length_c 5.2
+_cell_angle_alpha 90
+_cell_angle_beta 90
+_cell_angle_gamma 120
+loop_
+_atom_site_type_symbol
+_atom_site_fract_x
+_atom_site_fract_y
+_atom_site_fract_z
+Ga 0.3333 0.6667 0.0
+N 0.3333 0.6667 0.375
+"""
+
+
 class TestCorruptJsonlLines:
     """One mutated line of a records or samples file, of a config or a
-    checkpoint manifest (one line of JSON each), or of a store's
-    store.json: the loader returns or raises a MatterBridgeError, and the
-    command reading the file ends with exit 0, or with exit 1 and an
-    error line, never a traceback."""
+    checkpoint manifest (one line of JSON each), of a store's
+    store.json, or of a CIF-subset structure: the loader returns or
+    raises a MatterBridgeError, and the command reading the file ends
+    with exit 0, or with exit 1 and an error line, never a traceback."""
 
     @pytest.fixture(scope="class")
     def corpus(self, tmp_path_factory):
@@ -706,12 +737,14 @@ class TestCorruptJsonlLines:
         records = load_property_records(str(root / "records.jsonl"))
         (root / "query.json").write_text(
             structure_to_json(records[0].structure))
+        (root / "query.cif").write_bytes(_CIF)
         EmbeddingStore(["a", "b", "c"], np.arange(6.0).reshape(3, 2)).save(
             str(root / "store"))
         return {"root": root, "ckpt": ckpt,
                 "records": root / "records.jsonl",
                 "samples": root / "samples_train.jsonl",
                 "config": root / "config.json",
+                "cif": root / "query.cif",
                 "store": root / "store"}
 
     @staticmethod
@@ -748,6 +781,12 @@ class TestCorruptJsonlLines:
             return path, EmbeddingStore.load, [
                 "retrieve", "--store", str(path), "--query-id", "a",
                 "--k", "1"]
+        if kind == "cif":
+            path = root / "mutated.cif"
+            path.write_bytes(text)
+            return path, lambda p: build_graph(_structure_from_file(p, None)), [
+                "infer", "--ckpt", corpus["ckpt"], "--structure", str(path),
+                "--task", "is_metal", "--max-new", "4"]
         path = root / f"mutated-{kind}.jsonl"
         path.write_bytes(text)
         if kind == "records":
@@ -763,8 +802,8 @@ class TestCorruptJsonlLines:
             "--samples", str(path), "--max-new", "4",
             "--out", str(root / "report.json")]
 
-    @pytest.mark.parametrize("kind",
-                             ["records", "samples", "config", "ckpt", "store"])
+    @pytest.mark.parametrize("kind", ["records", "samples", "config", "ckpt",
+                                      "store", "cif"])
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_one_bad_line(self, corpus, kind, data):
@@ -774,7 +813,7 @@ class TestCorruptJsonlLines:
         # of any size, so no config field is replaced; a one-byte edit
         # can at most turn an integer into one ten times as large
         keep = ("config",) if kind == "ckpt" else ()
-        lines[i] = data.draw(_mutated_line(lines[i], keep))
+        lines[i] = data.draw(_mutated_line(lines[i], keep, kind == "cif"))
         path, loader, argv = self.write(corpus, kind, lines)
         try:
             loader(str(path))

@@ -1,6 +1,7 @@
 """Structure parsing, periodic neighbor lists, graph construction."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +101,16 @@ class TestParsing:
     def test_cif_uncertainty_suffix(self):
         text = NACL_CIF.replace("_cell_length_a 5.64", "_cell_length_a 5.64(2)")
         assert parse_structure(text, "cif-subset").n_atoms == 8
+
+    @pytest.mark.parametrize("angle", ["gamma 0", "beta inf"])
+    def test_degenerate_cif_cell_rejected_without_warnings(self, angle):
+        name = angle.split()[0]
+        text = NACL_CIF.replace(f"_cell_angle_{name} 90",
+                                f"_cell_angle_{angle}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError):
+                parse_structure(text, "cif-subset")
 
     def test_zero_lattice_row_rejected(self):
         with pytest.raises(ValidationError):

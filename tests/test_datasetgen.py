@@ -114,10 +114,10 @@ class TestTemplates:
         )
 
     def test_format_value_examples(self):
-        assert format_value(0.059123, "energy_per_atom") == "0.05912 eV/atom"
-        assert format_value(0.0, "energy") == "0.00000 eV"
-        assert format_value(0.213504, "energy") == "0.21350 eV"
-        assert format_value(-1.25, "energy_per_atom") == "-1.25000 eV/atom"
+        assert format_value(0.059123, "formation_energy") == "0.05912 eV/atom"
+        assert format_value(0.0, "bandgap") == "0.00000 eV"
+        assert format_value(0.213504, "bandgap") == "0.21350 eV"
+        assert format_value(-1.25, "energy_above_hull") == "-1.25000 eV/atom"
 
     def test_format_value_rejects(self):
         with pytest.raises(ContractError):

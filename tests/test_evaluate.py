@@ -76,10 +76,9 @@ class TestParseNumeric:
     def test_inverts_format_value(self):
         rng = np.random.default_rng(11)
         values = rng.uniform(-5.0, 5.0, size=10000)
-        kinds = ["energy", "energy_per_atom", "energy_per_atom"]
-        for task, kind in zip(NUMERIC_TASKS, kinds):
+        for task in NUMERIC_TASKS:
             for x in values:
-                text = f"The answer is {format_value(x, kind)}."
+                text = f"The answer is {format_value(x, task)}."
                 got = parse_answer_value(text, task)
                 assert abs(got - x) <= 5e-6
 

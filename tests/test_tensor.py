@@ -49,6 +49,35 @@ def composite_attention(q, k, v, n_heads, mask=None):
     return np.concatenate(heads, axis=1)
 
 
+def per_head_attention(q, k, v, n_heads, g, mask=None):
+    """attention's forward and backward as a Python loop over heads.
+
+    q, k and v share their batch axes; returns the output and the
+    gradients of ``(out * g).sum()`` with respect to q, k and v.
+    """
+    dh, dvh = q.shape[-1] // n_heads, v.shape[-1] // n_heads
+    inv_scale = 1.0 / np.sqrt(dh)
+    kt, vt = k.swapaxes(-1, -2), v.swapaxes(-1, -2)
+    out = np.empty((*q.shape[:-1], v.shape[-1]))
+    dq, dk, dv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
+    for h in range(n_heads):
+        sl, svl = slice(h * dh, (h + 1) * dh), slice(h * dvh, (h + 1) * dvh)
+        scores = (q[..., sl] @ kt[..., sl, :]) * inv_scale
+        if mask is not None:
+            scores = np.where(mask, scores, NEG_MASK)
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        p = e / e.sum(axis=-1, keepdims=True)
+        out[..., svl] = p @ v[..., svl]
+        gh = g[..., svl]
+        dv[..., svl] = p.swapaxes(-1, -2) @ gh
+        dp = gh @ vt[..., svl, :]
+        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+        ds *= inv_scale
+        dq[..., sl] = ds @ k[..., sl]
+        dk[..., sl] = ds.swapaxes(-1, -2) @ q[..., sl]
+    return out, dq, dk, dv
+
+
 def attention_weights(scores, mask=None):
     """attention's softmax weights for given scores: one head, v = I.
 
@@ -369,6 +398,39 @@ class TestFusedForward:
         got = attention(Tensor(q), Tensor(k), Tensor(v), n_heads, mask).data
         np.testing.assert_array_equal(
             got, composite_attention(q, k, v, n_heads, mask))
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("q_batch, kv_batch",
+                             [((), ()), ((3,), (3,)), ((), (3,)),
+                              ((1,), (2, 3))],
+                             ids=["plain", "batched", "broadcast-q",
+                                  "broadcast-q-rank"])
+    def test_attention_matches_per_head_loop(self, n_heads, masked, q_batch,
+                                             kv_batch):
+        t_q, t_k = 3, 5
+        batch = np.broadcast_shapes(q_batch, kv_batch)
+        q = self.rng.standard_normal((*q_batch, t_q, 8))
+        k = self.rng.standard_normal((*kv_batch, t_k, 8))
+        v = self.rng.standard_normal((*kv_batch, t_k, 8))
+        g = self.rng.standard_normal((*batch, t_q, 8))
+        mask = random_mask(self.rng, t_q, t_k) if masked else None
+        tq, tk, tv = (Tensor(x, requires_grad=True) for x in (q, k, v))
+        out = attention(tq, tk, tv, n_heads, mask)
+        (out * Tensor(g)).sum().backward()
+        # the loop needs one batch shape: q is stretched to it and its
+        # gradient summed back over the stretched axes
+        ref, dq, dk, dv = per_head_attention(
+            np.broadcast_to(q, (*batch, t_q, 8)), k, v, n_heads, g, mask)
+        lead = len(batch) - len(q_batch)
+        stretched = tuple(range(lead)) + tuple(
+            lead + i for i, n in enumerate(q_batch) if n != batch[lead + i])
+        if stretched:
+            dq = dq.sum(axis=stretched).reshape(q.shape)
+        assert out.data.tobytes() == ref.tobytes()
+        for t, want in ((tq, dq), (tk, dk), (tv, dv)):
+            assert t.grad.shape == want.shape
+            assert t.grad.tobytes() == want.tobytes()
 
     def test_attention_rejects_a_row_without_keys(self):
         mask = np.array([[True, False], [False, False]])
