@@ -23,6 +23,7 @@ __all__ = [
     "CrystalGraph",
     "parse_structure",
     "structure_to_json",
+    "vector_norms",
     "neighbor_list_pbc",
     "build_graph",
 ]
@@ -282,6 +283,17 @@ def _parse_cif(text):
 # -- neighbor lists ----------------------------------------------------------
 
 
+def vector_norms(v):
+    """Euclidean norms over a last axis of length 3: sqrt((x*x + y*y) + z*z).
+
+    That is the association ``np.linalg.norm``'s ``add.reduce`` uses over
+    three elements, so the result is bitwise equal to
+    ``np.linalg.norm(v, axis=-1)``.
+    """
+    sq = v * v
+    return np.sqrt((sq[..., 0] + sq[..., 1]) + sq[..., 2])
+
+
 # Most (atom i, atom j, image) triples a neighbor search may visit.  Each
 # costs about 65 bytes of numpy temporaries, so this bounds a search at
 # about 260 MB.  The largest count on the fixture and on 12,288 seeded
@@ -297,9 +309,12 @@ def neighbor_list_pbc(s, cutoff):
 
     The offset means atom j sits in the cell displaced by ``offset`` lattice
     vectors; (i, j, m) and (j, i, -m) both appear.  Results are sorted by
-    (i, j, offset) for a canonical order: the candidate offsets are listed
-    in lexicographic order and ``np.nonzero`` walks the (i, j, offset)
-    distance block in row-major order, so no sort is needed.
+    (i, j, offset) for a canonical order: the candidate offsets are one
+    C-contiguous (M, 3) block in lexicographic order (``np.indices`` of
+    the per-axis image counts, shifted by the bound), and ``np.nonzero``
+    walks the (i, j, offset) distance block in row-major order, so no sort
+    is needed.  Distances come from ``vector_norms``, bitwise equal to
+    ``np.linalg.norm`` over the displacement block's last axis.
 
     A cell so thin that the search would visit more than MAX_PAIR_IMAGES
     (i, j, image) triples is a ValidationError, raised before anything
@@ -321,13 +336,12 @@ def neighbor_list_pbc(s, cutoff):
             f"cell too thin for cutoff {cutoff}: the neighbor search needs "
             f"{images:.3g} periodic images for {n} atoms, over the limit of "
             f"{MAX_PAIR_IMAGES:,} (atom, atom, image) triples")
-    # lexicographic order, one C-contiguous (M, 3) block
-    axes = [np.arange(-b, b + 1) for b in bound.astype(np.int64)]
-    offsets = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    b = bound.astype(np.int64)
+    offsets = np.ascontiguousarray(np.indices(2 * b + 1).reshape(3, -1).T) - b
 
     diff = frac[None, :, :] - frac[:, None, :]  # [i, j] = f_j - f_i
     disp = (diff[:, :, None, :] + offsets[None, None, :, :]) @ lat
-    dist = np.linalg.norm(disp, axis=-1)  # (n, n, M)
+    dist = vector_norms(disp)  # (n, n, M)
 
     within = dist <= cutoff
     # every axis has an odd number of offsets, so (0, 0, 0) is the middle

@@ -24,9 +24,12 @@ result bitwise independent of atom labeling and edge enumeration order.
 The edges are sorted by (atom, distance, neighbor species) first, and
 only the runs that tie on all three are re-sorted by the message
 components; both sorts are stable, so the order is the one a single
-sort on every key gives.  Each atom's rows are then added one at a time
-in that order by a running sum (``np.cumsum``), which is sequential by
-definition, unlike ``np.sum``'s pairwise reduction.
+sort on every key gives.  That re-sort runs only when some tied run
+holds unequal rows: it permutes rows within tied runs alone, so if they
+are equal the values added, and the sums, are bitwise the same without
+it.  Each atom's rows are then added one at a time in that order by a
+running sum (``np.cumsum``), which is sequential by definition, unlike
+``np.sum``'s pairwise reduction.
 """
 
 from __future__ import annotations
@@ -113,9 +116,17 @@ def _ordered_segment_sums(rows, seg, keys, n_seg, tie_keys=()):
     is a running sum over a zero slot followed by the segment's rows in
     order, so the first add is ``0.0 + row`` and each later one adds the
     next row to the total so far.
+
+    The re-sort runs only if some tied run holds unequal rows.  It only
+    permutes rows within tied runs, so when those rows are equal the
+    sequence of values added is unchanged and the sums are bitwise the
+    same.  Equal includes -0.0 == +0.0: a running sum starts at +0.0 and
+    so is never -0.0, and adding either zero to it gives the same bits.
+    A NaN compares unequal, so a run holding one takes the re-sort.
     """
     keys = tuple(keys) + (seg,)
     order = np.lexsort(keys)
+    ordered = rows[order]
     if tie_keys:
         # same[p]: sorted row p ties with row p - 1 on the segment and keys
         same = np.ones(len(order), dtype=bool)
@@ -123,18 +134,22 @@ def _ordered_segment_sums(rows, seg, keys, n_seg, tie_keys=()):
         for k in keys:
             k = k[order]
             same[1:] &= k[1:] == k[:-1]
-        in_run = same.copy()
-        in_run[:-1] |= same[1:]  # or row p + 1 ties with row p
-        tied = np.flatnonzero(in_run)
-        run = np.cumsum(~same)[tied]
-        sub = order[tied]
-        order[tied] = sub[np.lexsort(tuple(k[sub] for k in tie_keys) + (run,))]
+        tie = np.flatnonzero(same)
+        if (ordered[tie] != ordered[tie - 1]).any():
+            in_run = same.copy()
+            in_run[:-1] |= same[1:]  # or row p + 1 ties with row p
+            tied = np.flatnonzero(in_run)
+            run = np.cumsum(~same)[tied]
+            sub = order[tied]
+            order[tied] = sub[np.lexsort(tuple(k[sub] for k in tie_keys)
+                                         + (run,))]
+            ordered = rows[order]
     seg_sorted = seg[order]
     counts = np.bincount(seg, minlength=n_seg)
     starts = np.cumsum(counts) - counts
     slot = np.arange(len(seg)) - starts[seg_sorted]
     padded = np.zeros((n_seg, counts.max() + 1, rows.shape[1]))
-    padded[seg_sorted, slot + 1] = rows[order]
+    padded[seg_sorted, slot + 1] = ordered
     return np.cumsum(padded, axis=1)[:, -1]
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .crystal import neighbor_list_pbc
+from .crystal import neighbor_list_pbc, vector_norms
 from .errors import ValidationError
 
 DEFAULT_SPECIES = ("C", "Fe", "Ga", "N", "O", "Si")
@@ -169,7 +169,7 @@ def soap_descriptor(structure, cfg=None):
     edge_i, edge_j, offsets, _ = neighbor_list_pbc(structure, cfg.r_cut)
     cart = structure.cart_coords
     vecs = cart[edge_j] + offsets @ structure.lattice - cart[edge_i]
-    dist = np.linalg.norm(vecs, axis=1)
+    dist = vector_norms(vecs)
     # on-site Gaussians (the center and any coincident neighbor) only
     # feed the isotropic channel
     central = dist < 1e-12

@@ -293,6 +293,9 @@ def load_checkpoint(path):
                 f"{path}: blob for tensor {name!r} is truncated "
                 f"(needs bytes [{lo}, {hi}), file has {len(body)})")
         arr = np.frombuffer(body[lo:hi], dtype="<f8").reshape(shape)
+        if not np.isfinite(arr).all():
+            raise CheckpointError(
+                f"{path}: tensor {name!r} holds a NaN or infinite value")
         arrays[name] = arr.copy()
     return Checkpoint(manifest=manifest, arrays=arrays)
 

@@ -453,6 +453,16 @@ def _first_tensor(manifest, **changes):
     return manifest
 
 
+def _every_7th_float(value):
+    """A change of a checkpoint's tensor bytes: every 7th float set to
+    ``value``."""
+    def change(body):
+        floats = np.frombuffer(body, dtype="<f8").copy()
+        floats[::7] = value
+        return floats.tobytes()
+    return change
+
+
 def _first_with(lines, **changes):
     return json.dumps({**json.loads(lines[0]), **changes})
 
@@ -492,6 +502,9 @@ CORRUPTIONS = {
     "ckpt-vocab-not-a-list": ("ckpt", lambda m: {**m, "vocab": 5}),
     "ckpt-config-hash-not-a-string":
         ("ckpt", lambda m: {**m, "config_hash": 5}),
+    # ckpt-body: the tensor bytes after the manifest
+    "ckpt-body-nan": ("ckpt-body", _every_7th_float(np.nan)),
+    "ckpt-body-inf": ("ckpt-body", _every_7th_float(-np.inf)),
     "store-without-count":
         ("store", lambda text: text.replace('"count":', '"uncounted":')),
     "store-not-utf8": ("store", lambda text: "\udcff" + text),
@@ -594,7 +607,8 @@ class TestCorruptInputs:
         config = tmp_path / "config.json"
         save_config(str(config), cfg)
         capsys.readouterr()
-        return {"ckpt": ckpt, "store": tmp_path / "store", "struct": struct,
+        return {"ckpt": ckpt, "ckpt-body": ckpt,
+                "store": tmp_path / "store", "struct": struct,
                 "config": config,
                 "samples": data / "samples_train.jsonl",
                 "records": data / "records.jsonl", "tmp": tmp_path}
@@ -606,6 +620,10 @@ class TestCorruptInputs:
             payload = json.dumps(change(json.loads(manifest))).encode()
             files["ckpt"].write_bytes(np.array(len(payload), dtype="<u8")
                                       .tobytes() + payload + body)
+        elif kind == "ckpt-body":
+            raw = files["ckpt"].read_bytes()
+            _, body = _manifest_split(raw)
+            files["ckpt"].write_bytes(raw[:len(raw) - len(body)] + change(body))
         elif kind == "struct":
             name, text = change(files["struct"].read_text())
             files["struct"] = files["tmp"] / name
@@ -625,10 +643,12 @@ class TestCorruptInputs:
     def test_only_matterbridge_errors_escape(self, files, case, capsys):
         kind, change = CORRUPTIONS[case]
         self.corrupt(files, kind, change)
+        ckpt = (load_checkpoint,
+                ["infer", "--ckpt", str(files["ckpt"]), "--structure",
+                 str(files["struct"]), "--task", "is_metal"])
         loader, argv = {
-            "ckpt": (load_checkpoint,
-                     ["infer", "--ckpt", str(files["ckpt"]), "--structure",
-                      str(files["struct"]), "--task", "is_metal"]),
+            "ckpt": ckpt,
+            "ckpt-body": ckpt,
             "struct": (lambda path: build_graph(
                            _structure_from_file(path, None)),
                        ["infer", "--ckpt", str(files["ckpt"]), "--structure",

@@ -13,8 +13,11 @@ from matterbridge.crystal import (
     neighbor_list_pbc,
     parse_structure,
     structure_to_json,
+    vector_norms,
 )
+from matterbridge.datasetgen import generate_synthetic_records
 from matterbridge.errors import ContractError, ParseError, ValidationError
+from matterbridge.fixtures import build_fixture_corpus
 
 CUBIC_PO = """
 {"material_id": "po-sc", "lattice": [[3.35, 0, 0], [0, 3.35, 0], [0, 0, 3.35]],
@@ -68,6 +71,30 @@ def reference_neighbor_list(s, cutoff):
         (offsets[mm, 2], offsets[mm, 1], offsets[mm, 0], jj, ii))
     ii, jj, mm = ii[order], jj[order], mm[order]
     return ii, jj, offsets[mm].copy(), dist[ii, jj, mm]
+
+
+def meshgrid_neighbor_list(s, cutoff):
+    """neighbor_list_pbc with its image offsets from np.meshgrid and its
+    distances from np.linalg.norm."""
+    lat, frac, n = s.lattice, s.frac_coords, s.n_atoms
+    bound = np.floor(cutoff * np.linalg.norm(np.linalg.inv(lat), axis=0)
+                     + 1.0)
+    axes = [np.arange(-b, b + 1) for b in bound.astype(np.int64)]
+    offsets = np.stack(np.meshgrid(*axes, indexing="ij"),
+                       axis=-1).reshape(-1, 3)
+    diff = frac[None, :, :] - frac[:, None, :]
+    dist = np.linalg.norm(
+        (diff[:, :, None, :] + offsets[None, None, :, :]) @ lat, axis=-1)
+    within = dist <= cutoff
+    within[np.arange(n), np.arange(n), len(offsets) // 2] = False
+    ii, jj, mm = np.nonzero(within)
+    return ii, jj, offsets[mm], dist[ii, jj, mm]
+
+
+def assert_same_outputs(got, want, label):
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.shape == w.shape, label
+        assert g.tobytes() == w.tobytes(), label
 
 
 class TestParsing:
@@ -184,11 +211,27 @@ class TestNeighborList:
         cells += [cubic(2.5), parse_structure(NACL_CIF, "cif-subset")]
         for s in cells:
             for cutoff in (2.0, 6.0, 9.5):
-                got = neighbor_list_pbc(s, cutoff)
-                want = reference_neighbor_list(s, cutoff)
-                for g, w in zip(got, want):
-                    assert g.dtype == w.dtype and g.shape == w.shape
-                    assert g.tobytes() == w.tobytes()
+                assert_same_outputs(neighbor_list_pbc(s, cutoff),
+                                    reference_neighbor_list(s, cutoff),
+                                    (s.material_id, cutoff))
+
+    @pytest.mark.parametrize("cutoff", [6.0, 4.0])
+    def test_bitwise_matches_meshgrid_norm_on_corpora(self, cutoff):
+        records = (generate_synthetic_records(1, 2048)
+                   + build_fixture_corpus()[0])
+        for r in records:
+            assert_same_outputs(neighbor_list_pbc(r.structure, cutoff),
+                                meshgrid_neighbor_list(r.structure, cutoff),
+                                r.material_id)
+
+    def test_vector_norms_bitwise_linalg_norm(self):
+        rng = np.random.default_rng(8)
+        v = rng.standard_normal((4, 5, 300, 3)) * 10.0 ** rng.integers(
+            -200, 200, (4, 5, 300, 1))
+        v[0, 0, :3] = [[0.0, -0.0, 0.0], [np.inf, 1.0, 0.0], [1e200, 1e200, 0]]
+        with np.errstate(over="ignore"):
+            assert (vector_norms(v).tobytes()
+                    == np.linalg.norm(v, axis=-1).tobytes())
 
     def test_thin_cell_rejected_before_allocation(self):
         # the search would need 5 x 5 x 1,200,000,003 images

@@ -217,6 +217,66 @@ class TestReferenceOrder:
         assert got.tobytes() == want.tobytes()
 
 
+class TestTieResort:
+    """_ordered_segment_sums re-sorts the runs that tie on the segment and
+    keys only when some run holds unequal rows, and is bitwise the
+    one-sort reference either way."""
+
+    N_SEG, N_KEYS = 4, 5
+
+    @staticmethod
+    def sums_and_sorts(monkeypatch, rows, seg, keys, n_seg, ties):
+        """_ordered_segment_sums' result and its number of lexsort calls."""
+        calls = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort",
+                            lambda k: calls.append(k) or lexsort(k))
+        got = _ordered_segment_sums(rows, seg, keys, n_seg, ties)
+        monkeypatch.undo()
+        return got, len(calls)
+
+    def tied_rows(self):
+        """Rows that are a function of their (segment, key), so every tied
+        run is equal, with tie keys that order each run differently from
+        its arrival order."""
+        rng = np.random.default_rng(12)
+        seg = rng.integers(0, self.N_SEG, 300)
+        key = rng.integers(0, self.N_KEYS, 300)
+        rows = rng.standard_normal((self.N_SEG, self.N_KEYS, 6))[seg, key]
+        ties = tuple(rng.standard_normal(300) for _ in range(3))
+        return rows, seg, (key.astype(float),), ties
+
+    def assert_reference(self, monkeypatch, rows, seg, keys, ties, sorts):
+        got, n = self.sums_and_sorts(monkeypatch, rows, seg, keys,
+                                     self.N_SEG, ties)
+        assert n == sorts
+        want = reference_segment_sums(rows, seg, ties + keys, self.N_SEG)
+        assert got.tobytes() == want.tobytes()
+        return got
+
+    def test_equal_tied_runs_skip_the_resort(self, monkeypatch):
+        self.assert_reference(monkeypatch, *self.tied_rows(), sorts=1)
+
+    @pytest.mark.parametrize("change", [1e-3, np.nan])
+    def test_one_unequal_run_takes_the_resort(self, monkeypatch, change):
+        rows, seg, keys, ties = self.tied_rows()
+        run = np.flatnonzero((seg == 2) & (keys[0] == 3.0))
+        assert len(run) > 2
+        rows[run[1], 0] += change
+        self.assert_reference(monkeypatch, rows, seg, keys, ties, sorts=2)
+
+    def test_signed_zeros_in_a_tied_run(self, monkeypatch):
+        rows, seg, keys, ties = self.tied_rows()
+        run = np.flatnonzero(seg == 0)
+        keys[0][run] = 0.0
+        rows[run] = 2.5
+        rows[run[::2], 0] = -0.0
+        rows[run[1::2], 0] = 0.0
+        got = self.assert_reference(monkeypatch, rows, seg, keys, ties,
+                                    sorts=1)
+        assert got[0, 0] == 0.0 and not np.signbit(got[0, 0])
+
+
 class TestFixtureSeparation:
     """The overfit config's encoder keeps the fixture's atoms and materials
     apart: a saturated feature map gives different atoms one row and
