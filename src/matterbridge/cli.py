@@ -40,7 +40,8 @@ from .evaluate import (
     write_eval_report,
 )
 from .ioutil import atomic_write
-from .rag import EmbeddingStore, material_prefixes, retrieve_topk
+from .rag import (EmbeddingStore, material_prefixes, model_fingerprint,
+                  retrieve_topk)
 from .rematch import RematchConfig, similarity_matrix
 from .soap import SoapConfig
 from .templates import TASKS, format_value, render_prompt
@@ -130,8 +131,8 @@ def cmd_infer(args, cfg, seed):
     if args.task not in TASKS:
         raise ValidationError(
             f"unknown task {args.task!r}; choose from {', '.join(TASKS)}")
-    if args.rag and not (args.store and args.records):
-        raise ValidationError("--rag needs --store and --records")
+    if args.rag and not args.store:
+        raise ValidationError("--rag needs --store")
     models = restore_models(args.ckpt)
     structure = _structure_from_file(args.structure, args.fmt)
     prompt = render_prompt(args.task, args.template_index)
@@ -140,8 +141,8 @@ def cmd_infer(args, cfg, seed):
                               prompt, max_new=args.max_new)[0])
         return 0
     store = EmbeddingStore.load(args.store)
-    cache = _AnswerCache(models, load_property_records(args.records),
-                         max_new=args.max_new)
+    # the neighbours' prefixes are their store rows: no records are read
+    cache = _AnswerCache(models, [], max_new=args.max_new, store=store)
     cache.structures[args.id] = structure  # the file stands in for --id
     neighbors = cache.neighbors(args.id, store, args.k)
     # the own answer and the neighbours' in one batch, whether or not
@@ -186,7 +187,8 @@ def cmd_embed(args, cfg, seed):
         raise ValidationError("no records to embed")
     prefixes = material_prefixes([rec.structure for rec in records], models)
     store = EmbeddingStore([rec.material_id for rec in records],
-                           prefixes.reshape(len(records), -1))
+                           prefixes.reshape(len(records), -1),
+                           model_fingerprint(models))
     store.save(args.out)
     print(f"wrote {len(store)} embeddings of stride {store.stride} "
           f"to {args.out}")
@@ -294,7 +296,10 @@ def build_parser():
     p.add_argument("--max-new", type=int, default=None)
     p.add_argument("--rag", action="store_true")
     p.add_argument("--store", default=None)
-    p.add_argument("--records", default=None)
+    p.add_argument("--records", default=None,
+                   help="not read: --rag takes neighbour prefixes from "
+                        "the --store rows; accepted because command lines "
+                        "such as perfbench's infer reads still pass it")
     p.add_argument("--id", default=None,
                    help="store id of the query material, excluded from "
                         "retrieval")

@@ -8,10 +8,14 @@ numeric tasks by RMSE; parse failures count as incorrect and are
 surfaced in the report.
 
 With retrieval augmentation the model also decodes an answer for each
-retrieved neighbor (same prompt, neighbor's structure) and the final
+retrieved neighbor (same prompt, neighbor's LM prefix) and the final
 prediction aggregates the self answer with the neighbor answers by
-majority vote or mean.  A store holding only copies of the query
-material therefore reproduces the plain prediction exactly.
+majority vote or mean.  A material whose structure the run holds (an
+eval record, infer's query) is encoded; any other neighbor's prefix is
+its store row, bitwise what its structure gives, so ``infer --rag``
+reads no records file.  Only the model whose ``rag.model_fingerprint``
+a store carries reads it.  A store holding only copies of the query
+material reproduces the plain prediction exactly.
 
 Answers to one prompt are decoded together, up to ``DECODE_ROWS`` at a
 time: a material's own answer and, with a store, its neighbors'
@@ -32,7 +36,8 @@ import numpy as np
 from .errors import ContractError, MatterBridgeError, ValidationError
 from .ioutil import atomic_write, canonical_json, fields_from_json, load_json
 from .lm import generate_greedy
-from .rag import material_prefixes, rag_aggregate, retrieve_topk
+from .rag import (material_prefixes, model_fingerprint, rag_aggregate,
+                  retrieve_topk)
 from .templates import LABELS, NUMERIC_TASKS, UNITS
 from .templates import attribute_text, numeric_target
 from .trainer import as_checkpoint, restore_models
@@ -169,14 +174,22 @@ class _AnswerCache:
 
     structures maps material id to structure (infer adds its query's);
     one cache serves one embedding store.  A material's prefix is
-    computed once and serves both its answers and its store vector;
-    the prefixes a call lacks are built in one batched call.
+    computed once and serves both its answers and its store vector.  A
+    material with a structure is encoded, the ones a call lacks in one
+    batched call; any other takes its row of ``store``, which must carry
+    the model's fingerprint.
     """
 
-    def __init__(self, models, records, max_new=None):
+    def __init__(self, models, records, max_new=None, store=None):
+        if (store is not None
+                and store.fingerprint != model_fingerprint(models)):
+            why = ("records no model fingerprint" if store.fingerprint is None
+                   else "was built by another model")
+            raise ValidationError(f"store {why}; rebuild it with embed")
         self.models = models
         self.structures = {r.material_id: r.structure for r in records}
         self.max_new = max_new
+        self.store = store
         self._prefixes = {}
         self._texts = {}
         self._neighbors = {}
@@ -184,18 +197,24 @@ class _AnswerCache:
     def prefixes(self, material_ids):
         """The (B, n_q, d_lm) LM prefixes of these materials.
 
-        The ones not yet cached come from one
+        The encoded ones not yet cached come from one
         ``rag.material_prefixes`` call.
         """
         todo = [m for m in dict.fromkeys(material_ids)
                 if m not in self._prefixes]
+        encode = [m for m in todo if m in self.structures]
+        bp = self.models.bridge
         for m in todo:
-            if m not in self.structures:
+            if m in self.structures:
+                continue
+            if self.store is None or m not in self.store._index:
                 raise ValidationError(
-                    f"unknown material {m!r}: not in the records")
-        if todo:
-            self._prefixes.update(zip(todo, material_prefixes(
-                [self.structures[m] for m in todo], self.models)))
+                    f"unknown material {m!r}: not in the records or store")
+            self._prefixes[m] = self.store.matrix[
+                self.store._index[m]].reshape(bp.n_q, bp.d_lm)
+        if encode:
+            self._prefixes.update(zip(encode, material_prefixes(
+                [self.structures[m] for m in encode], self.models)))
         return np.stack([self._prefixes[m] for m in material_ids])
 
     def decode(self, material_ids, prompt):
@@ -314,7 +333,12 @@ def evaluate_checkpoint(ckpt, records, samples, rag_store=None,
     eval_samples = [s for s in samples if s.task in EVAL_TASKS]
     if not eval_samples:
         raise ValidationError("no scoreable samples in the corpus")
-    cache = _AnswerCache(models, records, max_new=max_new)
+    by_id = {r.material_id: r for r in records}
+    for sample in eval_samples:
+        if sample.material_id not in by_id:
+            raise ValidationError(
+                f"unknown material {sample.material_id!r}: not in the records")
+    cache = _AnswerCache(models, records, max_new=max_new, store=rag_store)
     # every answer a prediction may read, decoded in batches per prompt
     pending = {}
     for sample in eval_samples:
@@ -324,7 +348,6 @@ def evaluate_checkpoint(ckpt, records, samples, rag_store=None,
             ids.extend(cache.neighbors(sample.material_id, rag_store, k))
     for prompt, ids in pending.items():
         cache.decode(ids, prompt)
-    by_id = {r.material_id: r for r in records}
     preds = {t: [] for t in EVAL_TASKS}
     refs = {t: [] for t in EVAL_TASKS}
     failures = {t: 0 for t in EVAL_TASKS}

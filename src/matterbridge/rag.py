@@ -6,15 +6,21 @@ builder, B structures to (B, n_q, d_lm) prefixes: structures with one
 atom count share one inference-mode bridge pass, and each prefix is
 bitwise what its structure gives alone.  ``embed_material``, one
 structure's vector, stays for the benchmark's ``infer`` check.  A store
-holds material ids and one matrix of those vectors, nothing else.
+holds material ids, one matrix of those vectors and the fingerprint of
+the model that built them (``model_fingerprint``), nothing else.
 Retrieval ranks the stored materials by L2 distance to a query, and
 retrieval-augmented answering decodes each neighbour's answer with the
-same prompt (``evaluate.predict_sample``); no answer is looked up in the
-store.  ``rag_aggregate`` combines them with the model's own answer.
+same prompt (``evaluate.predict_sample``).  The prefix of a stored
+neighbour whose structure the caller lacks is its row,
+``matrix[i].reshape(n_q, d_lm)``, so ``infer --rag`` encodes only its
+query; a model reads only a store that carries its own fingerprint.  No
+answer is looked up in the store.  ``rag_aggregate`` combines them with
+the model's own answer.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from typing import NamedTuple
@@ -25,7 +31,7 @@ from .bridge import lm_prefix
 from .errors import ContractError, ValidationError
 from .ioutil import atomic_write, canonical_json
 from .tensor import no_grad
-from .trainer import encode_structure
+from .trainer import all_tensors, encode_structure
 
 STORE_BIN = "store.bin"
 STORE_JSON = "store.json"
@@ -59,6 +65,24 @@ def material_prefixes(structures, models):
     return out
 
 
+def model_fingerprint(models):
+    """sha256 hex of what fixes a prefix: the encoder and bridge arrays.
+
+    Each ``encoder.*`` and ``bridge.*`` array of ``trainer.all_tensors``
+    enters in sorted name order as its name, shape and little-endian
+    float64 bytes.  The encoder's cutoff and RBF width and the bridge's
+    head count come first: they change prefixes but no array.
+    """
+    enc = models.encoder
+    digest = hashlib.sha256(
+        repr((enc.cutoff, enc.rbf_width, models.bridge.n_heads)).encode())
+    for name, array in sorted(all_tensors(models).items()):
+        if name.startswith(("encoder.", "bridge.")):
+            digest.update(f"{name} {array.shape}\n".encode())
+            digest.update(np.ascontiguousarray(array, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
 def embed_material(structure, models):
     """The material's (n_q, d_lm) LM prefix flattened row-major."""
     return material_prefixes([structure], models).reshape(-1)
@@ -69,12 +93,14 @@ class EmbeddingStore:
 
     The constructor checks every invariant of a store: ids are a list of
     unique strings, one per row; the matrix is 2-D with stride >= 1; and
-    every row is finite.  On disk a store is ``store.bin`` (the matrix as
-    little-endian float64, row-major) and ``store.json`` (``stride``,
-    ``count`` and ``ids``).
+    every row is finite.  ``fingerprint`` is the ``model_fingerprint`` of
+    the model that built the rows, or None for a store that records none.
+    On disk a store is ``store.bin`` (the matrix as little-endian float64,
+    row-major) and ``store.json`` (``stride``, ``count``, ``ids`` and,
+    when known, ``fingerprint``).
     """
 
-    def __init__(self, ids, matrix):
+    def __init__(self, ids, matrix, fingerprint=None):
         if not isinstance(ids, list):
             raise ValidationError("store ids must be a list")
         matrix = np.asarray(matrix, dtype=np.float64)
@@ -93,7 +119,10 @@ class EmbeddingStore:
         if not finite.all():
             raise ValidationError(
                 f"embedding for {ids[int(np.argmin(finite))]} is not finite")
+        if not (fingerprint is None or isinstance(fingerprint, str)):
+            raise ValidationError("store fingerprint must be a string")
         self.ids, self.matrix, self._index = ids, matrix, index
+        self.fingerprint = fingerprint
 
     def __len__(self):
         return len(self.ids)
@@ -108,6 +137,8 @@ class EmbeddingStore:
         with atomic_write(os.path.join(directory, STORE_BIN)) as fh:
             fh.write(blob)
         meta = {"stride": self.stride, "count": len(self), "ids": self.ids}
+        if self.fingerprint is not None:
+            meta["fingerprint"] = self.fingerprint
         with atomic_write(os.path.join(directory, STORE_JSON)) as fh:
             fh.write((canonical_json(meta) + "\n").encode())
         return directory
@@ -143,7 +174,7 @@ class EmbeddingStore:
                 f"{bin_path} holds {len(raw)} bytes, expected {expected} "
                 f"({count} vectors of stride {stride})")
         block = np.frombuffer(raw, dtype="<f8").reshape(count, stride)
-        return cls(meta["ids"], block)
+        return cls(meta["ids"], block, meta.get("fingerprint"))
 
 
 class Hit(NamedTuple):

@@ -19,11 +19,12 @@ from matterbridge.crystal import build_graph, structure_to_json
 from matterbridge.datasetgen import (generate_synthetic_records,
                                      load_instruction_samples,
                                      load_property_records,
+                                     write_instruction_samples,
                                      write_property_records)
 from matterbridge.errors import MatterBridgeError
 from matterbridge.evaluate import parse_answer_value, read_eval_report
 from matterbridge.fixtures import build_fixture_corpus
-from matterbridge.rag import EmbeddingStore, embed_material
+from matterbridge.rag import EmbeddingStore, embed_material, model_fingerprint
 from matterbridge.templates import TASKS, get_templates
 from matterbridge.trainer import (build_models, load_checkpoint,
                                   restore_models, save_checkpoint)
@@ -311,7 +312,8 @@ class TestPipeline:
         models = restore_models(load_checkpoint(FROZEN_CKPT))
         want = EmbeddingStore(
             [r.material_id for r in records],
-            np.stack([embed_material(r.structure, models) for r in records]))
+            np.stack([embed_material(r.structure, models) for r in records]),
+            model_fingerprint(models))
         want.save(str(tmp_path / "want"))
         for name in ("store.bin", "store.json"):
             assert read_bytes(got / name) == read_bytes(tmp_path / "want" / name)
@@ -345,7 +347,8 @@ class TestPipeline:
 
     def test_infer_rag_encodes_each_material_once(self, tmp_path, capsys,
                                                   monkeypatch):
-        # k=2: the query and two neighbours, one prefix each, one batch
+        # k=2: only the query is encoded, the two neighbours' prefixes
+        # are their store rows; all three decode in one batch
         cfg = Config(d_enc=8, L_enc=1, d_b=8, n_q=2, L_b=1, n_heads=1,
                      d_lm=8, L_lm=1, lm_heads=1)
         ckpt = str(tmp_path / "untrained.ckpt")
@@ -378,8 +381,68 @@ class TestPipeline:
                         "--task", "is_metal", "--rag", "--store", store,
                         "--records", records_path, "--k", "2",
                         "--id", records[0].material_id]) == 0
-        assert len(encoded) == 3
+        assert len(encoded) == 1
         assert decoded == [(3, cfg.n_q, cfg.d_lm)]
+
+    @pytest.mark.parametrize("how", ["missing-file", "loader-raises"])
+    def test_infer_rag_reads_no_records(self, tmp_path, capsys, monkeypatch,
+                                        how):
+        records = build_fixture_corpus()[0]
+        records_path = str(tmp_path / "records.jsonl")
+        write_property_records(records_path, records)
+        store = str(tmp_path / "store")
+        assert run_cli(["embed", "--ckpt", FROZEN_CKPT, "--records",
+                        records_path, "--out", store]) == 0
+        record = records[5]
+        struct_path = str(tmp_path / "query.json")
+        with open(struct_path, "w", encoding="utf-8") as fh:
+            fh.write(structure_to_json(record.structure))
+        argv = ["infer", "--ckpt", FROZEN_CKPT, "--structure", struct_path,
+                "--task", "bandgap", "--rag", "--store", store,
+                "--id", record.material_id, "--records"]
+        capsys.readouterr()
+        assert run_cli(argv + [records_path]) == 0
+        want = capsys.readouterr().out
+        if how == "missing-file":
+            argv.append(str(tmp_path / "no-such-records.jsonl"))
+        else:
+            def refuse(path):
+                raise AssertionError(f"infer --rag read {path}")
+            argv.append(records_path)
+            for module in list(sys.modules.values()):
+                if getattr(module, "load_property_records", None) \
+                        is load_property_records:
+                    monkeypatch.setattr(module, "load_property_records",
+                                        refuse)
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out == want
+        assert len(want.splitlines()) == 3
+
+    def test_eval_rag_store_wider_than_records(self, tmp_path, capsys):
+        # neighbours missing from --records decode from their store rows,
+        # bitwise as they would from their structures
+        records, samples = build_fixture_corpus()
+        full = str(tmp_path / "records.jsonl")
+        write_property_records(full, records)
+        store = str(tmp_path / "store")
+        assert run_cli(["embed", "--ckpt", FROZEN_CKPT, "--records", full,
+                        "--out", store]) == 0
+        few = records[:3]
+        subset = str(tmp_path / "records-few.jsonl")
+        write_property_records(subset, few)
+        samples_path = str(tmp_path / "samples.jsonl")
+        write_instruction_samples(samples_path, [
+            s for s in samples if s.material_id in {r.material_id for r in few}
+            and s.task in ("is_metal", "bandgap", "stability")])
+        reports = []
+        for records_path in (full, subset):
+            out = tmp_path / f"report-{len(reports)}.json"
+            assert run_cli(["eval", "--ckpt", FROZEN_CKPT, "--records",
+                            records_path, "--samples", samples_path,
+                            "--rag", "--store", store, "--out", str(out)]) == 0
+            reports.append(read_bytes(out))
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["n_samples"] == 9
 
     def test_rag_without_store_is_an_error(self, workspace, capsys):
         data = workspace["data"]
@@ -476,6 +539,29 @@ def _json_with(text, **changes):
     return json.dumps({**json.loads(text), **changes})
 
 
+def _store_meta(change):
+    """A change of the embedded store's store.json object."""
+    def apply(files):
+        path = files["rag-store"] / "store.json"
+        path.write_text(json.dumps(change(json.loads(path.read_text()))))
+    return apply
+
+
+def _embedded_by_seed(seed):
+    """The embedded store rebuilt by a model of the same config drawn
+    with another seed."""
+    def apply(files):
+        cfg = load_config(str(files["config"]))
+        other = str(files["tmp"] / "other.ckpt")
+        save_checkpoint(other, build_models(cfg, seed=seed), cfg,
+                        "pretrain", 0)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_cli(["embed", "--ckpt", other, "--records",
+                            str(files["records"]),
+                            "--out", str(files["rag-store"])]) == 0
+    return apply
+
+
 _CIF_WITHOUT_FRACT_Y = """data_nacl
 _cell_length_a 5.64
 _cell_length_b 5.64
@@ -531,6 +617,12 @@ CORRUPTIONS = {
         ("store", lambda text: text.replace('"stride":2', '"stride":2.5')),
     "store-count-a-string":
         ("store", lambda text: text.replace('"count":2', '"count":"2"')),
+    # rag-store: a store embedded by the checkpoint, read by --rag
+    "rag-store-other-seed": ("rag-store", _embedded_by_seed(4)),
+    "rag-store-without-fingerprint": ("rag-store", _store_meta(
+        lambda meta: {k: v for k, v in meta.items() if k != "fingerprint"})),
+    "rag-store-fingerprint-not-a-string":
+        ("rag-store", _store_meta(lambda meta: {**meta, "fingerprint": 5})),
     "records-missing-structure":
         ("records", lambda lines: lines + ['{"material_id": "x"}']),
     "records-not-utf8": ("records", lambda lines: lines + ["\udcff{}"]),
@@ -606,9 +698,14 @@ class TestCorruptInputs:
         struct.write_text(structure_to_json(records[0].structure))
         config = tmp_path / "config.json"
         save_config(str(config), cfg)
+        assert run_cli(["embed", "--ckpt", str(ckpt), "--records",
+                        str(data / "records.jsonl"),
+                        "--out", str(tmp_path / "rag-store")]) == 0
         capsys.readouterr()
         return {"ckpt": ckpt, "ckpt-body": ckpt,
                 "store": tmp_path / "store", "struct": struct,
+                "rag-store": tmp_path / "rag-store",
+                "rag-id": records[0].material_id,
                 "config": config,
                 "samples": data / "samples_train.jsonl",
                 "records": data / "records.jsonl", "tmp": tmp_path}
@@ -629,6 +726,8 @@ class TestCorruptInputs:
             files["struct"] = files["tmp"] / name
             files["struct"].write_text(text, encoding="utf-8",
                                        errors="surrogateescape")
+        elif kind == "rag-store":
+            change(files)
         elif kind == "store":
             path = files["store"] / "store.json"
             path.write_text(change(path.read_text()), encoding="utf-8",
@@ -639,6 +738,24 @@ class TestCorruptInputs:
             path.write_text("\n".join(change(lines)) + "\n",
                             encoding="utf-8", errors="surrogateescape")
 
+    @staticmethod
+    def rag_reads(files):
+        """`infer --rag` and `eval --rag` of the embedded store."""
+        return [["infer", "--ckpt", str(files["ckpt"]), "--structure",
+                 str(files["struct"]), "--task", "is_metal", "--max-new", "4",
+                 "--rag", "--store", str(files["rag-store"]),
+                 "--id", files["rag-id"]],
+                ["eval", "--ckpt", str(files["ckpt"]),
+                 "--records", str(files["records"]),
+                 "--samples", str(files["samples"]), "--max-new", "4",
+                 "--out", str(files["tmp"] / "report.json"),
+                 "--rag", "--store", str(files["rag-store"])]]
+
+    def test_rag_reads_of_the_embedded_store_succeed(self, files):
+        # the control for the rag-store cases
+        for argv in self.rag_reads(files):
+            assert run_cli(argv) == 0
+
     @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
     def test_only_matterbridge_errors_escape(self, files, case, capsys):
         kind, change = CORRUPTIONS[case]
@@ -646,7 +763,7 @@ class TestCorruptInputs:
         ckpt = (load_checkpoint,
                 ["infer", "--ckpt", str(files["ckpt"]), "--structure",
                  str(files["struct"]), "--task", "is_metal"])
-        loader, argv = {
+        loader, *argvs = {
             "ckpt": ckpt,
             "ckpt-body": ckpt,
             "struct": (lambda path: build_graph(
@@ -666,13 +783,19 @@ class TestCorruptInputs:
             "config": (load_config,
                        ["gen-data", "--config", str(files["config"]),
                         "--out", str(files["tmp"] / "data2"), "--n", "2"]),
+            # the check is where store rows become prefixes
+            "rag-store": (lambda path: evaluate._AnswerCache(
+                              restore_models(str(files["ckpt"])), [],
+                              store=EmbeddingStore.load(path)),
+                          *self.rag_reads(files)),
         }[kind]
         with pytest.raises(MatterBridgeError):
             loader(str(files[kind]))
-        assert run_cli(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: ")
-        assert captured.out == ""
+        for argv in argvs:
+            assert run_cli(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ")
+            assert captured.out == ""
 
 
 _JSON_VALUES = st.recursive(
@@ -758,8 +881,8 @@ class TestCorruptJsonlLines:
         (root / "query.json").write_text(
             structure_to_json(records[0].structure))
         (root / "query.cif").write_bytes(_CIF)
-        EmbeddingStore(["a", "b", "c"], np.arange(6.0).reshape(3, 2)).save(
-            str(root / "store"))
+        EmbeddingStore(["a", "b", "c"], np.arange(6.0).reshape(3, 2),
+                       "0" * 64).save(str(root / "store"))
         return {"root": root, "ckpt": ckpt,
                 "records": root / "records.jsonl",
                 "samples": root / "samples_train.jsonl",

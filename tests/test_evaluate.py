@@ -30,7 +30,8 @@ from matterbridge.evaluate import (
 from matterbridge.fixtures import build_fixture_corpus
 from matterbridge.ioutil import canonical_json
 from matterbridge.rag import (EmbeddingStore, embed_material,
-                              material_prefixes, retrieve_topk)
+                              material_prefixes, model_fingerprint,
+                              retrieve_topk)
 from matterbridge.templates import NUMERIC_TASKS, format_value, render_prompt
 from matterbridge.trainer import (build_models, load_checkpoint,
                                   restore_models, save_checkpoint)
@@ -370,7 +371,8 @@ class TestEvalReport:
         models = restore_models(load_checkpoint(path))
         vec = embed_material(base.structure, models)
         store = EmbeddingStore([rec.material_id for rec in records],
-                               np.tile(vec, (len(records), 1)))
+                               np.tile(vec, (len(records), 1)),
+                               model_fingerprint(models))
         plain = evaluate_checkpoint(path, records, samples, max_new=8)
         ragged = evaluate_checkpoint(path, records, samples,
                                      rag_store=store, k=2, max_new=8)
@@ -389,7 +391,7 @@ class TestEvalReport:
 class _PerSampleCache:
     """The reference for batched eval: one generate_answer per answer."""
 
-    def __init__(self, models, records, max_new=None):
+    def __init__(self, models, records, max_new=None, store=None):
         self.models, self.max_new = models, max_new
         self.structures = {r.material_id: r.structure for r in records}
 
@@ -438,7 +440,8 @@ class TestBatchedEval:
         models = restore_models(load_checkpoint(path))
         store = EmbeddingStore(
             [r.material_id for r in records],
-            np.stack([embed_material(r.structure, models) for r in records]))
+            np.stack([embed_material(r.structure, models) for r in records]),
+            model_fingerprint(models))
         rows = []
         batched = evaluate.generate_answer
 

@@ -1,13 +1,20 @@
 """Embedding store, top-k retrieval, and vote/average aggregation."""
 
+import contextlib
+import io
 import json
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matterbridge import rag
 from matterbridge.bridge import bridge_forward, project_to_lm
+from matterbridge.cli import run_cli
 from matterbridge.config import Config
 from matterbridge.datasetgen import generate_synthetic_records
 from matterbridge.errors import ContractError, ValidationError
@@ -77,6 +84,32 @@ class TestStore:
         bin_path.write_bytes(bin_path.read_bytes()[:-8])
         with pytest.raises(ValidationError, match="bytes"):
             EmbeddingStore.load(tmp_path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(count=st.integers(1, 3), stride=st.integers(1, 3),
+           data=st.data())
+    def test_any_wrong_bin_length_is_refused(self, count, stride, data):
+        # truncated, extended, or not a whole number of float64s
+        expected = stride * count * 8
+        length = data.draw(st.integers(0, expected + 24).filter(
+            lambda n: n != expected))
+        with tempfile.TemporaryDirectory() as tmp:
+            EmbeddingStore([f"m{i}" for i in range(count)],
+                           np.ones((count, stride))).save(tmp)
+            bin_path = Path(tmp) / "store.bin"
+            raw = bin_path.read_bytes()
+            bin_path.write_bytes((raw + bytes(range(24)))[:length])
+            with pytest.raises(ValidationError,
+                               match=f"holds {length} bytes, expected "
+                                     f"{expected} "):
+                EmbeddingStore.load(tmp)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                rc = run_cli(["retrieve", "--store", tmp, "--query-id", "m0",
+                              "--k", "1", "--include-self"])
+            assert rc == 1
+            assert err.getvalue().startswith("error: ")
 
     def test_missing_files(self, tmp_path):
         with pytest.raises(ValidationError):
@@ -232,3 +265,31 @@ class TestMaterialPrefixes:
         np.testing.assert_array_equal(
             embed_material(structure, models),
             prefix_alone(structure, models).reshape(-1))
+
+
+class TestModelFingerprint:
+    def test_covers_encoder_and_bridge_not_lm(self):
+        models = small_models()
+        fp = rag.model_fingerprint(models)
+        assert len(fp) == 64 and fp == rag.model_fingerprint(small_models())
+        assert rag.model_fingerprint(small_models(seed=4)) != fp
+        models.lm.params["ln_f.gamma"].data[0] += 1.0
+        assert rag.model_fingerprint(models) == fp
+        models.bridge.params["proj.b"].data[0] += 1e-300
+        assert rag.model_fingerprint(models) != fp
+
+    def test_covers_the_head_count(self):
+        # the arrays are drawn alike, the prefixes differ
+        fps = [rag.model_fingerprint(tr.build_models(Config(
+            d_enc=8, L_enc=1, d_b=8, n_q=2, L_b=1, n_heads=heads, d_lm=8,
+            L_lm=1, lm_heads=1), seed=3)) for heads in (1, 2)]
+        assert fps[0] != fps[1]
+
+    def test_store_round_trip(self, tmp_path):
+        EmbeddingStore(["a"], np.zeros((1, 2)), "f" * 64).save(tmp_path)
+        meta = json.loads((tmp_path / "store.json").read_text())
+        assert meta == {"count": 1, "fingerprint": "f" * 64, "ids": ["a"],
+                        "stride": 2}
+        assert EmbeddingStore.load(tmp_path).fingerprint == "f" * 64
+        with pytest.raises(ValidationError, match="must be a string"):
+            EmbeddingStore(["a"], np.zeros((1, 2)), 5)
