@@ -8,6 +8,7 @@ self-similarity is exactly 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +24,9 @@ class RematchConfig:
     max_iter: int = 100000
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValidationError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ValidationError(
+                f"alpha must be positive and finite, got {self.alpha}")
         if not self.threshold > 0:
             raise ValidationError("threshold must be positive")
         if self.max_iter < 1:
@@ -41,7 +43,8 @@ def sinkhorn_transport(C, cfg=None):
     the computation exactly transpose-symmetric:
     sinkhorn(C.T) == sinkhorn(C).T to the last bit.
     A kernel row that underflows to zero (small alpha) makes the plan
-    NaN; that raises ConvergenceError at once.
+    NaN; that raises ConvergenceError at once, without floating-point
+    warnings.
     """
     if cfg is None:
         cfg = RematchConfig()
@@ -66,20 +69,23 @@ def sinkhorn_transport(C, cfg=None):
     target_r = 1.0 / n
     target_c = 1.0 / m
     resid = np.inf
-    for _ in range(cfg.max_iter):
-        # the plan's row and column sums are u * (K v) and v * (K^T u);
-        # the same two products drive the update
-        Kv, KTu = K @ v, KT @ u
-        resid = np.maximum(np.abs(u * Kv - target_r).max(),
-                           np.abs(v * KTu - target_c).max())
-        if resid <= cfg.threshold:
-            # outer(u, v) * K groups each product the same way in both
-            # orientations, keeping the transpose property exact
-            return np.multiply.outer(u, v) * K
-        if not np.isfinite(resid):
-            raise ConvergenceError(f"transport diverged: residual {resid}",
-                                   residual=resid)
-        u, v = np.sqrt(u * (target_r / Kv)), np.sqrt(v * (target_c / KTu))
+    # an underflowing row turns the scalings inf, then NaN; the residual
+    # check below reports that, so numpy's warnings would only repeat it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(cfg.max_iter):
+            # the plan's row and column sums are u * (K v) and v * (K^T u);
+            # the same two products drive the update
+            Kv, KTu = K @ v, KT @ u
+            resid = np.maximum(np.abs(u * Kv - target_r).max(),
+                               np.abs(v * KTu - target_c).max())
+            if resid <= cfg.threshold:
+                # outer(u, v) * K groups each product the same way in both
+                # orientations, keeping the transpose property exact
+                return np.multiply.outer(u, v) * K
+            if not np.isfinite(resid):
+                raise ConvergenceError(f"transport diverged: residual {resid}",
+                                       residual=resid)
+            u, v = np.sqrt(u * (target_r / Kv)), np.sqrt(v * (target_c / KTu))
     raise ConvergenceError(
         f"transport failed to reach {cfg.threshold} in {cfg.max_iter} "
         f"iterations", residual=resid)

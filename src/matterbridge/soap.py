@@ -10,19 +10,23 @@ Coefficients are kept in the real spherical-harmonic form, so the power
 spectrum is the plain product sum p(Z1, Z2)_{n n' l} = sum_m c_nlm(Z1)
 * c_n'lm(Z2), with n <= n' kept on same-species blocks.
 
-Harmonics are computed once per structure over the flat neighbor list.
-Each center then takes the radial overlaps of all its neighbors at once,
-a Gaussian times the closed-form exp(-z) i_l(z) on a cached quadrature
-grid, and sums them per species with a one-hot product.
+Each piece of work is done once per structure.  The real harmonics of
+every neighbor come from the normalized associated-Legendre recurrence
+on the unit vectors, so no angle is ever formed.  The radial overlaps
+(a Gaussian times the closed-form exp(-z) i_l(z) on a cached quadrature
+grid) are integrated once per distinct neighbor distance, in blocks no
+larger than the largest center shell.  Each center then gathers its
+neighbors' overlaps and sums them per species with a one-hot product.
+Nothing is cached across structures except the radial basis.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .crystal import neighbor_list_pbc, vector_norms
 from .errors import ValidationError
@@ -30,6 +34,10 @@ from .errors import ValidationError
 DEFAULT_SPECIES = ("C", "Fe", "Ga", "N", "O", "Si")
 
 _QUAD_POINTS = 170
+# the largest orders the test suite validates: the Bessel factor against
+# scipy up to l = 12, the radial basis' orthonormality up to n_max = 10
+MAX_L = 12
+MAX_N = 10
 
 
 @dataclass(frozen=True)
@@ -41,12 +49,21 @@ class SoapConfig:
     species: tuple = DEFAULT_SPECIES
 
     def __post_init__(self):
-        if not self.r_cut > 0:
-            raise ValidationError("r_cut must be positive")
-        if self.n_max < 1 or self.l_max < 1:
-            raise ValidationError("n_max and l_max must be >= 1")
-        if not self.sigma > 0:
-            raise ValidationError("sigma must be positive")
+        if not 0 < self.r_cut < math.inf:
+            raise ValidationError(
+                f"r_cut must be positive and finite, got {self.r_cut}")
+        if not 1 <= self.n_max <= MAX_N:
+            raise ValidationError(
+                f"n_max must be between 1 and {MAX_N}, got {self.n_max}")
+        if not 1 <= self.l_max <= MAX_L:
+            raise ValidationError(
+                f"l_max must be between 1 and {MAX_L}, got {self.l_max}")
+        # the Gaussian exponent 1 / (2 sigma^2) must be finite too
+        if not (0 < self.sigma < math.inf and self.sigma * self.sigma > 0
+                and 0.5 / (self.sigma * self.sigma) < math.inf):
+            raise ValidationError(
+                f"sigma must be positive and finite with 1/(2 sigma^2) "
+                f"finite, got {self.sigma}")
         if len(set(self.species)) != len(self.species) or not self.species:
             raise ValidationError("species registry must be nonempty, unique")
         object.__setattr__(self, "species", tuple(self.species))
@@ -81,7 +98,12 @@ def radial_basis(cfg):
         width = centers[1] - centers[0]
     prim = np.exp(-0.5 * ((r[None, :] - centers[:, None]) / width) ** 2)
     gram = (prim * (w * r * r)) @ prim.T
-    chol = np.linalg.cholesky(gram)
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        raise ValidationError(
+            f"the radial basis Gram matrix is not positive definite at "
+            f"r_cut {cfg.r_cut}, n_max {cfg.n_max}") from None
     ortho = np.linalg.solve(chol, prim)
     for a in (r, w, ortho):
         a.flags.writeable = False
@@ -126,30 +148,67 @@ def _scaled_bessel(l_max, z):
 
 def _real_harmonics(l_max, vecs, dist):
     """Real Y_l in slots [Y_l0, sqrt2 Re Y_l1, -sqrt2 Im Y_l1, ...],
-    shaped (l, neighbor, 2 l_max + 1); slots past 2l stay zero."""
-    theta = np.arccos(np.clip(vecs[:, 2] / dist, -1.0, 1.0))
-    y = special.sph_harm_y_all(l_max, l_max, theta,
-                               np.arctan2(vecs[:, 1], vecs[:, 0]))
-    y = y[:, :l_max + 1].transpose(0, 2, 1)
-    pairs = np.stack([y[:, :, 1:].real, -y[:, :, 1:].imag], axis=-1)
-    return np.concatenate([y[:, :, :1].real, np.sqrt(2.0) * pairs.reshape(
-        l_max + 1, len(dist), 2 * l_max)], axis=2)
+    shaped (l, neighbor, 2 l_max + 1); slots past 2l stay zero.
+
+    Y_lm = q_lm(cos theta) (sin theta e^{i phi})^m with cos theta = z / r
+    and sin theta e^{i phi} = (x + i y) / r, where q_lm is the normalized
+    associated Legendre function (Condon-Shortley phase included) over
+    sin^m theta, a polynomial in cos theta.  Its recurrences are
+    q_00 = 1 / sqrt(4 pi), q_mm = -sqrt((2m + 1) / 2m) q_{m-1,m-1},
+    q_{m+1,m} = sqrt(2m + 3) cos theta q_mm and, for l > m + 1,
+    q_lm = a_lm (cos theta q_{l-1,m} - b_lm q_{l-2,m}) with
+    a_lm = sqrt((4l^2 - 1) / (l^2 - m^2)) and
+    b_lm = sqrt(((l - 1)^2 - m^2) / (4 (l - 1)^2 - 1)).
+    """
+    x, y, z = np.divide(vecs.T, dist, order="C")
+    q = np.zeros((l_max + 1, l_max + 1, len(dist)))
+    q[0, 0] = 1.0 / np.sqrt(4.0 * np.pi)
+    for l in range(1, l_max + 1):
+        q[l, l] = -np.sqrt((2 * l + 1) / (2 * l)) * q[l - 1, l - 1]
+        q[l, l - 1] = np.sqrt(2 * l + 1) * z * q[l - 1, l - 1]
+        m = np.arange(l - 1)[:, None]
+        a = np.sqrt((4 * l * l - 1) / (l * l - m * m))
+        b = np.sqrt(((l - 1) ** 2 - m * m) / (4 * (l - 1) ** 2 - 1))
+        q[l, :l - 1] = a * (z * q[l - 1, :l - 1] - b * q[l - 2, :l - 1])
+    # slot m takes q_lm times 1, sqrt2 Re w^m or -sqrt2 Im w^m, where
+    # w = (x + i y) / r
+    harm = np.empty((l_max + 1, len(dist), 2 * l_max + 1))
+    harm[:, :, 0] = q[:, 0]
+    re, im = np.ones_like(x), np.zeros_like(x)
+    for m in range(1, l_max + 1):
+        re, im = re * x - im * y, im * x + re * y
+        np.multiply(q[:, m], np.sqrt(2.0) * re, out=harm[:, :, 2 * m - 1])
+        np.multiply(q[:, m], -np.sqrt(2.0) * im, out=harm[:, :, 2 * m])
+    return harm
 
 
-def _neighbor_coefficients(dist, onehot, harm, r, base, alpha):
+def _radial_overlaps(dist, block, l_max, r, base, alpha):
+    """Radial overlaps rad[l, u, n] of each distinct distance u of dist
+    with basis function n, and each distance's index into them.  Blocks
+    of at most `block` distances keep the Bessel temporaries no larger
+    than one center's shell would make them."""
+    uniq, inv = np.unique(dist, return_inverse=True)
+    rad = np.empty((l_max + 1, len(uniq), base.shape[0]))
+    block = max(block, 1)
+    for lo in range(0, len(uniq), block):
+        dd = uniq[lo:lo + block, None]
+        bess = _scaled_bessel(l_max, 2.0 * alpha * r * dd)
+        bess *= np.exp(-alpha * (r - dd) ** 2)
+        rad[:, lo:lo + block] = bess @ base.T
+        # freed before the next block's is made
+        del bess
+    return rad, inv
+
+
+def _neighbor_coefficients(rad, onehot, harm):
     """Density coefficients c[l, (species, n), m] of one center's
-    off-site neighbors: neighbor k sits at dist[k], has species
-    onehot[k] and real harmonics harm[:, k].  A function of its own so
-    these arrays are freed before the next center's are made."""
-    dd = dist[:, None]
-    l_max = harm.shape[0] - 1
-    bess = _scaled_bessel(l_max, 2.0 * alpha * r * dd)
-    bess *= np.exp(-alpha * (r - dd) ** 2)
-    # rad[l, k, n]: radial overlap of neighbor k, moved into its species'
-    # rows so one product sums every species at once
-    rad = bess @ base.T
+    off-site neighbors: neighbor k has radial overlaps rad[:, k],
+    species onehot[k] and real harmonics harm[:, k].  Each overlap is
+    moved into its species' rows so one product sums every species at
+    once."""
+    n_l, n_k, nmax = rad.shape
     split = (onehot[:, :, None] * rad[:, :, None, :]).reshape(
-        l_max + 1, len(dist), onehot.shape[1] * base.shape[0])
+        n_l, n_k, onehot.shape[1] * nmax)
     return 4.0 * np.pi * (split.transpose(0, 2, 1) @ harm)
 
 
@@ -186,6 +245,8 @@ def soap_descriptor(structure, cfg=None):
     onehot = species[edge_j[keep]][:, None] == np.arange(n_sp)
     harm = _real_harmonics(lmax, vecs[keep], dist)
     bounds = np.searchsorted(edge_i, np.arange(n_atoms + 1))
+    rad, inv = _radial_overlaps(dist, int(np.diff(bounds).max()), lmax, r,
+                                base, alpha)
     # blocks (a, b) with a <= b, keeping n <= n' when a == b; an entry
     # off the block diagonal stands for two in the full symmetric sum,
     # so sqrt(2) keeps dot products of descriptors equal to that sum
@@ -196,8 +257,8 @@ def soap_descriptor(structure, cfg=None):
     rows = np.empty((n_atoms, descriptor_length(cfg)))
     for center, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         # coeff[l, (species, n), m] in the real-harmonic slot layout
-        coeff = _neighbor_coefficients(dist[lo:hi], onehot[lo:hi],
-                                       harm[:, lo:hi], r, base, alpha)
+        coeff = _neighbor_coefficients(rad[:, inv[lo:hi]], onehot[lo:hi],
+                                       harm[:, lo:hi])
         coeff[0, :, 0] += onsite[center].ravel()
         gram = (coeff @ coeff.transpose(0, 2, 1)).reshape(
             lmax + 1, n_sp, nmax, n_sp, nmax).transpose(1, 3, 2, 4, 0)

@@ -6,6 +6,7 @@ import json
 import os
 import shutil
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -493,6 +494,33 @@ class TestSimilarityCommand:
         for r in records[:2]:
             key = (r.material_id, r.material_id)
             assert abs(values[key] - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--sigma", "1e-200", "sigma must be positive and finite"),
+        ("--sigma", "inf", "sigma must be positive and finite"),
+        ("--r-cut", "1e-300", "radial basis Gram matrix is not positive"),
+        ("--r-cut", "inf", "r_cut must be positive and finite"),
+        ("--l-max", "100000", "l_max must be between 1 and 12"),
+        ("--n-max", "100000000", "n_max must be between 1 and 10"),
+        ("--alpha", "inf", "alpha must be positive and finite"),
+    ], ids=["sigma-1e-200", "sigma-inf", "r_cut-1e-300", "r_cut-inf",
+            "l_max-100000", "n_max-1e8", "alpha-inf"])
+    def test_bad_setting_is_one_error_line(self, tmp_path, capsys, flag,
+                                           value, message):
+        records = str(tmp_path / "records.jsonl")
+        write_property_records(records, generate_synthetic_records(3, 3))
+        out_path = str(tmp_path / "sim.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run_cli(["similarity", "--records", records, flag, value,
+                          "--out", out_path])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert not os.path.exists(out_path)
 
     def test_unknown_id_rejected(self, tmp_path, capsys):
         data = tmp_path / "data"

@@ -1,6 +1,7 @@
 """Entropic transport plans and best-match structure similarity."""
 
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,12 @@ class TestConfig:
             RematchConfig(threshold=0.0)
         with pytest.raises(ValidationError):
             RematchConfig(max_iter=0)
+
+    @pytest.mark.parametrize("alpha", [np.inf, np.nan])
+    def test_rejects_nonfinite_alpha(self, alpha):
+        with pytest.raises(ValidationError,
+                           match="alpha must be positive and finite"):
+            RematchConfig(alpha=alpha)
 
 
 class TestSinkhorn:
@@ -107,6 +114,13 @@ class TestSinkhorn:
                 sinkhorn_transport(kernel, cfg)
             assert time.perf_counter() - t0 < 5.0
             assert not np.isfinite(err.value.residual)
+
+    def test_underflowing_row_fails_without_warnings(self):
+        C = np.array([[0.0, 0.0], [1.0, 0.5], [0.2, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="diverged"):
+                sinkhorn_transport(C, RematchConfig(alpha=0.001))
 
     def test_bad_shapes(self):
         with pytest.raises(ValidationError):

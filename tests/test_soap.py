@@ -1,14 +1,19 @@
 """Local-environment descriptor properties and oracles."""
 
+import os
+import re
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import special
 
 from matterbridge.crystal import Structure, neighbor_list_pbc
 from matterbridge.errors import ValidationError
-from matterbridge.soap import (SoapConfig, _scaled_bessel,
-                               descriptor_length, radial_basis,
-                               soap_descriptor)
+from matterbridge.soap import (MAX_L, MAX_N, SoapConfig, _real_harmonics,
+                               _scaled_bessel, descriptor_length,
+                               radial_basis, soap_descriptor)
 
 from helpers import random_structure
 
@@ -111,6 +116,30 @@ class TestConfig:
         with pytest.raises(ValidationError):
             SoapConfig(species=("Si", "Si"))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("r_cut", np.inf, "r_cut must be positive and finite"),
+        ("r_cut", np.nan, "r_cut must be positive and finite"),
+        ("sigma", np.inf, "sigma must be positive and finite"),
+        ("sigma", np.nan, "sigma must be positive and finite"),
+        # sigma^2 underflows to 0 and 1 / (2 sigma^2) overflows to inf
+        ("sigma", 1e-200, "1/(2 sigma^2) finite"),
+        ("sigma", 1e-155, "1/(2 sigma^2) finite"),
+        ("l_max", MAX_L + 1, f"l_max must be between 1 and {MAX_L}"),
+        ("l_max", 100000, f"l_max must be between 1 and {MAX_L}"),
+        ("n_max", MAX_N + 1, f"n_max must be between 1 and {MAX_N}"),
+        ("n_max", 10 ** 8, f"n_max must be between 1 and {MAX_N}"),
+    ], ids=["r_cut-inf", "r_cut-nan", "sigma-inf", "sigma-nan",
+            "sigma-1e-200", "sigma-1e-155", "l_max-13", "l_max-100000",
+            "n_max-11", "n_max-1e8"])
+    def test_rejects_nonfinite_and_untested_settings(self, field, value,
+                                                     message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            SoapConfig(**{field: value})
+
+    def test_caps_are_the_tested_orders(self):
+        SoapConfig(l_max=MAX_L, n_max=MAX_N)
+        assert MAX_L == 12 and MAX_N == 10
+
 
 class TestRadialBasis:
     def test_orthonormal_under_r2_measure(self):
@@ -119,12 +148,57 @@ class TestRadialBasis:
         overlap = (G * (w * r * r)) @ G.T
         np.testing.assert_allclose(overlap, np.eye(cfg.n_max), atol=1e-10)
 
+    def test_singular_gram_is_a_validation_error(self):
+        # at r_cut 1e-300 the r^2 weights underflow and the Gram matrix
+        # is all zeros
+        with pytest.raises(ValidationError, match="not positive definite"):
+            radial_basis(SoapConfig(r_cut=1e-300))
+
     def test_various_sizes(self):
         for n_max in (1, 2, 5, 10):
             cfg = SoapConfig(n_max=n_max)
             r, w, G = radial_basis(cfg)
             overlap = (G * (w * r * r)) @ G.T
             np.testing.assert_allclose(overlap, np.eye(n_max), atol=1e-9)
+
+
+class TestRealHarmonics:
+    @pytest.mark.parametrize("l_max", [1, 6, 12])
+    def test_matches_scipy(self, l_max):
+        rng = np.random.default_rng(l_max)
+        random = rng.normal(size=(300, 3)) * rng.uniform(0.5, 6.0, (300, 1))
+        axes = 2.5 * np.vstack([np.eye(3), -np.eye(3)])
+        near_poles = np.array([[1e-9, 0.0, 1.0], [0.0, -1e-9, 1.0],
+                               [1e-9, 1e-9, -1.0], [-1e-9, 0.0, -1.0]])
+        vecs = np.vstack([random, axes, near_poles])
+        dist = np.linalg.norm(vecs, axis=1)
+        got = _real_harmonics(l_max, vecs, dist)
+        # theta from arctan2 stays exact next to the poles, where
+        # arccos(z / r) rounds to 0
+        theta = np.arctan2(np.hypot(vecs[:, 0], vecs[:, 1]), vecs[:, 2])
+        phi = np.arctan2(vecs[:, 1], vecs[:, 0])
+        want = np.zeros((l_max + 1, len(vecs), 2 * l_max + 1))
+        for l in range(l_max + 1):
+            want[l, :, 0] = special.sph_harm_y(l, 0, theta, phi).real
+            for m in range(1, l + 1):
+                y = special.sph_harm_y(l, m, theta, phi)
+                want[l, :, 2 * m - 1] = np.sqrt(2.0) * y.real
+                want[l, :, 2 * m] = -np.sqrt(2.0) * y.imag
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+
+
+def test_soap_and_rematch_import_no_scipy():
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, matterbridge.soap, matterbridge.rematch; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestScaledBessel:
@@ -188,6 +262,37 @@ class TestAgainstReference:
         np.testing.assert_allclose(d, reference_soap(s, cfg), rtol=0.0,
                                    atol=1e-12)
         assert np.abs(d[0] - d[2]).max() > 1e-3
+
+
+class TestTiedDistances:
+    """Cells whose neighbors share few distances, where each distinct
+    distance's radial overlaps feed many neighbors."""
+
+    @pytest.mark.parametrize("structure", [
+        Structure("sc", np.eye(3) * 2.6, ["Fe"], np.zeros((1, 3))),
+        Structure("bcc", np.eye(3) * 2.87, ["Fe", "Fe"],
+                  np.array([[0.0, 0.0, 0.0], [0.5, 0.5, 0.5]])),
+        Structure("rocksalt", 0.5 * 4.5 * (np.ones((3, 3)) - np.eye(3)),
+                  ["Ga", "N"], np.array([[0.0, 0.0, 0.0], [0.5, 0.5, 0.5]])),
+    ], ids=lambda s: s.material_id)
+    def test_high_symmetry_cells(self, structure):
+        cfg = SoapConfig()
+        _, _, _, dist = neighbor_list_pbc(structure, cfg.r_cut)
+        assert len(np.unique(dist)) < len(dist) / 4
+        np.testing.assert_allclose(soap_descriptor(structure, cfg),
+                                   reference_soap(structure, cfg),
+                                   rtol=0.0, atol=1e-12)
+
+    def test_more_distinct_distances_than_the_largest_shell(self):
+        # the overlaps are integrated in blocks the size of the largest
+        # shell, so this cell runs more than one block
+        cfg = SoapConfig()
+        s = random_structure(np.random.default_rng(1015), n_min=9, n_max=9)
+        edge_i, _, _, dist = neighbor_list_pbc(s, cfg.r_cut)
+        assert len(np.unique(dist)) > np.bincount(edge_i).max()
+        np.testing.assert_allclose(soap_descriptor(s, cfg),
+                                   reference_soap(s, cfg), rtol=0.0,
+                                   atol=1e-12)
 
 
 class TestDescriptor:
