@@ -18,15 +18,8 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+from .tensor import Tensor
+
 __version__ = "0.1.0"
 
 __all__ = ["Tensor", "__version__"]
-
-
-def __getattr__(name):
-    # Tensor loads on first use, so the numpy-only modules (soap,
-    # rematch, crystal) do not pull in tensor's scipy import
-    if name == "Tensor":
-        from .tensor import Tensor
-        return Tensor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

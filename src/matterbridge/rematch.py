@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .soap import SoapConfig, soap_descriptor
+from .soap import soap_descriptor
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,9 @@ def sinkhorn_transport(C, cfg=None):
                 # orientations, keeping the transpose property exact
                 return np.multiply.outer(u, v) * K
             if not np.isfinite(resid):
-                raise ConvergenceError(f"transport diverged: residual {resid}",
-                                       residual=resid)
+                raise ConvergenceError(
+                    f"transport diverged (residual {resid}): a kernel row "
+                    f"underflowed at alpha {cfg.alpha}", residual=resid)
             u, v = np.sqrt(u * (target_r / Kv)), np.sqrt(v * (target_c / KTu))
     raise ConvergenceError(
         f"transport failed to reach {cfg.threshold} in {cfg.max_iter} "
@@ -93,8 +94,6 @@ def sinkhorn_transport(C, cfg=None):
 
 def rematch_score(desc_a, desc_b, cfg=None):
     """Unnormalized best-match kernel of two per-atom descriptor sets."""
-    if cfg is None:
-        cfg = RematchConfig()
     desc_a = np.asarray(desc_a, dtype=np.float64)
     desc_b = np.asarray(desc_b, dtype=np.float64)
     C = desc_a @ desc_b.T
@@ -114,11 +113,7 @@ def rematch_similarity(a, b, soap_cfg=None, rematch_cfg=None):
 
 
 def similarity_matrix(structures, soap_cfg=None, rematch_cfg=None):
-    """Pairwise normalized similarities, shape (n, n), symmetric."""
-    if soap_cfg is None:
-        soap_cfg = SoapConfig()
-    if rematch_cfg is None:
-        rematch_cfg = RematchConfig()
+    """Pairwise normalized similarities in [0, 1], shape (n, n), symmetric."""
     descs = [soap_descriptor(s, soap_cfg) for s in structures]
     selfs = [rematch_score(d, d, rematch_cfg) for d in descs]
     n = len(structures)
@@ -127,4 +122,5 @@ def similarity_matrix(structures, soap_cfg=None, rematch_cfg=None):
         for j in range(i + 1, n):
             k = rematch_score(descs[i], descs[j], rematch_cfg)
             out[i, j] = out[j, i] = k / np.sqrt(selfs[i] * selfs[j])
-    return out
+    # the normalization can round past 1 when two structures nearly match
+    return np.clip(out, 0.0, 1.0)

@@ -266,6 +266,7 @@ def soap_descriptor(structure, cfg=None):
     norm = np.linalg.norm(rows, axis=1)
     if np.any(norm == 0.0):
         raise ValidationError(
-            f"atom {int(np.argmin(norm))} produced a zero descriptor")
+            f"atom {int(np.argmin(norm))} produced a zero descriptor: r_cut "
+            f"{cfg.r_cut} and sigma {cfg.sigma} put no density on the grid")
     rows /= norm[:, None]
     return rows

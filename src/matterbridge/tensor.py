@@ -15,14 +15,17 @@ Gradients accumulate additively into ``.grad`` buffers, so evaluating
 several micro-batches before an optimizer step sums their gradients.
 Inside ``no_grad()`` no operation records anything, so inference builds
 no tape whatever its inputs' ``requires_grad``.
+
+``gelu`` imports scipy's ``erf`` at its first call, not with this
+module, so a process that runs no model never loads scipy.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 
 import numpy as np
-from scipy import special as _special
 
 from .errors import ContractError, ShapeError
 
@@ -351,11 +354,17 @@ _SQRT_HALF = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
+@functools.cache
+def _erf():
+    from scipy.special import erf
+    return erf
+
+
 def gelu(x):
     """GELU in its erf form, x * Phi(x), as one node."""
     x = _wrap(x)
     xd = x.data
-    e = _special.erf(xd * _SQRT_HALF)
+    e = _erf()(xd * _SQRT_HALF)
 
     def _bw(g, x=x, xd=xd, e=e):
         if x.requires_grad:

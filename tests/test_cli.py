@@ -503,8 +503,13 @@ class TestSimilarityCommand:
         ("--l-max", "100000", "l_max must be between 1 and 12"),
         ("--n-max", "100000000", "n_max must be between 1 and 10"),
         ("--alpha", "inf", "alpha must be positive and finite"),
+        # accepted settings that fail later still name themselves
+        ("--sigma", "1e-10", "sigma 1e-10"),
+        ("--r-cut", "1e-100", "r_cut 1e-100"),
+        ("--alpha", "1e-5", "alpha 1e-05"),
     ], ids=["sigma-1e-200", "sigma-inf", "r_cut-1e-300", "r_cut-inf",
-            "l_max-100000", "n_max-1e8", "alpha-inf"])
+            "l_max-100000", "n_max-1e8", "alpha-inf", "sigma-1e-10",
+            "r_cut-1e-100", "alpha-1e-5"])
     def test_bad_setting_is_one_error_line(self, tmp_path, capsys, flag,
                                            value, message):
         records = str(tmp_path / "records.jsonl")

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from matterbridge.crystal import Structure
 from matterbridge.errors import ConvergenceError, ValidationError
 from matterbridge.rematch import (RematchConfig, rematch_score,
                                   rematch_similarity, similarity_matrix,
@@ -119,7 +120,8 @@ class TestSinkhorn:
         C = np.array([[0.0, 0.0], [1.0, 0.5], [0.2, 1.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ConvergenceError, match="diverged"):
+            with pytest.raises(ConvergenceError,
+                               match="diverged.*underflowed at alpha 0.001"):
                 sinkhorn_transport(C, RematchConfig(alpha=0.001))
 
     def test_bad_shapes(self):
@@ -160,6 +162,13 @@ class TestRematch:
         sharp = rematch_score(self.da, self.db, RematchConfig(alpha=0.01))
         assert sharp >= smooth - 1e-12
 
+    def test_near_identical_cells_do_not_score_above_one(self):
+        # two sc Ga cells look alike at a very wide sigma;
+        # k / sqrt(self_a * self_b) rounded to 1.0000000000000002 unclipped
+        cells = [Structure(f"ga-{a}", np.eye(3) * a, ["Ga"], np.zeros((1, 3)))
+                 for a in (2.5, 2.75)]
+        assert similarity_matrix(cells, SoapConfig(sigma=1e3)).max() <= 1.0
+
     def test_similarity_matrix_properties(self):
         rng = np.random.default_rng(33)
         structures = [random_structure(rng, n_min=2, n_max=4)
@@ -174,8 +183,6 @@ class TestRematch:
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         if np.linalg.det(q) < 0:
             q[:, 0] = -q[:, 0]
-        from matterbridge.crystal import Structure
-
         rotated = Structure("rot", self.a.lattice @ q, self.a.species,
                             self.a.frac_coords)
         assert abs(rematch_similarity(self.a, rotated, SMALL_SOAP) - 1.0) \

@@ -1,9 +1,6 @@
 """Local-environment descriptor properties and oracles."""
 
-import os
 import re
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -186,19 +183,6 @@ class TestRealHarmonics:
                 want[l, :, 2 * m] = -np.sqrt(2.0) * y.imag
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
-
-
-def test_soap_and_rematch_import_no_scipy():
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, matterbridge.soap, matterbridge.rematch; "
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120,
-                         check=True)
-    assert out.stdout.strip() == "[]"
 
 
 class TestScaledBessel:
