@@ -215,6 +215,9 @@ def cmd_similarity(args, cfg, seed):
         missing = [w for w in wanted if w not in by_id]
         if missing:
             raise ValidationError(f"unknown material ids: {missing}")
+        repeated = sorted({w for w in wanted if wanted.count(w) > 1})
+        if repeated:
+            raise ValidationError(f"--ids repeats material ids: {repeated}")
         records = [by_id[w] for w in wanted]
     if len(records) < 2:
         raise ValidationError("need at least 2 materials to compare")

@@ -13,11 +13,13 @@ spectrum is the plain product sum p(Z1, Z2)_{n n' l} = sum_m c_nlm(Z1)
 Each piece of work is done once per structure.  The real harmonics of
 every neighbor come from the normalized associated-Legendre recurrence
 on the unit vectors, so no angle is ever formed.  The radial overlaps
-(a Gaussian times the closed-form exp(-z) i_l(z) on a cached quadrature
-grid) are integrated once per distinct neighbor distance, in blocks no
-larger than the largest center shell.  Each center then gathers its
-neighbors' overlaps and sums them per species with a one-hot product.
-Nothing is cached across structures except the radial basis.
+(a Gaussian times the closed-form exp(-z) i_l(z), integrated on a
+quadrature grid) depend on the neighbor distance alone, so each config
+tabulates them once as a Chebyshev series on [0, r_cut], and a
+structure reads them back with one Vandermonde product.  Each center's
+neighbors are grouped by species and padded to the largest group, so a
+block of centers sums every group with one batched product.  Only the
+radial basis and the radial table are cached across structures.
 """
 
 from __future__ import annotations
@@ -34,6 +36,12 @@ from .errors import ValidationError
 DEFAULT_SPECIES = ("C", "Fe", "Ga", "N", "O", "Si")
 
 _QUAD_POINTS = 170
+# the radial table starts at _TABLE_NODES Chebyshev nodes and doubles up
+# to _MAX_TABLE_NODES; _TABLE_TOL bounds its coefficient tail and its
+# error, each as a share of the largest coefficient or overlap
+_TABLE_NODES = 32
+_MAX_TABLE_NODES = 1024
+_TABLE_TOL = 1e-13
 # the largest orders the test suite validates: the Bessel factor against
 # scipy up to l = 12, the radial basis' orthonormality up to n_max = 10
 MAX_L = 12
@@ -182,34 +190,83 @@ def _real_harmonics(l_max, vecs, dist):
     return harm
 
 
-def _radial_overlaps(dist, block, l_max, r, base, alpha):
-    """Radial overlaps rad[l, u, n] of each distinct distance u of dist
-    with basis function n, and each distance's index into them.  Blocks
-    of at most `block` distances keep the Bessel temporaries no larger
-    than one center's shell would make them."""
-    uniq, inv = np.unique(dist, return_inverse=True)
-    rad = np.empty((l_max + 1, len(uniq), base.shape[0]))
-    block = max(block, 1)
-    for lo in range(0, len(uniq), block):
-        dd = uniq[lo:lo + block, None]
-        bess = _scaled_bessel(l_max, 2.0 * alpha * r * dd)
+def _quadrature_overlaps(cfg, dist):
+    """Radial overlaps rad[l, k, n] of each distance d_k with basis
+    function n by quadrature on the radial grid: the sum over nodes r of
+    G_n(r) r^2 w exp(-alpha (r - d_k)^2) exp(-z) i_l(z), z = 2 alpha r
+    d_k.  Blocks of 64 distances bound the Bessel temporaries."""
+    r, w, ortho = radial_basis(cfg)
+    alpha = 1.0 / (2.0 * cfg.sigma * cfg.sigma)
+    base = ortho * (w * r * r)
+    rad = np.empty((cfg.l_max + 1, len(dist), cfg.n_max))
+    for lo in range(0, len(dist), 64):
+        dd = dist[lo:lo + 64, None]
+        bess = _scaled_bessel(cfg.l_max, 2.0 * alpha * r * dd)
         bess *= np.exp(-alpha * (r - dd) ** 2)
-        rad[:, lo:lo + block] = bess @ base.T
-        # freed before the next block's is made
-        del bess
-    return rad, inv
+        rad[:, lo:lo + 64] = bess @ base.T
+    return rad
 
 
-def _neighbor_coefficients(rad, onehot, harm):
-    """Density coefficients c[l, (species, n), m] of one center's
-    off-site neighbors: neighbor k has radial overlaps rad[:, k],
-    species onehot[k] and real harmonics harm[:, k].  Each overlap is
-    moved into its species' rows so one product sums every species at
-    once."""
-    n_l, n_k, nmax = rad.shape
-    split = (onehot[:, :, None] * rad[:, :, None, :]).reshape(
-        n_l, n_k, onehot.shape[1] * nmax)
-    return 4.0 * np.pi * (split.transpose(0, 2, 1) @ harm)
+def _chebyshev_sum(dist, coef, r_cut):
+    """sum_j coef[l, j, n] T_j(2 d / r_cut - 1) for each distance d,
+    shaped (l, distance, n)."""
+    vander = np.polynomial.chebyshev.chebvander(
+        dist * (2.0 / r_cut) - 1.0, coef.shape[1] - 1)
+    return vander @ coef
+
+
+@functools.lru_cache(maxsize=32)
+def radial_table(cfg):
+    """Chebyshev coefficients coef[l, j, n] of the radial overlaps on
+    [0, r_cut], so that rad[l, k, n] = sum_j coef[l, j, n] T_j(2 d_k /
+    r_cut - 1).
+
+    Each overlap is analytic in the distance, so its interpolant at N
+    Chebyshev nodes converges fast.  N starts at _TABLE_NODES and
+    doubles until the last quarter of the coefficients is below
+    _TABLE_TOL of the largest and the interpolant matches the
+    quadrature, within _TABLE_TOL of the largest overlap, at the N + 1
+    Chebyshev extrema: they lie between the nodes and include d = 0 and
+    d = r_cut.  A Gaussian that needs more than _MAX_TABLE_NODES nodes
+    is far narrower than the quadrature grid resolves, and is a
+    ValidationError.  Cached per config, so the array is read-only.
+    """
+    nodes = _TABLE_NODES
+    while nodes <= _MAX_TABLE_NODES:
+        theta = np.pi * (np.arange(nodes) + 0.5) / nodes
+        vals = _quadrature_overlaps(cfg, 0.5 * cfg.r_cut
+                                    * (np.cos(theta) + 1.0))
+        # T_j at the nodes as cos(j theta): the three-term recurrence
+        # loses up to j^2 ulps next to +-1
+        coef = np.cos(np.outer(np.arange(nodes), theta)) @ vals
+        coef *= 2.0 / nodes
+        coef[:, 0] *= 0.5
+        scale = np.abs(coef).max()
+        if np.abs(coef[:, -(nodes // 4):]).max() <= _TABLE_TOL * scale:
+            extrema = 0.5 * cfg.r_cut * (
+                np.cos(np.pi * np.arange(nodes + 1) / nodes) + 1.0)
+            want = _quadrature_overlaps(cfg, extrema)
+            miss = np.abs(_chebyshev_sum(extrema, coef, cfg.r_cut) - want)
+            if miss.max() <= _TABLE_TOL * np.abs(want).max():
+                coef.flags.writeable = False
+                return coef
+        nodes *= 2
+    raise ValidationError(
+        f"sigma {cfg.sigma} is too narrow for the radial grid at r_cut "
+        f"{cfg.r_cut}: its overlaps need more than {_MAX_TABLE_NODES} "
+        f"Chebyshev nodes")
+
+
+def _center_block(n_l, nmax, n_p, group, shell):
+    """How many centers one block holds, with n_p species present and
+    each (center, species) group padded to `group` neighbors.  Their
+    padded temporaries stay within n_l * shell * _QUAD_POINTS floats,
+    what the Bessel factors of the largest shell take on the quadrature
+    grid."""
+    width, n_m = n_p * nmax, 2 * n_l - 1
+    per_center = n_l * (n_p * group * (nmax + n_m) + width * n_m
+                        + 2 * width * width)
+    return max(1, n_l * shell * _QUAD_POINTS // per_center)
 
 
 def soap_descriptor(structure, cfg=None):
@@ -240,29 +297,57 @@ def soap_descriptor(structure, cfg=None):
     onsite = (counts * np.sqrt(4.0 * np.pi))[:, :, None] * (
         base @ np.exp(-alpha * r * r))
 
+    # off-site neighbors ordered by center, then by species, so each
+    # (center, species) group is one run
     keep = ~central
-    edge_i, dist = edge_i[keep], dist[keep]
-    onehot = species[edge_j[keep]][:, None] == np.arange(n_sp)
-    harm = _real_harmonics(lmax, vecs[keep], dist)
-    bounds = np.searchsorted(edge_i, np.arange(n_atoms + 1))
-    rad, inv = _radial_overlaps(dist, int(np.diff(bounds).max()), lmax, r,
-                                base, alpha)
+    group = edge_i[keep] * n_sp + species[edge_j[keep]]
+    order = np.argsort(group, kind="stable")
+    vecs, dist = vecs[keep][order], dist[keep][order]
+    harm = _real_harmonics(lmax, vecs, dist)
+    # overlaps once per distinct distance; inv maps each neighbor to its
+    # row, and neighbor len(dist), which pads every group, to a zero row
+    uniq, inv = np.unique(dist, return_inverse=True)
+    rad = np.zeros((lmax + 1, len(uniq) + 1, nmax))
+    rad[:, :-1] = _chebyshev_sum(uniq, radial_table(cfg), cfg.r_cut)
+    inv = np.append(inv, len(uniq))
+    present = np.flatnonzero(np.bincount(species, minlength=n_sp))
+    runs = np.bincount(group, minlength=n_atoms * n_sp)
+    starts = (np.cumsum(runs) - runs).reshape(n_atoms, n_sp)[:, present]
+    sizes = runs.reshape(n_atoms, n_sp)[:, present]
+
     # blocks (a, b) with a <= b, keeping n <= n' when a == b; an entry
     # off the block diagonal stands for two in the full symmetric sum,
-    # so sqrt(2) keeps dot products of descriptors equal to that sum
+    # so sqrt(2) keeps dot products of descriptors equal to that sum.
+    # Absent species leave their blocks zero, so only pairs of present
+    # ones are computed, into their columns of the row.
     a, b, n, k = np.ix_(*map(np.arange, (n_sp, n_sp, nmax, nmax)))
     kept = (a < b) | ((a == b) & (n <= k))
-    weight = np.where((a == b) & (n == k), 1.0, np.sqrt(2.0))[kept, None]
+    weight = np.where((a == b) & (n == k), 1.0, np.sqrt(2.0))
+    column = np.cumsum(kept).reshape(kept.shape) - 1
+    pair = np.ix_(present, present)
+    mine = kept[pair]
+    column, weight = column[pair][mine], weight[pair][mine, None]
 
-    rows = np.empty((n_atoms, descriptor_length(cfg)))
-    for center, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        # coeff[l, (species, n), m] in the real-harmonic slot layout
-        coeff = _neighbor_coefficients(rad[:, inv[lo:hi]], onehot[lo:hi],
-                                       harm[:, lo:hi])
-        coeff[0, :, 0] += onsite[center].ravel()
-        gram = (coeff @ coeff.transpose(0, 2, 1)).reshape(
-            lmax + 1, n_sp, nmax, n_sp, nmax).transpose(1, 3, 2, 4, 0)
-        rows[center] = (gram[kept] * weight).ravel()
+    n_p = len(present)
+    rows = np.zeros((n_atoms, descriptor_length(cfg)))
+    out = rows.reshape(n_atoms, -1, lmax + 1)
+    block = _center_block(lmax + 1, nmax, n_p, int(sizes.max()),
+                          int(sizes.sum(axis=1).max()))
+    for lo in range(0, n_atoms, block):
+        hi = min(lo + block, n_atoms)
+        slot = np.arange(sizes[lo:hi].max())
+        edge = np.where(slot < sizes[lo:hi, :, None],
+                        starts[lo:hi, :, None] + slot, len(dist))
+        # coeff[l, c, (species, n), m] in the real-harmonic slot layout;
+        # padding takes the last neighbor's harmonics times zero overlaps
+        coeff = (4.0 * np.pi * (rad[:, inv[edge]].swapaxes(3, 4) @ np.take(
+            harm, edge, axis=1, mode="clip"))).reshape(
+                lmax + 1, hi - lo, n_p * nmax, 2 * lmax + 1)
+        coeff[0, :, :, 0] += onsite[lo:hi, present].reshape(hi - lo, -1)
+        gram = (coeff @ coeff.swapaxes(2, 3)).reshape(
+            lmax + 1, hi - lo, n_p, nmax, n_p, nmax)
+        out[lo:hi, column] = gram.transpose(1, 2, 4, 3, 5, 0)[:, mine] \
+            * weight
     norm = np.linalg.norm(rows, axis=1)
     if np.any(norm == 0.0):
         raise ValidationError(

@@ -507,9 +507,10 @@ class TestSimilarityCommand:
         ("--sigma", "1e-10", "sigma 1e-10"),
         ("--r-cut", "1e-100", "r_cut 1e-100"),
         ("--alpha", "1e-5", "alpha 1e-05"),
+        ("--sigma", "0.01", "sigma 0.01 is too narrow for the radial grid"),
     ], ids=["sigma-1e-200", "sigma-inf", "r_cut-1e-300", "r_cut-inf",
             "l_max-100000", "n_max-1e8", "alpha-inf", "sigma-1e-10",
-            "r_cut-1e-100", "alpha-1e-5"])
+            "r_cut-1e-100", "alpha-1e-5", "sigma-0.01"])
     def test_bad_setting_is_one_error_line(self, tmp_path, capsys, flag,
                                            value, message):
         records = str(tmp_path / "records.jsonl")
@@ -536,6 +537,23 @@ class TestSimilarityCommand:
                       "--ids", "missing-id"])
         assert rc == 1
         assert "unknown material ids" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pick", [(0, 0), (0, 1, 0)],
+                             ids=["a,a", "a,b,a"])
+    def test_repeated_id_rejected(self, tmp_path, capsys, pick):
+        records = str(tmp_path / "records.jsonl")
+        write_property_records(records, generate_synthetic_records(3, 3))
+        ids = [r.material_id for r in load_property_records(records)]
+        out_path = str(tmp_path / "sim.csv")
+        rc = run_cli(["similarity", "--records", records, "--ids",
+                      ",".join(ids[i] for i in pick), "--out", out_path])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert repr(ids[0]) in captured.err
+        assert repr(ids[1]) not in captured.err
+        assert not os.path.exists(out_path)
 
 
 def _manifest_split(raw):

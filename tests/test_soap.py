@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from scipy import special
 
+from matterbridge import soap
 from matterbridge.crystal import Structure, neighbor_list_pbc
 from matterbridge.errors import ValidationError
 from matterbridge.soap import (MAX_L, MAX_N, SoapConfig, _real_harmonics,
                                _scaled_bessel, descriptor_length,
-                               radial_basis, soap_descriptor)
+                               radial_basis, radial_table, soap_descriptor)
 
 from helpers import random_structure
 
@@ -26,6 +27,18 @@ def bessel_oracle(l_max, z):
     out[:, small] = 0.0
     out[0, small] = 1.0
     return out
+
+
+def overlap_oracle(cfg, dist):
+    """Radial overlaps rad[l, k, n] of each distance with basis function
+    n, by quadrature on the radial grid with scipy's Bessel factor."""
+    r, w, ortho = radial_basis(cfg)
+    alpha = 1.0 / (2.0 * cfg.sigma * cfg.sigma)
+    base = ortho * (w * r * r)[None, :]
+    dist = np.asarray(dist, dtype=np.float64)
+    gauss = np.exp(-alpha * (r[None, :] - dist[:, None]) ** 2)
+    bess = bessel_oracle(cfg.l_max, 2.0 * alpha * r * dist[:, None])
+    return np.einsum("nq,kq,lkq->lkn", base, gauss, bess)
 
 
 def reference_soap(structure, cfg):
@@ -61,9 +74,7 @@ def reference_soap(structure, cfg):
                 vv, dd = vecs[~central], dist[~central]
                 theta = np.arccos(np.clip(vv[:, 2] / dd, -1.0, 1.0))
                 phi = np.arctan2(vv[:, 1], vv[:, 0])
-                gauss = np.exp(-alpha * (r[None, :] - dd[:, None]) ** 2)
-                bess = bessel_oracle(lmax, 2.0 * alpha * r * dd[:, None])
-                rad = np.einsum("nq,kq,lkq->knl", base, gauss, bess)
+                rad = overlap_oracle(cfg, dd).transpose(1, 2, 0)
                 for l in range(lmax + 1):
                     for m in range(l + 1):
                         y = special.sph_harm_y(l, m, theta, phi)
@@ -159,6 +170,47 @@ class TestRadialBasis:
             np.testing.assert_allclose(overlap, np.eye(n_max), atol=1e-9)
 
 
+class TestRadialTable:
+    @pytest.mark.parametrize("cfg", [
+        SoapConfig(),
+        SoapConfig(sigma=0.2),
+        SoapConfig(n_max=10, l_max=12),
+        SoapConfig(r_cut=3.0),
+        SoapConfig(r_cut=10.0),
+    ], ids=["default", "sigma0.2", "n10-l12", "r_cut3", "r_cut10"])
+    def test_matches_the_quadrature_off_the_nodes(self, cfg):
+        coef = radial_table(cfg)
+        ends = np.array([0.0, 1e-9, 1e-6, 1e-3])
+        dist = np.concatenate([
+            ends, cfg.r_cut - ends,
+            np.random.default_rng(1016).uniform(0.0, cfg.r_cut, 500)])
+        # Clenshaw's sum, not the Vandermonde product the descriptor uses
+        got = np.polynomial.chebyshev.chebval(
+            dist * (2.0 / cfg.r_cut) - 1.0, np.moveaxis(coef, 1, 0))
+        want = overlap_oracle(cfg, dist)
+        assert got.shape == (cfg.l_max + 1, cfg.n_max, len(dist))
+        assert np.abs(got.transpose(0, 2, 1) - want).max() \
+            <= 1e-13 * np.abs(want).max()
+
+    def test_cached_per_config_and_read_only(self):
+        table = radial_table(SoapConfig())
+        assert radial_table(SoapConfig()) is table
+        assert radial_table(SoapConfig(sigma=0.2)) is not table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 1.0
+
+    def test_default_config_needs_at_most_64_nodes(self):
+        # a convergence rule stricter than the quadrature's rounding
+        # would grow every table to the cap and gain nothing
+        assert radial_table(SoapConfig()).shape[1] <= 64
+
+    def test_too_narrow_a_gaussian_is_a_validation_error(self):
+        with pytest.raises(ValidationError,
+                           match="sigma 0.01 is too narrow for the radial"):
+            radial_table(SoapConfig(sigma=0.01))
+
+
 class TestRealHarmonics:
     @pytest.mark.parametrize("l_max", [1, 6, 12])
     def test_matches_scipy(self, l_max):
@@ -249,8 +301,7 @@ class TestAgainstReference:
 
 
 class TestTiedDistances:
-    """Cells whose neighbors share few distances, where each distinct
-    distance's radial overlaps feed many neighbors."""
+    """High-symmetry cells, whose neighbors share few distances."""
 
     @pytest.mark.parametrize("structure", [
         Structure("sc", np.eye(3) * 2.6, ["Fe"], np.zeros((1, 3))),
@@ -268,8 +319,7 @@ class TestTiedDistances:
                                    rtol=0.0, atol=1e-12)
 
     def test_more_distinct_distances_than_the_largest_shell(self):
-        # the overlaps are integrated in blocks the size of the largest
-        # shell, so this cell runs more than one block
+        # the opposite case: more distinct distances than any shell holds
         cfg = SoapConfig()
         s = random_structure(np.random.default_rng(1015), n_min=9, n_max=9)
         edge_i, _, _, dist = neighbor_list_pbc(s, cfg.r_cut)
@@ -277,6 +327,42 @@ class TestTiedDistances:
         np.testing.assert_allclose(soap_descriptor(s, cfg),
                                    reference_soap(s, cfg), rtol=0.0,
                                    atol=1e-12)
+
+
+class TestCenterBlocks:
+    """Centers are summed in blocks, each (center, species) group of
+    neighbors padded to the block's largest; none of it may show."""
+
+    # a dense slab and one far atom: shells of 36 and 4 neighbors
+    SLAB = Structure("slab", np.diag([5.0, 5.0, 16.0]),
+                     ["Si", "O", "Si", "O", "Ga", "Si", "O", "Si", "Ga"],
+                     np.array([[0.1, 0.1, 0.05], [0.6, 0.1, 0.1],
+                               [0.1, 0.6, 0.08], [0.6, 0.6, 0.12],
+                               [0.35, 0.35, 0.02], [0.85, 0.35, 0.15],
+                               [0.35, 0.85, 0.1], [0.85, 0.85, 0.04],
+                               [0.5, 0.5, 0.6]]))
+
+    def test_several_blocks_and_unequal_shells_match_the_reference(
+            self, monkeypatch):
+        cfg = SoapConfig()
+        shells = np.bincount(neighbor_list_pbc(self.SLAB, cfg.r_cut)[0])
+        assert shells.max() >= 5 * shells.min() > 0
+        blocks = []
+        sized = soap._center_block
+        monkeypatch.setattr(soap, "_center_block",
+                            lambda *a: blocks.append(sized(*a)) or blocks[-1])
+        got = soap_descriptor(self.SLAB, cfg)
+        assert 1 < blocks[0] < len(self.SLAB.species)
+        np.testing.assert_allclose(got, reference_soap(self.SLAB, cfg),
+                                   rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("block", [1, 9])
+    def test_block_size_does_not_show(self, monkeypatch, block):
+        cfg = SoapConfig()
+        want = soap_descriptor(self.SLAB, cfg)
+        monkeypatch.setattr(soap, "_center_block", lambda *a: block)
+        np.testing.assert_allclose(soap_descriptor(self.SLAB, cfg), want,
+                                   rtol=0.0, atol=1e-14)
 
 
 class TestDescriptor:
