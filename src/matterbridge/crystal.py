@@ -10,7 +10,7 @@ but may neighbor its images in other cells.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,8 +108,6 @@ class CrystalGraph:
     edge_j: np.ndarray  # (E,)
     edge_offset: np.ndarray  # (E, 3) integer image offsets
     edge_dist: np.ndarray  # (E,) angstrom
-    cutoff: float
-    isolated: np.ndarray = field(default=None)  # (n,) bool, nodes with no edges
 
     @property
     def n_nodes(self):
@@ -354,15 +352,10 @@ def neighbor_list_pbc(s, cutoff):
 def build_graph(s, cutoff=6.0):
     """Crystal graph with atoms as nodes and within-cutoff pairs as edges."""
     ei, ej, off, d = neighbor_list_pbc(s, cutoff)
-    isolated = np.ones(s.n_atoms, dtype=bool)
-    isolated[ei] = False
-    isolated[ej] = False
     return CrystalGraph(
         node_species=s.atomic_numbers,
         edge_i=ei,
         edge_j=ej,
         edge_offset=off,
         edge_dist=d,
-        cutoff=float(cutoff),
-        isolated=isolated,
     )

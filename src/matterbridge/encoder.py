@@ -21,15 +21,14 @@ neighbors keeps an all-zero message term.
 Per-node sums reduce in a value-sorted order (distance, then neighbor
 species, then the message components themselves), which makes the
 result bitwise independent of atom labeling and edge enumeration order.
-The edges are sorted by (atom, distance, neighbor species) first, and
-only the runs that tie on all three are re-sorted by the message
-components; both sorts are stable, so the order is the one a single
-sort on every key gives.  That re-sort runs only when some tied run
-holds unequal rows: it permutes rows within tied runs alone, so if they
-are equal the values added, and the sums, are bitwise the same without
-it.  Each atom's rows are then added one at a time in that order by a
-running sum (``np.cumsum``), which is sequential by definition, unlike
-``np.sum``'s pairwise reduction.
+A structure's edges are sorted once by the first three keys
+(``_EdgeOrder``).  That order gives each atom's nearest-neighbor
+distance (its first sorted edge) and serves the weight sums (tied edges
+share a distance, so a weight) and every layer's message sums, where a
+layer re-sorts only the tied runs by its message components, and only
+when one holds unequal rows.  Each atom's rows are then added one at a
+time by a running sum (``np.cumsum``), which is sequential by
+definition, unlike ``np.sum``'s pairwise reduction.
 """
 
 from __future__ import annotations
@@ -103,19 +102,37 @@ def _gaussian_basis(dist, centers, width):
     return np.exp(-((dist[:, None] - centers[None, :]) ** 2) / (2.0 * width**2))
 
 
-def _ordered_segment_sums(rows, seg, keys, n_seg, tie_keys=()):
-    """Per-segment sums of ``rows``, each added one at a time in key order.
+class _EdgeOrder:
+    """A graph's edges in one stable sort by atom, then distance, then
+    neighbor species, with the tie mask and per-atom layout that every
+    sum over them reuses."""
 
-    Within a segment the rows are ordered by ``keys`` and then, among
-    rows equal on every key, by ``tie_keys`` (np.lexsort convention: the
-    last key is the primary one), so the floating-point result depends
-    only on the values being summed, never on the order in which they
-    arrive.  Only the runs that tie on the segment and ``keys`` are
-    re-sorted by ``tie_keys``; both sorts are stable, so the order is
-    that of one sort on every key, at a fraction of its cost.  The sum
-    is a running sum over a zero slot followed by the segment's rows in
-    order, so the first add is ``0.0 + row`` and each later one adds the
-    next row to the total so far.
+    def __init__(self, ei, dist, species, n):
+        self.order = order = np.lexsort((species, dist, ei))
+        self.seg = seg = ei[order]  # atom of each sorted edge
+        # same[p]: sorted edge p ties with edge p - 1 on all three keys
+        self.same = np.ones(len(order), dtype=bool)
+        self.same[:1] = False
+        for k in (seg, dist[order], species[order]):
+            self.same[1:] &= k[1:] == k[:-1]
+        self.counts = np.bincount(ei, minlength=n)
+        # sorted position of each atom's first edge, and of each edge
+        # among its atom's edges
+        self.first = np.cumsum(self.counts) - self.counts
+        self.slot = np.arange(len(order)) - self.first[seg]
+
+
+def _ordered_segment_sums(rows, edges, tie_keys=()):
+    """Per-atom sums of ``rows``, each added one at a time in edge order.
+
+    ``rows`` holds one row per edge in arrival order.  The runs of edges
+    that tie on atom, distance and neighbor species are re-sorted by
+    ``tie_keys`` (np.lexsort convention: the last key is the primary
+    one); both sorts are stable, so the order is that of one sort on
+    every key, at a fraction of its cost.  The sum is a running sum over
+    a zero slot followed by the atom's rows in order, so the first add
+    is ``0.0 + row`` and each later one adds the next row to the total
+    so far.
 
     The re-sort runs only if some tied run holds unequal rows.  It only
     permutes rows within tied runs, so when those rows are equal the
@@ -124,16 +141,9 @@ def _ordered_segment_sums(rows, seg, keys, n_seg, tie_keys=()):
     so is never -0.0, and adding either zero to it gives the same bits.
     A NaN compares unequal, so a run holding one takes the re-sort.
     """
-    keys = tuple(keys) + (seg,)
-    order = np.lexsort(keys)
+    order, same = edges.order, edges.same
     ordered = rows[order]
     if tie_keys:
-        # same[p]: sorted row p ties with row p - 1 on the segment and keys
-        same = np.ones(len(order), dtype=bool)
-        same[:1] = False
-        for k in keys:
-            k = k[order]
-            same[1:] &= k[1:] == k[:-1]
         tie = np.flatnonzero(same)
         if (ordered[tie] != ordered[tie - 1]).any():
             in_run = same.copy()
@@ -141,15 +151,13 @@ def _ordered_segment_sums(rows, seg, keys, n_seg, tie_keys=()):
             tied = np.flatnonzero(in_run)
             run = np.cumsum(~same)[tied]
             sub = order[tied]
+            order = order.copy()
             order[tied] = sub[np.lexsort(tuple(k[sub] for k in tie_keys)
                                          + (run,))]
             ordered = rows[order]
-    seg_sorted = seg[order]
-    counts = np.bincount(seg, minlength=n_seg)
-    starts = np.cumsum(counts) - counts
-    slot = np.arange(len(seg)) - starts[seg_sorted]
-    padded = np.zeros((n_seg, counts.max() + 1, rows.shape[1]))
-    padded[seg_sorted, slot + 1] = ordered
+    padded = np.zeros((len(edges.counts), edges.counts.max() + 1,
+                       rows.shape[1]))
+    padded[edges.seg, edges.slot + 1] = ordered
     return np.cumsum(padded, axis=1)[:, -1]
 
 
@@ -168,30 +176,19 @@ def encode_atoms(graph, params):
     ej = np.asarray(graph.edge_j, dtype=np.int64)
     dist = np.asarray(graph.edge_dist, dtype=np.float64)
     edge_feat = _gaussian_basis(dist, params.rbf_centers, params.rbf_width)
-    n = len(z)
-    weight, weight_sum = _neighbor_weights(ei, dist, n)
+    edges = _EdgeOrder(ei, dist, z[ej], len(z))
+    # an atom's first sorted edge is its nearest neighbor, of weight 1,
+    # so a sum is 0 only for an atom with no neighbors; its sum is set
+    # to 1, which keeps its all-zero message term at zero
+    nearest = dist[edges.order[edges.first[ei]]]
+    weight = np.exp(-(dist - nearest) / NEIGHBOR_DECAY)
+    weight_sum = _ordered_segment_sums(weight[:, None], edges)[:, 0]
+    weight_sum[weight_sum == 0.0] = 1.0
 
     for layer in params.layers:
         msg = np.tanh(h[ej] @ layer["w_msg"] + edge_feat @ layer["w_edge"])
-        # value-determined summation order: distance, neighbor species,
-        # then the message components as tie-breakers
+        # the message components break ties in the edge order
         ties = tuple(msg[:, c] for c in range(msg.shape[1] - 1, -1, -1))
-        agg = _ordered_segment_sums(msg * weight[:, None], ei,
-                                    (z[ej], dist), n, ties)
+        agg = _ordered_segment_sums(msg * weight[:, None], edges, ties)
         h = np.tanh(h @ layer["w_update"] + agg / weight_sum[:, None])
     return h
-
-
-def _neighbor_weights(ei, dist, n):
-    """Edge weights exp(-(d - d_nearest) / NEIGHBOR_DECAY) and per-atom sums.
-
-    An atom's nearest neighbor gets weight 1, so a sum is 0 only for an
-    atom with no neighbors; its sum is set to 1, which keeps its
-    all-zero message term at zero.
-    """
-    nearest = np.full(n, np.inf)
-    np.minimum.at(nearest, ei, dist)
-    weight = np.exp(-(dist - nearest[ei]) / NEIGHBOR_DECAY)
-    total = _ordered_segment_sums(weight[:, None], ei, (dist,), n)[:, 0]
-    total[total == 0.0] = 1.0
-    return weight, total

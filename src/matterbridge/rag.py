@@ -50,7 +50,7 @@ def material_prefixes(structures, models):
     through the inference-mode bridge together, at most PREFIX_ROWS per
     pass, with no padding or mask.
     """
-    atoms = [encode_structure(s, models).data for s in structures]
+    atoms = [encode_structure(s, models) for s in structures]
     bp = models.bridge
     out = np.empty((len(atoms), bp.n_q, bp.d_lm))
     groups = {}

@@ -40,7 +40,7 @@ _QUAD_POINTS = 170
 # to _MAX_TABLE_NODES; _TABLE_TOL bounds its coefficient tail and its
 # error, each as a share of the largest coefficient or overlap
 _TABLE_NODES = 32
-_MAX_TABLE_NODES = 1024
+_MAX_TABLE_NODES = 256
 _TABLE_TOL = 1e-13
 # the largest orders the test suite validates: the Bessel factor against
 # scipy up to l = 12, the radial basis' orthonormality up to n_max = 10
@@ -228,8 +228,11 @@ def radial_table(cfg):
     quadrature, within _TABLE_TOL of the largest overlap, at the N + 1
     Chebyshev extrema: they lie between the nodes and include d = 0 and
     d = r_cut.  A Gaussian that needs more than _MAX_TABLE_NODES nodes
-    is far narrower than the quadrature grid resolves, and is a
-    ValidationError.  Cached per config, so the array is read-only.
+    is narrower than the quadrature grid integrates, and is a
+    ValidationError: against a 1,000-node grid, tables of at most 256
+    nodes were within 3.4e-13 of the largest overlap, and those of 512
+    (sigma 0.04-0.06 at r_cut 6) off by 2.7e-11 to 8.3e-6.  Cached per
+    config, so the array is read-only.
     """
     nodes = _TABLE_NODES
     while nodes <= _MAX_TABLE_NODES:

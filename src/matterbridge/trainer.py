@@ -95,7 +95,7 @@ def build_models(cfg, seed=None):
 def encode_structure(structure, models):
     """Frozen per-atom features (n_atoms, d_enc) of one structure."""
     graph = build_graph(structure, cutoff=models.encoder.cutoff)
-    return Tensor(encode_atoms(graph, models.encoder), requires_grad=False)
+    return encode_atoms(graph, models.encoder)
 
 
 def all_tensors(models):

@@ -263,7 +263,6 @@ class TestGraph:
         g = build_graph(cubic(1.0), 1.1)
         assert g.n_nodes == 1
         assert g.n_edges == 6
-        assert not g.isolated[0]
 
     def test_permutation_relabels_edges(self):
         rng = np.random.default_rng(3)
@@ -294,8 +293,8 @@ class TestGraph:
             [[0.0, 0.0, 0.0], [0.5, 0.5, 0.5]],
         )
         g = build_graph(s, 2.0)
+        assert g.n_nodes == 2
         assert g.n_edges == 0
-        assert g.isolated.all()
 
     def test_triclinic_against_oracle(self):
         rng = np.random.default_rng(77)

@@ -9,8 +9,9 @@ import pytest
 from helpers import random_structure
 from matterbridge.config import load_config
 from matterbridge.crystal import Structure, build_graph
-from matterbridge.encoder import (NEIGHBOR_DECAY, _ordered_segment_sums,
-                                  encode_atoms, init_encoder)
+from matterbridge.encoder import (NEIGHBOR_DECAY, _EdgeOrder,
+                                  _ordered_segment_sums, encode_atoms,
+                                  init_encoder)
 from matterbridge.errors import ContractError
 from matterbridge.fixtures import build_fixture_corpus
 from matterbridge.trainer import build_models
@@ -20,6 +21,24 @@ OVERFIT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "overfit.j
 
 def encode_structure(s, params, cutoff=3.0):
     return encode_atoms(build_graph(s, cutoff), params)
+
+
+def count_lexsorts(monkeypatch, fn, *args):
+    """fn(*args) and the number of np.lexsort calls it made."""
+    calls = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda k: calls.append(k) or lexsort(k))
+    out = fn(*args)
+    monkeypatch.undo()
+    return out, len(calls)
+
+
+def ordered_sums(rows, seg, keys, n_seg, ties=()):
+    """_ordered_segment_sums over the edge order of ``keys``, given as
+    (neighbor species, distance) in np.lexsort convention."""
+    species, dist = keys
+    return _ordered_segment_sums(rows, _EdgeOrder(seg, dist, species, n_seg),
+                                 ties)
 
 
 def reference_segment_sums(rows, seg, keys, n_seg):
@@ -212,28 +231,28 @@ class TestReferenceOrder:
         ties = tuple(rng.integers(0, 2, n_rows).astype(float)
                      for _ in range(3))
         rows = rng.standard_normal((n_rows, 4))
-        got = _ordered_segment_sums(rows, seg, keys, n_seg, ties)
+        got = ordered_sums(rows, seg, keys, n_seg, ties)
         want = reference_segment_sums(rows, seg, ties + keys, n_seg)
         assert got.tobytes() == want.tobytes()
 
+    def test_rock_salt_sorts_its_edges_once(self, monkeypatch):
+        # every tied run of rock salt holds equal messages, so neither
+        # layer re-sorts, and the weights and nearest distances read the
+        # one edge order
+        graph = build_graph(rock_salt(), 6.0)
+        p = init_encoder(4, L_enc=2)
+        got, sorts = count_lexsorts(monkeypatch, encode_atoms, graph, p)
+        assert sorts == 1
+        assert got.tobytes() == reference_encode_atoms(graph, p).tobytes()
+
 
 class TestTieResort:
-    """_ordered_segment_sums re-sorts the runs that tie on the segment and
-    keys only when some run holds unequal rows, and is bitwise the
-    one-sort reference either way."""
+    """The edge order takes one sort, and _ordered_segment_sums re-sorts
+    the runs that tie on atom, distance and neighbor species only when
+    some run holds unequal rows, and is bitwise the one-sort reference
+    either way."""
 
     N_SEG, N_KEYS = 4, 5
-
-    @staticmethod
-    def sums_and_sorts(monkeypatch, rows, seg, keys, n_seg, ties):
-        """_ordered_segment_sums' result and its number of lexsort calls."""
-        calls = []
-        lexsort = np.lexsort
-        monkeypatch.setattr(np, "lexsort",
-                            lambda k: calls.append(k) or lexsort(k))
-        got = _ordered_segment_sums(rows, seg, keys, n_seg, ties)
-        monkeypatch.undo()
-        return got, len(calls)
 
     def tied_rows(self):
         """Rows that are a function of their (segment, key), so every tied
@@ -244,11 +263,11 @@ class TestTieResort:
         key = rng.integers(0, self.N_KEYS, 300)
         rows = rng.standard_normal((self.N_SEG, self.N_KEYS, 6))[seg, key]
         ties = tuple(rng.standard_normal(300) for _ in range(3))
-        return rows, seg, (key.astype(float),), ties
+        return rows, seg, (np.zeros(300), key.astype(float)), ties
 
     def assert_reference(self, monkeypatch, rows, seg, keys, ties, sorts):
-        got, n = self.sums_and_sorts(monkeypatch, rows, seg, keys,
-                                     self.N_SEG, ties)
+        got, n = count_lexsorts(monkeypatch, ordered_sums, rows, seg, keys,
+                                self.N_SEG, ties)
         assert n == sorts
         want = reference_segment_sums(rows, seg, ties + keys, self.N_SEG)
         assert got.tobytes() == want.tobytes()
@@ -260,7 +279,7 @@ class TestTieResort:
     @pytest.mark.parametrize("change", [1e-3, np.nan])
     def test_one_unequal_run_takes_the_resort(self, monkeypatch, change):
         rows, seg, keys, ties = self.tied_rows()
-        run = np.flatnonzero((seg == 2) & (keys[0] == 3.0))
+        run = np.flatnonzero((seg == 2) & (keys[1] == 3.0))
         assert len(run) > 2
         rows[run[1], 0] += change
         self.assert_reference(monkeypatch, rows, seg, keys, ties, sorts=2)
@@ -268,7 +287,7 @@ class TestTieResort:
     def test_signed_zeros_in_a_tied_run(self, monkeypatch):
         rows, seg, keys, ties = self.tied_rows()
         run = np.flatnonzero(seg == 0)
-        keys[0][run] = 0.0
+        keys[1][run] = 0.0
         rows[run] = 2.5
         rows[run[::2], 0] = -0.0
         rows[run[1::2], 0] = 0.0

@@ -29,10 +29,11 @@ def bessel_oracle(l_max, z):
     return out
 
 
-def overlap_oracle(cfg, dist):
+def overlap_oracle(cfg, dist, basis=None):
     """Radial overlaps rad[l, k, n] of each distance with basis function
-    n, by quadrature on the radial grid with scipy's Bessel factor."""
-    r, w, ortho = radial_basis(cfg)
+    n, by quadrature on the radial grid (or on ``basis``, a radial_basis
+    result) with scipy's Bessel factor."""
+    r, w, ortho = radial_basis(cfg) if basis is None else basis
     alpha = 1.0 / (2.0 * cfg.sigma * cfg.sigma)
     base = ortho * (w * r * r)[None, :]
     dist = np.asarray(dist, dtype=np.float64)
@@ -209,6 +210,32 @@ class TestRadialTable:
         with pytest.raises(ValidationError,
                            match="sigma 0.01 is too narrow for the radial"):
             radial_table(SoapConfig(sigma=0.01))
+
+    @pytest.mark.parametrize("r_cut, sigma",
+                             [(6.0, 0.05), (6.0, 0.06), (10.0, 0.1)])
+    def test_a_gaussian_the_grid_misses_is_a_validation_error(self, r_cut,
+                                                              sigma):
+        # these tables need 512 nodes, and the 170-node grid is off by
+        # 2.7e-11 to 2.7e-8 of the largest overlap here
+        with pytest.raises(ValidationError, match=re.escape(
+                f"sigma {sigma} is too narrow for the radial grid at "
+                f"r_cut {r_cut}")):
+            radial_table(SoapConfig(r_cut=r_cut, sigma=sigma))
+
+    @pytest.mark.parametrize("r_cut, sigma", [(6.0, 0.07), (3.0, 0.04)])
+    def test_narrowest_tables_match_a_finer_quadrature(self, monkeypatch,
+                                                       r_cut, sigma):
+        cfg = SoapConfig(r_cut=r_cut, sigma=sigma)
+        coef = radial_table(cfg)
+        monkeypatch.setattr(soap, "_QUAD_POINTS", 1000)
+        fine = radial_basis.__wrapped__(cfg)  # uncached, on 1,000 nodes
+        dist = np.concatenate([[0.0, r_cut], np.random.default_rng(
+            1016).uniform(0.0, r_cut, 200)])
+        got = np.polynomial.chebyshev.chebval(
+            dist * (2.0 / r_cut) - 1.0, np.moveaxis(coef, 1, 0))
+        want = overlap_oracle(cfg, dist, fine)
+        assert np.abs(got.transpose(0, 2, 1) - want).max() \
+            <= 1e-12 * np.abs(want).max()
 
 
 class TestRealHarmonics:
