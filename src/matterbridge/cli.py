@@ -35,7 +35,7 @@ from .evaluate import (
     _AnswerCache,
     evaluate_checkpoint,
     generate_answer,
-    predict_sample,
+    predict_samples,
     project_2d_pca,
     write_eval_report,
 )
@@ -144,15 +144,11 @@ def cmd_infer(args, cfg, seed):
     # the neighbours' prefixes are their store rows: no records are read
     cache = _AnswerCache(models, [], max_new=args.max_new, store=store)
     cache.structures[args.id] = structure  # the file stands in for --id
-    neighbors = cache.neighbors(args.id, store, args.k)
-    # the own answer and the neighbours' in one batch, whether or not
-    # the own answer then parses
-    cache.decode([args.id] + neighbors, prompt)
+    sample = InstructionSample(args.id, args.task, prompt, answer="")
+    [(final, failed)] = predict_samples(cache, [sample], store, args.k)
     answer = cache.answer(args.id, prompt)
     print(f"self: {answer}")
-    print(f"retrieved: {','.join(neighbors)}")
-    sample = InstructionSample(args.id, args.task, prompt, answer="")
-    final, failed = predict_sample(cache, sample, store, args.k)
+    print(f"retrieved: {','.join(cache.neighbors(args.id, store, args.k))}")
     if failed:
         final = answer
     elif args.task in NUMERIC_TASKS:

@@ -150,10 +150,10 @@ def structure_from_dict(obj):
     """Structure from a decoded JSON object with exactly its four keys and
     a string ``material_id``.
 
-    Checked here rather than by ``ioutil.fields_from_json``: an ``infer``
-    read parses all of a store's records, and the generic decoder made
-    that parse of 2,048 records ~1.4 ms (3.5 %) slower.  Structure
-    itself checks and converts the other three values.
+    Checked here rather than by ``ioutil.fields_from_json``: every
+    records file ``embed`` and ``eval`` read is parsed through here, and
+    the generic decoder made a parse of 2,048 records ~1.4 ms slower.
+    Structure itself checks and converts the other three values.
     """
     if type(obj) is not dict:
         raise ValidationError("structure JSON must be an object")

@@ -17,9 +17,11 @@ reads no records file.  Only the model whose ``rag.model_fingerprint``
 a store carries reads it.  A store holding only copies of the query
 material reproduces the plain prediction exactly.
 
-Answers to one prompt are decoded together, up to ``DECODE_ROWS`` at a
-time: a material's own answer and, with a store, its neighbors'
-answers, whether or not the own answer then parses.  The LM prefixes a
+``predict_samples`` is the one answer routine of ``eval`` and
+``infer --rag``.  It decodes answers to one prompt together, up to
+``DECODE_ROWS`` at a time: each material's own answer and, with a
+store, its neighbors' answers, whether or not the own answer then
+parses; then it parses and aggregates per sample.  The LM prefixes a
 decode lacks are built together too, grouped by atom count
 (``rag.material_prefixes``).  Batching changes no text: each row
 decodes bitwise as it would alone.  ``generate_answer`` has this one
@@ -261,32 +263,43 @@ def _parse_or_none(text, task):
         return None
 
 
-def predict_sample(cache, sample, rag_store=None, k=DEFAULT_RAG_K):
-    """Final (possibly aggregated) prediction for one instruction sample.
+def predict_samples(cache, samples, rag_store=None, k=DEFAULT_RAG_K):
+    """Final (possibly aggregated) predictions for instruction samples.
 
-    Returns (prediction, parse_failed).  With a store, the top-k
-    neighbors of the sample's material are decoded with the same prompt
-    and aggregated with the self prediction; neighbors whose answers do
-    not parse are dropped, and a failed self parse is final.  Tasks with
-    free-text answers (no label set or unit) always fail to parse.
+    Returns one (prediction, parse_failed) pair per sample, in order.
+    Every answer a prediction reads is decoded first, batched per prompt:
+    each sample's own answer and, with a store, its top-k neighbors'
+    answers, even when the own answer then fails to parse.  With a store
+    the neighbors' answers that parse are aggregated with the self
+    prediction; a failed self parse is final.  Tasks with free-text
+    answers (no label set or unit) always fail to parse.
     """
-    task = sample.task
-    text = cache.answer(sample.material_id, sample.prompt)
-    pred = _parse_or_none(text, task)
-    if pred is None:
-        return None, True
-    if rag_store is None:
-        return pred, False
-    neighbor_preds = []
-    for nid in cache.neighbors(sample.material_id, rag_store, k):
-        ntext = cache.answer(nid, sample.prompt)
-        npred = _parse_or_none(ntext, task)
-        if npred is not None:
-            neighbor_preds.append(npred)
-    if not neighbor_preds:
-        return pred, False
-    kind = "numeric" if task in NUMERIC_TASKS else "classification"
-    return rag_aggregate(pred, neighbor_preds, kind), False
+    pending = {}
+    for sample in samples:
+        ids = pending.setdefault(sample.prompt, [])
+        ids.append(sample.material_id)
+        if rag_store is not None:
+            ids.extend(cache.neighbors(sample.material_id, rag_store, k))
+    for prompt, ids in pending.items():
+        cache.decode(ids, prompt)
+    results = []
+    for sample in samples:
+        task = sample.task
+        pred = _parse_or_none(cache.answer(sample.material_id, sample.prompt),
+                              task)
+        if pred is None or rag_store is None:
+            results.append((pred, pred is None))
+            continue
+        neighbor_preds = []
+        for nid in cache.neighbors(sample.material_id, rag_store, k):
+            npred = _parse_or_none(cache.answer(nid, sample.prompt), task)
+            if npred is not None:
+                neighbor_preds.append(npred)
+        if neighbor_preds:
+            kind = "numeric" if task in NUMERIC_TASKS else "classification"
+            pred = rag_aggregate(pred, neighbor_preds, kind)
+        results.append((pred, False))
+    return results
 
 
 # -- report assembly ---------------------------------------------------------
@@ -339,21 +352,13 @@ def evaluate_checkpoint(ckpt, records, samples, rag_store=None,
             raise ValidationError(
                 f"unknown material {sample.material_id!r}: not in the records")
     cache = _AnswerCache(models, records, max_new=max_new, store=rag_store)
-    # every answer a prediction may read, decoded in batches per prompt
-    pending = {}
-    for sample in eval_samples:
-        ids = pending.setdefault(sample.prompt, [])
-        ids.append(sample.material_id)
-        if rag_store is not None:
-            ids.extend(cache.neighbors(sample.material_id, rag_store, k))
-    for prompt, ids in pending.items():
-        cache.decode(ids, prompt)
     preds = {t: [] for t in EVAL_TASKS}
     refs = {t: [] for t in EVAL_TASKS}
     failures = {t: 0 for t in EVAL_TASKS}
-    for sample in eval_samples:
+    for sample, (pred, failed) in zip(
+            eval_samples,
+            predict_samples(cache, eval_samples, rag_store, k)):
         task = sample.task
-        pred, failed = predict_sample(cache, sample, rag_store, k)
         rec = by_id[sample.material_id]
         if failed:
             failures[task] += 1

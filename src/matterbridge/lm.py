@@ -179,11 +179,13 @@ def generate_greedy(prefixes, prompt_ids, max_new, lp):
     prefixes + prompt through ``lm_forward`` once as a batch, then one
     position per row per step, against one (B, L, d_lm) K/V cache per
     layer sized to the decode's length budget L (prefix + prompt +
-    max_new - 1, at most max_len).  A row stops after ``max_new``
-    symbols or at EOS; a stopped row rides along, its further symbols
-    discarded, until every row has stopped.  Each row's logits, and so
-    its text, are bitwise those of decoding it alone.  Returns a list of
-    B strings, each row's generated symbols decoded (EOS excluded).
+    max_new - 1).  ``max_new`` is capped so that L is at most max_len:
+    a decode stops when the context is full.  A row stops after
+    ``max_new`` symbols or at EOS; a stopped row rides along, its
+    further symbols discarded, until every row has stopped.  Each row's
+    logits, and so its text, are bitwise those of decoding it alone.
+    Returns a list of B strings, each row's generated symbols decoded
+    (EOS excluded).
     """
     if max_new < 1:
         raise ContractError("max_new must be >= 1")
@@ -191,8 +193,11 @@ def generate_greedy(prefixes, prompt_ids, max_new, lp):
         raise ShapeError("prefixes must be (B, n_prefix, d_lm)")
     rows, n_prefix = np.shape(prefixes)[:2]
     tokens = np.tile(np.asarray(prompt_ids, dtype=np.int64), (rows, 1))
-    budget = min(n_prefix + tokens.shape[1] + max_new - 1, lp.max_len)
-    cache = [KVCache(budget) for _ in range(lp.L_lm)]
+    fed = n_prefix + tokens.shape[1]
+    # the last symbol is never fed back, so one more symbol than the free
+    # positions fits; a prompt that does not fit fails in lm_forward
+    max_new = max(1, min(max_new, lp.max_len - fed + 1))
+    cache = [KVCache(fed + max_new - 1) for _ in range(lp.L_lm)]
     eos = lp.vocab.eos_id
     steps = []
     stopped = np.zeros(rows, dtype=bool)

@@ -10,7 +10,7 @@ holds material ids, one matrix of those vectors and the fingerprint of
 the model that built them (``model_fingerprint``), nothing else.
 Retrieval ranks the stored materials by L2 distance to a query, and
 retrieval-augmented answering decodes each neighbour's answer with the
-same prompt (``evaluate.predict_sample``).  The prefix of a stored
+same prompt (``evaluate.predict_samples``).  The prefix of a stored
 neighbour whose structure the caller lacks is its row,
 ``matrix[i].reshape(n_q, d_lm)``, so ``infer --rag`` encodes only its
 query; a model reads only a store that carries its own fingerprint.  No

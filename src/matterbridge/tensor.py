@@ -84,10 +84,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self):
         if self.data.size != 1:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
@@ -127,14 +123,8 @@ class Tensor:
     def __add__(self, other):
         return _add(self, _wrap(other))
 
-    def __radd__(self, other):
-        return _add(_wrap(other), self)
-
     def __sub__(self, other):
         return _add(self, _neg(_wrap(other)))
-
-    def __rsub__(self, other):
-        return _add(_wrap(other), _neg(self))
 
     def __neg__(self):
         return _neg(self)
@@ -142,15 +132,9 @@ class Tensor:
     def __mul__(self, other):
         return _mul(self, _wrap(other))
 
-    def __rmul__(self, other):
-        return _mul(_wrap(other), self)
-
     def __truediv__(self, other):
         other = _wrap(other)
         return _mul(self, _reciprocal(other))
-
-    def __rtruediv__(self, other):
-        return _mul(_wrap(other), _reciprocal(self))
 
     def __matmul__(self, other):
         return matmul(self, other)

@@ -34,7 +34,7 @@ from matterbridge.evaluate import (
     _AnswerCache,
     evaluate_checkpoint,
     parse_answer_value,
-    predict_sample,
+    predict_samples,
 )
 from matterbridge.fixtures import build_fixture_corpus
 from matterbridge.objectives import (
@@ -564,14 +564,15 @@ def test_criterion_08_rag_mechanics(capsys, overfit_run):
         # The CLI calls replay in a second interpreter while this one
         # composes the expected lines from the library.
         with _CliReplay(calls, root) as replay:
+            finals = predict_samples(cache, scoreable, rag_store=store, k=2)
             expected = []
-            for sample in scoreable:
+            for sample, final in zip(scoreable, finals, strict=True):
                 hits = retrieve_topk(store, cache.vector(sample.material_id),
                                      2, exclude_id=sample.material_id)
                 expected.append((
                     cache.answer(sample.material_id, sample.prompt),
                     ",".join(h.material_id for h in hits),
-                    predict_sample(cache, sample, rag_store=store, k=2)))
+                    final))
         for sample, (rc, out), (expected_self, expected_ids, (pred, failed)) \
                 in zip(scoreable, replay.results, expected, strict=True):
             assert rc == 0

@@ -299,6 +299,27 @@ class TestPipeline:
         assert len(lines["retrieved"].split(",")) == 2
         assert lines["final"] == lines["self"]
 
+    def test_infer_max_new_past_the_context_stops_there(self, tmp_path,
+                                                        capsys):
+        # an untrained model writes no EOS, so 400 symbols overrun the
+        # 320-position context; the answer stops when it is full
+        cfg = Config()
+        ckpt = str(tmp_path / "untrained.ckpt")
+        save_checkpoint(ckpt, build_models(cfg, seed=3), cfg, "pretrain", 0)
+        struct_path = str(tmp_path / "query.json")
+        with open(struct_path, "w", encoding="utf-8") as fh:
+            fh.write(structure_to_json(
+                generate_synthetic_records(4, 1)[0].structure))
+        argv = ["infer", "--ckpt", ckpt, "--structure", struct_path,
+                "--task", "is_metal", "--max-new"]
+        capsys.readouterr()
+        assert run_cli(argv + ["400"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert len(out) > 200
+        assert run_cli(argv + [str(len(out) - 1)]) == 0
+        assert capsys.readouterr().out == out
+
     def test_embed_store_equals_per_record_vectors(self, tmp_path):
         # embed batches the bridge by atom count; the oracle embeds the
         # fixture one record at a time

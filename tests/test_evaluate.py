@@ -253,6 +253,20 @@ class TestGeneration:
         with pytest.raises(ValidationError, match="room"):
             generate_answer(models, prefixes, "x" * 320, max_new=4)
 
+    def test_max_new_past_the_room_stops_at_the_context(self):
+        # an untrained model writes no EOS, so it fills the context
+        models = build_models(Config(), 3)
+        rec = generate_synthetic_records(8, 2)[0]
+        prefixes = material_prefixes([rec.structure], models)
+        prompt = "Is this a metal?"
+        # the prompt ids are BOS, its symbols and SEP
+        room = (models.lm.max_len - prefixes.shape[1]
+                - len(models.vocab.tokenize(prompt)) - 2)
+        [full] = generate_answer(models, prefixes, prompt, max_new=room + 1)
+        assert len(full) == room + 1
+        assert generate_answer(models, prefixes, prompt,
+                               max_new=room + 10) == [full]
+
     def test_empty_prompt_rejected(self):
         cfg = small_config()
         models = build_models(cfg, 3)
@@ -463,3 +477,27 @@ class TestBatchedEval:
             assert canonical_json(a.to_dict()) == canonical_json(b.to_dict())
         if path == str(FROZEN_CKPT):
             assert got[0].tasks != got[1].tasks  # the neighbours count
+
+    def test_predictions_equal_one_sample_at_a_time(self, setup):
+        path, records, max_new = setup
+        ids = [r.material_id for r in records]
+        # prompts interleaved; a formula answer never parses
+        samples = sorted(self.samples(records) + [
+            InstructionSample(mid, "formula", render_prompt("formula", 0), "")
+            for mid in ids[5:7]], key=lambda s: s.material_id)
+        models = restore_models(load_checkpoint(path))
+        store = EmbeddingStore(
+            ids, material_prefixes([r.structure for r in records],
+                                   models).reshape(len(records), -1),
+            model_fingerprint(models))
+        for rag in (None, store):
+            def fresh_cache():
+                return evaluate._AnswerCache(models, records,
+                                             max_new=max_new, store=rag)
+            got = evaluate.predict_samples(fresh_cache(), samples, rag, k=2)
+            want = [evaluate.predict_samples(fresh_cache(), [s], rag, k=2)[0]
+                    for s in samples]
+            assert got == want
+            assert any(failed for _, failed in got)
+            if path == str(FROZEN_CKPT):
+                assert not all(failed for _, failed in got)

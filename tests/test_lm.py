@@ -266,37 +266,37 @@ class TestCachedDecoding:
                 assert np.array_equal(step[r], alone), (r, k)
 
     @pytest.mark.parametrize("rows", [1, 3, 8])
-    def test_batch_overflow_raises_at_the_same_step(self, rows):
+    def test_batch_rows_stop_at_a_full_context(self, rows):
         lp, prefixes, ids = self.batch_case(rows)
         lp.max_len = prefixes.shape[1] + len(ids) + 4  # 5 decode steps fit
-        mixed = False
+        full = generate_greedy(prefixes, ids, 5, lp)
+        want = [reference_greedy(p, ids, 5, lp) for p in prefixes]
+        assert full == [lp.vocab.detokenize(w) for w in want]
         for max_new in range(1, 9):
-            texts, errors = [], set()
+            texts = []
             for r in range(rows):
-                try:
-                    texts += generate_greedy(prefixes[r:r + 1], ids, max_new,
-                                             lp)
-                except ContractError as e:
-                    errors.add(str(e))
-            if not errors:
-                assert generate_greedy(prefixes, ids, max_new, lp) == texts
-                continue
-            mixed |= bool(texts)
-            with pytest.raises(ContractError) as raised:
-                generate_greedy(prefixes, ids, max_new, lp)
-            assert {str(raised.value)} == errors
-        # some rows stop in time while another overflows
-        assert mixed or rows == 1
+                texts += generate_greedy(prefixes[r:r + 1], ids, max_new,
+                                         lp)
+            assert generate_greedy(prefixes, ids, max_new, lp) == texts
+            if max_new >= 5:
+                assert texts == full
+        # some rows stop at EOS while another is cut by the full context
+        assert max(map(len, want)) == 5
+        assert len(set(map(len, want))) > 1 or rows == 1
 
-    def test_max_len_contract_at_the_overflowing_step(self):
+    def test_max_new_stops_at_a_full_context(self):
         lp = tiny_lm(max_len=8)
         ids = list(range(3, 9))  # decode step k runs 6 + k positions
-        for max_new in (1, 2, 3):
-            [text] = generate_greedy(one_row(None, lp), ids, max_new, lp)
-            assert len(text) == max_new
-        for max_new in (4, 5):
-            with pytest.raises(ContractError, match="length 9 exceeds 8"):
-                generate_greedy(one_row(None, lp), ids, max_new, lp)
+        texts = [generate_greedy(one_row(None, lp), ids, max_new, lp)[0]
+                 for max_new in range(1, 6)]
+        # the third symbol is never fed back, so it fits
+        assert [len(t) for t in texts] == [1, 2, 3, 3, 3]
+        assert texts[2] == texts[3] == texts[4]
+        # a prefix and prompt that fill the context still decode one symbol
+        [text] = generate_greedy(np.zeros((1, 2, 16)), ids, 4, lp)
+        assert len(text) == 1
+        with pytest.raises(ContractError, match="length 9 exceeds 8"):
+            generate_greedy(np.zeros((1, 3, 16)), ids, 1, lp)
         with pytest.raises(ContractError, match="length 10 exceeds 8"):
             generate_greedy(np.zeros((1, 4, 16)), ids, 1, lp)
 
