@@ -32,7 +32,6 @@ from .errors import MatterBridgeError, ValidationError
 from .evaluate import (
     DEFAULT_RAG_K,
     NUMERIC_TASKS,
-    _AnswerCache,
     evaluate_checkpoint,
     generate_answer,
     predict_samples,
@@ -141,18 +140,18 @@ def cmd_infer(args, cfg, seed):
                               prompt, max_new=args.max_new)[0])
         return 0
     store = EmbeddingStore.load(args.store)
-    # the neighbours' prefixes are their store rows: no records are read
-    cache = _AnswerCache(models, [], max_new=args.max_new, store=store)
-    cache.structures[args.id] = structure  # the file stands in for --id
+    # the file stands in for --id; the neighbours' prefixes are their
+    # store rows, so no records are read
     sample = InstructionSample(args.id, args.task, prompt, answer="")
-    [(final, failed)] = predict_samples(cache, [sample], store, args.k)
-    answer = cache.answer(args.id, prompt)
-    print(f"self: {answer}")
-    print(f"retrieved: {','.join(cache.neighbors(args.id, store, args.k))}")
-    if failed:
-        final = answer
+    [pred] = predict_samples(models, {args.id: structure}, [sample], store,
+                             args.k, args.max_new)
+    final = pred.value
+    if final is None:
+        final = pred.answer
     elif args.task in NUMERIC_TASKS:
         final = format_value(final, args.task)
+    print(f"self: {pred.answer}")
+    print(f"retrieved: {','.join(pred.neighbors)}")
     print(f"final: {final}")
     return 0
 

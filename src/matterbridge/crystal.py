@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -106,12 +107,7 @@ class CrystalGraph:
     node_species: np.ndarray  # atomic numbers, (n,)
     edge_i: np.ndarray  # (E,)
     edge_j: np.ndarray  # (E,)
-    edge_offset: np.ndarray  # (E, 3) integer image offsets
     edge_dist: np.ndarray  # (E,) angstrom
-
-    @property
-    def n_nodes(self):
-        return len(self.node_species)
 
     @property
     def n_edges(self):
@@ -144,6 +140,7 @@ def _parse_structure_json(text):
 
 
 _STRUCTURE_KEYS = frozenset(("material_id", "lattice", "species", "frac_coords"))
+_NUMBER_TYPES = frozenset((int, float))  # bool is neither
 
 
 def structure_from_dict(obj):
@@ -153,7 +150,9 @@ def structure_from_dict(obj):
     Checked here rather than by ``ioutil.fields_from_json``: every
     records file ``embed`` and ``eval`` read is parsed through here, and
     the generic decoder made a parse of 2,048 records ~1.4 ms slower.
-    Structure itself checks and converts the other three values.
+    The entries of ``lattice`` and ``frac_coords`` must be JSON numbers,
+    which numpy would otherwise coerce from strings and bools; Structure
+    itself checks and converts the three values.
     """
     if type(obj) is not dict:
         raise ValidationError("structure JSON must be an object")
@@ -164,6 +163,14 @@ def structure_from_dict(obj):
     if type(obj["material_id"]) is not str:
         raise ValidationError("structure material_id must be a string, not "
                               f"{type(obj['material_id']).__name__}")
+    for key in ("lattice", "frac_coords"):
+        try:
+            numbers = _NUMBER_TYPES.issuperset(
+                map(type, chain.from_iterable(obj[key])))
+        except TypeError:  # not rows of entries: Structure rejects it
+            continue
+        if not numbers:
+            raise ValidationError(f"structure {key} entries must be numbers")
     return Structure(**obj)
 
 
@@ -351,11 +358,10 @@ def neighbor_list_pbc(s, cutoff):
 
 def build_graph(s, cutoff=6.0):
     """Crystal graph with atoms as nodes and within-cutoff pairs as edges."""
-    ei, ej, off, d = neighbor_list_pbc(s, cutoff)
+    ei, ej, _, d = neighbor_list_pbc(s, cutoff)
     return CrystalGraph(
         node_species=s.atomic_numbers,
         edge_i=ei,
         edge_j=ej,
-        edge_offset=off,
         edge_dist=d,
     )

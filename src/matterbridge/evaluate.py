@@ -7,31 +7,28 @@ Six classification tasks are scored by exact-match accuracy and three
 numeric tasks by RMSE; parse failures count as incorrect and are
 surfaced in the report.
 
-With retrieval augmentation the model also decodes an answer for each
-retrieved neighbor (same prompt, neighbor's LM prefix) and the final
-prediction aggregates the self answer with the neighbor answers by
-majority vote or mean.  A material whose structure the run holds (an
-eval record, infer's query) is encoded; any other neighbor's prefix is
-its store row, bitwise what its structure gives, so ``infer --rag``
-reads no records file.  Only the model whose ``rag.model_fingerprint``
-a store carries reads it.  A store holding only copies of the query
-material reproduces the plain prediction exactly.
-
-``predict_samples`` is the one answer routine of ``eval`` and
-``infer --rag``.  It decodes answers to one prompt together, up to
-``DECODE_ROWS`` at a time: each material's own answer and, with a
-store, its neighbors' answers, whether or not the own answer then
-parses; then it parses and aggregates per sample.  The LM prefixes a
-decode lacks are built together too, grouped by atom count
-(``rag.material_prefixes``).  Batching changes no text: each row
-decodes bitwise as it would alone.  ``generate_answer`` has this one
-form, B prefixes to B answers; a single answer is B = 1.
+With retrieval augmentation the model also decodes each retrieved
+neighbour's answer to the same prompt, and the final prediction
+aggregates the own answer with the neighbours' by majority vote or
+mean.  ``predict_samples`` is the one answer routine of ``eval`` and
+``infer --rag``: one call returns each sample's ``Prediction``, its own
+answer, retrieved neighbour ids and final value.  A material the call
+has a structure of (an eval record, infer's query) is encoded; any
+other's prefix is its store row, bitwise what its structure gives, so
+``infer --rag`` reads no records file.  Only the model whose
+``rag.model_fingerprint`` a store carries reads it.  A store holding
+only copies of the query material reproduces the plain prediction
+exactly.  Answers to one prompt decode together, up to ``DECODE_ROWS``
+at a time, whether or not the own answer then parses; each row decodes
+bitwise as it would alone.  ``generate_answer`` has this one form, B
+prefixes to B answers; a single answer is B = 1.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import re
+from typing import NamedTuple
 
 import numpy as np
 
@@ -166,93 +163,17 @@ def generate_answer(models, prefixes, prompt, max_new=None):
         raise ValidationError(
             f"prompt of {len(ids)} symbols leaves no room to generate "
             f"within max_len {models.lm.max_len}")
-    if max_new is None:
-        max_new = min(DEFAULT_MAX_NEW, room)
-    return generate_greedy(prefixes, ids, max_new, models.lm)
+    return generate_greedy(
+        prefixes, ids, DEFAULT_MAX_NEW if max_new is None else max_new,
+        models.lm)
 
 
-class _AnswerCache:
-    """Per-material LM prefixes, decodes and retrievals of a run.
+class Prediction(NamedTuple):
+    """A sample's own answer, retrieved neighbour ids and final value."""
 
-    structures maps material id to structure (infer adds its query's);
-    one cache serves one embedding store.  A material's prefix is
-    computed once and serves both its answers and its store vector.  A
-    material with a structure is encoded, the ones a call lacks in one
-    batched call; any other takes its row of ``store``, which must carry
-    the model's fingerprint.
-    """
-
-    def __init__(self, models, records, max_new=None, store=None):
-        if (store is not None
-                and store.fingerprint != model_fingerprint(models)):
-            why = ("records no model fingerprint" if store.fingerprint is None
-                   else "was built by another model")
-            raise ValidationError(f"store {why}; rebuild it with embed")
-        self.models = models
-        self.structures = {r.material_id: r.structure for r in records}
-        self.max_new = max_new
-        self.store = store
-        self._prefixes = {}
-        self._texts = {}
-        self._neighbors = {}
-
-    def prefixes(self, material_ids):
-        """The (B, n_q, d_lm) LM prefixes of these materials.
-
-        The encoded ones not yet cached come from one
-        ``rag.material_prefixes`` call.
-        """
-        todo = [m for m in dict.fromkeys(material_ids)
-                if m not in self._prefixes]
-        encode = [m for m in todo if m in self.structures]
-        bp = self.models.bridge
-        for m in todo:
-            if m in self.structures:
-                continue
-            if self.store is None or m not in self.store._index:
-                raise ValidationError(
-                    f"unknown material {m!r}: not in the records or store")
-            self._prefixes[m] = self.store.matrix[
-                self.store._index[m]].reshape(bp.n_q, bp.d_lm)
-        if encode:
-            self._prefixes.update(zip(encode, material_prefixes(
-                [self.structures[m] for m in encode], self.models)))
-        return np.stack([self._prefixes[m] for m in material_ids])
-
-    def decode(self, material_ids, prompt):
-        """Decode the prompt's answers the cache lacks for these materials.
-
-        Rows of one batch share the prompt; a batch holds at most
-        DECODE_ROWS of them.
-        """
-        todo = [m for m in dict.fromkeys(material_ids)
-                if (m, prompt) not in self._texts]
-        if not todo:
-            return
-        prefixes = self.prefixes(todo)
-        for lo in range(0, len(todo), DECODE_ROWS):
-            chunk = todo[lo:lo + DECODE_ROWS]
-            texts = generate_answer(self.models,
-                                    prefixes[lo:lo + DECODE_ROWS], prompt,
-                                    self.max_new)
-            self._texts.update(((m, prompt), t) for m, t in zip(chunk, texts))
-
-    def answer(self, material_id, prompt):
-        self.decode([material_id], prompt)
-        return self._texts[(material_id, prompt)]
-
-    def vector(self, material_id):
-        """The store vector, bitwise what ``rag.embed_material`` gives."""
-        return self.prefixes([material_id]).reshape(-1)
-
-    def neighbors(self, material_id, store, k):
-        """Ids of the k stored materials nearest to one, itself excluded."""
-        key = (material_id, k)
-        if key not in self._neighbors:
-            hits = retrieve_topk(store, self.vector(material_id), k,
-                                 exclude_id=material_id)
-            self._neighbors[key] = [h.material_id for h in hits]
-        return self._neighbors[key]
+    answer: str
+    neighbors: tuple
+    value: object  # None exactly when ``answer`` does not parse
 
 
 def _parse_or_none(text, task):
@@ -263,42 +184,80 @@ def _parse_or_none(text, task):
         return None
 
 
-def predict_samples(cache, samples, rag_store=None, k=DEFAULT_RAG_K):
-    """Final (possibly aggregated) predictions for instruction samples.
+def predict_samples(models, structures, samples, store=None,
+                    k=DEFAULT_RAG_K, max_new=None):
+    """One Prediction per instruction sample, in order.
 
-    Returns one (prediction, parse_failed) pair per sample, in order.
-    Every answer a prediction reads is decoded first, batched per prompt:
-    each sample's own answer and, with a store, its top-k neighbors'
-    answers, even when the own answer then fails to parse.  With a store
-    the neighbors' answers that parse are aggregated with the self
-    prediction; a failed self parse is final.  Tasks with free-text
-    answers (no label set or unit) always fail to parse.
+    ``structures`` maps material id to structure.  A material in it is
+    encoded; any other takes its row of ``store``, which must carry the
+    model's fingerprint.  Each material's prefix is built once: the
+    sampled materials' in one ``rag.material_prefixes`` call, which also
+    gives their query vectors, then the retrieved neighbours'.  Every
+    answer is decoded before any is parsed, batched per prompt: each
+    sample's own answer and, with a store, its k neighbours' answers,
+    even when the own answer then fails to parse.  With a store the
+    neighbours' answers that parse are aggregated with the own value; a
+    failed own parse is final.  Free-text tasks (no label set or unit)
+    never parse.
     """
+    if store is not None and store.fingerprint != model_fingerprint(models):
+        why = ("records no model fingerprint" if store.fingerprint is None
+               else "was built by another model")
+        raise ValidationError(f"store {why}; rebuild it with embed")
+    bp = models.bridge
+    prefixes, texts, neighbors = {}, {}, {}
+
+    def build_prefixes(material_ids):
+        encode = []
+        for m in dict.fromkeys(material_ids):
+            if m in prefixes:
+                continue
+            if m in structures:
+                encode.append(m)
+            elif store is None or m not in store._index:
+                raise ValidationError(
+                    f"unknown material {m!r}: not in the records or store")
+            else:
+                prefixes[m] = store.matrix[store._index[m]].reshape(
+                    bp.n_q, bp.d_lm)
+        if encode:
+            prefixes.update(zip(encode, material_prefixes(
+                [structures[m] for m in encode], models)))
+
+    own = [s.material_id for s in samples]
+    build_prefixes(own)
+    if store is not None:
+        for m in dict.fromkeys(own):
+            hits = retrieve_topk(store, prefixes[m].reshape(-1), k,
+                                 exclude_id=m)
+            neighbors[m] = tuple(h.material_id for h in hits)
+        build_prefixes([n for ids in neighbors.values() for n in ids])
     pending = {}
     for sample in samples:
-        ids = pending.setdefault(sample.prompt, [])
-        ids.append(sample.material_id)
-        if rag_store is not None:
-            ids.extend(cache.neighbors(sample.material_id, rag_store, k))
+        pending.setdefault(sample.prompt, []).extend(
+            (sample.material_id,) + neighbors.get(sample.material_id, ()))
     for prompt, ids in pending.items():
-        cache.decode(ids, prompt)
+        ids = list(dict.fromkeys(ids))
+        for lo in range(0, len(ids), DECODE_ROWS):
+            chunk = ids[lo:lo + DECODE_ROWS]
+            answers = generate_answer(
+                models, np.stack([prefixes[m] for m in chunk]), prompt,
+                max_new)
+            texts.update(((m, prompt), t) for m, t in zip(chunk, answers))
     results = []
     for sample in samples:
-        task = sample.task
-        pred = _parse_or_none(cache.answer(sample.material_id, sample.prompt),
-                              task)
-        if pred is None or rag_store is None:
-            results.append((pred, pred is None))
-            continue
-        neighbor_preds = []
-        for nid in cache.neighbors(sample.material_id, rag_store, k):
-            npred = _parse_or_none(cache.answer(nid, sample.prompt), task)
-            if npred is not None:
-                neighbor_preds.append(npred)
-        if neighbor_preds:
-            kind = "numeric" if task in NUMERIC_TASKS else "classification"
-            pred = rag_aggregate(pred, neighbor_preds, kind)
-        results.append((pred, False))
+        task, prompt = sample.task, sample.prompt
+        answer = texts[(sample.material_id, prompt)]
+        ids = neighbors.get(sample.material_id, ())
+        value = _parse_or_none(answer, task)
+        if value is not None and ids:
+            votes = [v for v in (_parse_or_none(texts[(n, prompt)], task)
+                                 for n in ids) if v is not None]
+            if votes:
+                kind = ("numeric" if task in NUMERIC_TASKS
+                        else "classification")
+                value = rag_aggregate(value, votes, kind)
+        results.append(Prediction(answer, ids, value))
     return results
 
 
@@ -351,18 +310,15 @@ def evaluate_checkpoint(ckpt, records, samples, rag_store=None,
         if sample.material_id not in by_id:
             raise ValidationError(
                 f"unknown material {sample.material_id!r}: not in the records")
-    cache = _AnswerCache(models, records, max_new=max_new, store=rag_store)
+    predictions = predict_samples(
+        models, {r.material_id: r.structure for r in records}, eval_samples,
+        rag_store, k, max_new)
     preds = {t: [] for t in EVAL_TASKS}
     refs = {t: [] for t in EVAL_TASKS}
-    failures = {t: 0 for t in EVAL_TASKS}
-    for sample, (pred, failed) in zip(
-            eval_samples,
-            predict_samples(cache, eval_samples, rag_store, k)):
+    for sample, pred in zip(eval_samples, predictions):
         task = sample.task
         rec = by_id[sample.material_id]
-        if failed:
-            failures[task] += 1
-        preds[task].append(pred)
+        preds[task].append(pred.value)
         if task in NUMERIC_TASKS:
             refs[task].append(numeric_target(rec, task))
         else:
@@ -384,7 +340,7 @@ def evaluate_checkpoint(ckpt, records, samples, rag_store=None,
             "metric": metric,
             "value": value,
             "count": len(preds[task]),
-            "parse_errors": failures[task],
+            "parse_errors": preds[task].count(None),
         }
     return EvalReport(
         config_hash=ckpt.manifest["config_hash"],

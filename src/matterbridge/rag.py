@@ -10,8 +10,9 @@ holds material ids, one matrix of those vectors and the fingerprint of
 the model that built them (``model_fingerprint``), nothing else.
 Retrieval ranks the stored materials by L2 distance to a query, and
 retrieval-augmented answering decodes each neighbour's answer with the
-same prompt (``evaluate.predict_samples``).  The prefix of a stored
-neighbour whose structure the caller lacks is its row,
+same prompt: one ``evaluate.predict_samples`` call returns each
+sample's own answer, neighbour ids and final value.  The prefix of a
+stored neighbour whose structure the call lacks is its row,
 ``matrix[i].reshape(n_q, d_lm)``, so ``infer --rag`` encodes only its
 query; a model reads only a store that carries its own fingerprint.  No
 answer is looked up in the store.  ``rag_aggregate`` combines them with

@@ -31,7 +31,6 @@ from matterbridge.datasetgen import (
     write_property_records,
 )
 from matterbridge.evaluate import (
-    _AnswerCache,
     evaluate_checkpoint,
     parse_answer_value,
     predict_samples,
@@ -544,7 +543,7 @@ def test_criterion_08_rag_mechanics(capsys, overfit_run):
 
         store = EmbeddingStore.load(str(store_path))
         models = restore_models(overfit_run.ckpt)
-        cache = _AnswerCache(models, overfit_run.records)
+        structures = {r.material_id: r.structure for r in overfit_run.records}
         scoreable = [s for s in overfit_run.samples
                      if s.task in CLASSIFICATION_TASKS + NUMERIC_TASKS]
         assert len(scoreable) == 288
@@ -564,27 +563,22 @@ def test_criterion_08_rag_mechanics(capsys, overfit_run):
         # The CLI calls replay in a second interpreter while this one
         # composes the expected lines from the library.
         with _CliReplay(calls, root) as replay:
-            finals = predict_samples(cache, scoreable, rag_store=store, k=2)
-            expected = []
-            for sample, final in zip(scoreable, finals, strict=True):
-                hits = retrieve_topk(store, cache.vector(sample.material_id),
-                                     2, exclude_id=sample.material_id)
-                expected.append((
-                    cache.answer(sample.material_id, sample.prompt),
-                    ",".join(h.material_id for h in hits),
-                    final))
-        for sample, (rc, out), (expected_self, expected_ids, (pred, failed)) \
-                in zip(scoreable, replay.results, expected, strict=True):
+            preds = predict_samples(models, structures, scoreable, store, k=2)
+            expected_ids = [",".join(h.material_id for h in retrieve_topk(
+                store, store.matrix[store.ids.index(sample.material_id)], 2,
+                exclude_id=sample.material_id)) for sample in scoreable]
+        for sample, (rc, out), pred, ids in zip(
+                scoreable, replay.results, preds, expected_ids, strict=True):
             assert rc == 0
             lines = dict(line.split(": ", 1)
                          for line in out.strip().splitlines())
-            assert lines["self"] == expected_self
-            assert lines["retrieved"] == expected_ids
-            assert not failed
+            assert lines["self"] == pred.answer
+            assert lines["retrieved"] == ids
+            assert pred.value is not None
             if sample.task in NUMERIC_TASKS:
-                assert lines["final"] == format_value(pred, sample.task)
+                assert lines["final"] == format_value(pred.value, sample.task)
             else:
-                assert lines["final"] == pred
+                assert lines["final"] == pred.value
         r.detail = (f"{len(scoreable)} samples: cli output equals composed "
                     f"top-2 aggregate; unit votes/means hold")
 

@@ -709,6 +709,13 @@ CORRUPTIONS = {
         ("config", lambda lines: [_first_with(lines, tau=float("nan"))]),
     "records-lattice-not-numeric": ("records", lambda lines: lines + [
         _first_structure_with(lines, lattice="abc")]),
+    # numpy would read "4" as 4.0 and true as 1.0
+    "records-lattice-strings": ("records", lambda lines: [
+        _first_structure_with(lines, lattice=[["4", "0", "0"], ["0", "4", "0"],
+                                              ["0", "0", "4"]])] + lines[1:]),
+    "records-frac-coords-bools": ("records", lambda lines: [
+        _first_structure_with(lines, frac_coords=[[True, False, 0.5]])]
+        + lines[1:]),
     # a new record id; its structure keeps the first record's
     "records-structure-id-differs": ("records", lambda lines: lines + [
         _first_with(lines, material_id="another-id")]),
@@ -856,9 +863,9 @@ class TestCorruptInputs:
                        ["gen-data", "--config", str(files["config"]),
                         "--out", str(files["tmp"] / "data2"), "--n", "2"]),
             # the check is where store rows become prefixes
-            "rag-store": (lambda path: evaluate._AnswerCache(
-                              restore_models(str(files["ckpt"])), [],
-                              store=EmbeddingStore.load(path)),
+            "rag-store": (lambda path: evaluate.predict_samples(
+                              restore_models(str(files["ckpt"])), {}, [],
+                              EmbeddingStore.load(path)),
                           *self.rag_reads(files)),
         }[kind]
         with pytest.raises(MatterBridgeError):

@@ -1,6 +1,7 @@
 """Structure parsing, periodic neighbor lists, graph construction."""
 
 import itertools
+import json
 import warnings
 
 import numpy as np
@@ -160,6 +161,24 @@ class TestParsing:
         s = Structure("w", np.eye(3), ["Si"], [[-0.25, 1.25, 0.5]])
         np.testing.assert_allclose(s.frac_coords[0], [0.75, 0.25, 0.5])
 
+    @pytest.mark.parametrize("key,value", [
+        ("lattice", [["4", "0", "0"], ["0", "4", "0"], ["0", "0", "4"]]),
+        ("lattice", [[4, 0, 0], [0, 4, 0], [0, 0, "4"]]),
+        ("lattice", [[True, 0, 0], [0, True, 0], [0, 0, True]]),
+        ("frac_coords", [[True, False, 0.5]]),
+        ("frac_coords", [["0", "0", "0"]]),
+    ])
+    def test_json_entries_must_be_numbers(self, key, value):
+        # numpy would coerce each of these to floats
+        obj = {**json.loads(CUBIC_PO), key: value}
+        with pytest.raises(ValidationError, match=key):
+            parse_structure(json.dumps(obj), "structure-json")
+
+    def test_json_integers_are_numbers(self):
+        s = parse_structure(CUBIC_PO, "structure-json")
+        np.testing.assert_array_equal(s.lattice, np.eye(3) * 3.35)
+        np.testing.assert_array_equal(s.frac_coords, [[0.0, 0.0, 0.0]])
+
     def test_json_round_trip(self):
         s = parse_structure(CUBIC_PO, "structure-json")
         s2 = parse_structure(structure_to_json(s), "structure-json")
@@ -261,7 +280,7 @@ class TestNeighborList:
 class TestGraph:
     def test_single_atom_cube(self):
         g = build_graph(cubic(1.0), 1.1)
-        assert g.n_nodes == 1
+        assert len(g.node_species) == 1
         assert g.n_edges == 6
 
     def test_permutation_relabels_edges(self):
@@ -274,17 +293,12 @@ class TestGraph:
             [s.species[p] for p in perm],
             s.frac_coords[perm],
         )
-        g1 = build_graph(s, 3.0)
-        g2 = build_graph(s2, 3.0)
+        i1, j1, off1, _ = neighbor_list_pbc(s, 3.0)
+        i2, j2, off2, _ = neighbor_list_pbc(s2, 3.0)
         inv = np.argsort(perm)  # old index -> new index
-        e1 = set(
-            zip(inv[g1.edge_i].tolist(), inv[g1.edge_j].tolist(),
-                map(tuple, g1.edge_offset.tolist()))
-        )
-        e2 = set(
-            zip(g2.edge_i.tolist(), g2.edge_j.tolist(),
-                map(tuple, g2.edge_offset.tolist()))
-        )
+        e1 = set(zip(inv[i1].tolist(), inv[j1].tolist(),
+                     map(tuple, off1.tolist())))
+        e2 = set(zip(i2.tolist(), j2.tolist(), map(tuple, off2.tolist())))
         assert e1 == e2
 
     def test_isolated_atom_flagged(self):
@@ -293,7 +307,7 @@ class TestGraph:
             [[0.0, 0.0, 0.0], [0.5, 0.5, 0.5]],
         )
         g = build_graph(s, 2.0)
-        assert g.n_nodes == 2
+        assert len(g.node_species) == 2
         assert g.n_edges == 0
 
     def test_triclinic_against_oracle(self):

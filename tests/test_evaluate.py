@@ -12,10 +12,12 @@ from matterbridge.datasetgen import build_instruction_corpus
 from matterbridge.datasetgen import InstructionSample
 from matterbridge.datasetgen import generate_synthetic_records, render_sample
 from matterbridge import evaluate
-from matterbridge.errors import ContractError, ShapeError, ValidationError
+from matterbridge.errors import (ContractError, MatterBridgeError, ShapeError,
+                                 ValidationError)
 from matterbridge.evaluate import (
     CLASSIFICATION_TASKS,
     DECODE_ROWS,
+    DEFAULT_MAX_NEW,
     EVAL_TASKS,
     eval_classification,
     eval_rmse,
@@ -31,7 +33,7 @@ from matterbridge.fixtures import build_fixture_corpus
 from matterbridge.ioutil import canonical_json
 from matterbridge.rag import (EmbeddingStore, embed_material,
                               material_prefixes, model_fingerprint,
-                              retrieve_topk)
+                              rag_aggregate, retrieve_topk)
 from matterbridge.templates import NUMERIC_TASKS, format_value, render_prompt
 from matterbridge.trainer import (build_models, load_checkpoint,
                                   restore_models, save_checkpoint)
@@ -267,6 +269,21 @@ class TestGeneration:
         assert generate_answer(models, prefixes, prompt,
                                max_new=room + 10) == [full]
 
+    def test_unset_max_new_decodes_as_the_default(self):
+        # 200 queries leave the prompt less room than DEFAULT_MAX_NEW,
+        # and an untrained model writes no EOS, so it fills the context
+        models = build_models(Config(n_q=200), 3)
+        rec = build_fixture_corpus()[0][0]
+        prefixes = material_prefixes([rec.structure], models)
+        prompt = render_prompt("bandgap", 0)
+        room = (models.lm.max_len - prefixes.shape[1]
+                - len(models.vocab.tokenize(prompt)) - 2)
+        assert room < DEFAULT_MAX_NEW
+        [unset] = generate_answer(models, prefixes, prompt)
+        assert len(unset) == room + 1
+        assert generate_answer(models, prefixes, prompt,
+                               max_new=DEFAULT_MAX_NEW) == [unset]
+
     def test_empty_prompt_rejected(self):
         cfg = small_config()
         models = build_models(cfg, 3)
@@ -402,26 +419,38 @@ class TestEvalReport:
                                            rtol=1e-12, atol=0)
 
 
-class _PerSampleCache:
-    """The reference for batched eval: one generate_answer per answer."""
-
-    def __init__(self, models, records, max_new=None, store=None):
-        self.models, self.max_new = models, max_new
-        self.structures = {r.material_id: r.structure for r in records}
-
-    def decode(self, material_ids, prompt):
-        pass
-
-    def answer(self, material_id, prompt):
-        prefixes = material_prefixes([self.structures[material_id]],
-                                     self.models)
-        [text] = generate_answer(self.models, prefixes, prompt, self.max_new)
+def per_answer_predictions(models, structures, samples, store=None,
+                           k=evaluate.DEFAULT_RAG_K, max_new=None):
+    """The reference for batched eval: one generate_answer per answer
+    and one embed_material per retrieval, then the parse and vote rules."""
+    def answer(material_id, prompt):
+        prefixes = material_prefixes([structures[material_id]], models)
+        [text] = generate_answer(models, prefixes, prompt, max_new)
         return text
 
-    def neighbors(self, material_id, store, k):
-        vec = embed_material(self.structures[material_id], self.models)
-        return [h.material_id
-                for h in retrieve_topk(store, vec, k, exclude_id=material_id)]
+    def value(text, task):
+        try:
+            return parse_answer_value(text, task)
+        except MatterBridgeError:
+            return None
+
+    out = []
+    for s in samples:
+        own = answer(s.material_id, s.prompt)
+        neighbors = ()
+        if store is not None:
+            vec = embed_material(structures[s.material_id], models)
+            neighbors = tuple(h.material_id for h in retrieve_topk(
+                store, vec, k, exclude_id=s.material_id))
+        final = value(own, s.task)
+        votes = [v for v in (value(answer(n, s.prompt), s.task)
+                             for n in neighbors) if v is not None]
+        if final is not None and votes:
+            kind = ("numeric" if s.task in NUMERIC_TASKS
+                    else "classification")
+            final = rag_aggregate(final, votes, kind)
+        out.append(evaluate.Prediction(own, neighbors, final))
+    return out
 
 
 class TestBatchedEval:
@@ -470,13 +499,43 @@ class TestBatchedEval:
         assert max(rows) == DECODE_ROWS
         assert len(rows) < len(samples)
         monkeypatch.setattr(evaluate, "generate_answer", batched)
-        monkeypatch.setattr(evaluate, "_AnswerCache", _PerSampleCache)
+        monkeypatch.setattr(evaluate, "predict_samples",
+                            per_answer_predictions)
         want = [evaluate_checkpoint(path, records, samples, rag_store=rag,
                                     max_new=max_new) for rag in stores]
         for a, b in zip(got, want, strict=True):
             assert canonical_json(a.to_dict()) == canonical_json(b.to_dict())
         if path == str(FROZEN_CKPT):
             assert got[0].tasks != got[1].tasks  # the neighbours count
+
+    def test_value_is_none_exactly_where_the_answer_does_not_parse(
+            self, setup):
+        path, records, max_new = setup
+        samples = self.samples(records)
+        models = restore_models(load_checkpoint(path))
+        store = EmbeddingStore(
+            [r.material_id for r in records],
+            material_prefixes([r.structure for r in records],
+                              models).reshape(len(records), -1),
+            model_fingerprint(models))
+        structures = {r.material_id: r.structure for r in records}
+        for rag in (None, store):
+            preds = evaluate.predict_samples(models, structures, samples, rag,
+                                             2, max_new)
+            errors = dict.fromkeys((s.task for s in samples), 0)
+            for sample, pred in zip(samples, preds, strict=True):
+                try:
+                    parse_answer_value(pred.answer, sample.task)
+                    parsed = True
+                except MatterBridgeError:
+                    parsed = False
+                assert (pred.value is None) is not parsed
+                assert len(pred.neighbors) == (0 if rag is None else 2)
+                errors[sample.task] += pred.value is None
+            report = evaluate_checkpoint(path, records, samples, rag_store=rag,
+                                         k=2, max_new=max_new)
+            assert {task: entry["parse_errors"]
+                    for task, entry in report.tasks.items()} == errors
 
     def test_predictions_equal_one_sample_at_a_time(self, setup):
         path, records, max_new = setup
@@ -490,14 +549,15 @@ class TestBatchedEval:
             ids, material_prefixes([r.structure for r in records],
                                    models).reshape(len(records), -1),
             model_fingerprint(models))
+        structures = {r.material_id: r.structure for r in records}
         for rag in (None, store):
-            def fresh_cache():
-                return evaluate._AnswerCache(models, records,
-                                             max_new=max_new, store=rag)
-            got = evaluate.predict_samples(fresh_cache(), samples, rag, k=2)
-            want = [evaluate.predict_samples(fresh_cache(), [s], rag, k=2)[0]
-                    for s in samples]
+            got = evaluate.predict_samples(models, structures, samples, rag,
+                                           2, max_new)
+            want = [evaluate.predict_samples(models, structures, [s], rag, 2,
+                                             max_new)[0] for s in samples]
             assert got == want
-            assert any(failed for _, failed in got)
+            assert got == per_answer_predictions(models, structures, samples,
+                                                 rag, 2, max_new)
+            assert any(p.value is None for p in got)
             if path == str(FROZEN_CKPT):
-                assert not all(failed for _, failed in got)
+                assert not all(p.value is None for p in got)
