@@ -23,7 +23,8 @@ first cross-attention, whose batch axes broadcast them over B, and every
 row comes out bitwise as it does alone.  ``rag.material_prefixes`` builds
 every prefix for decoding and embedding this way.  One structure's
 (n_atoms, d_enc) atoms remain a form: the text modes take one structure,
-and finetuning builds each sample's prefix alone (``lm_prefix``).
+finetuning builds each sample's prefix alone (``lm_prefix``), and
+``perfbench``'s ``oracle_decode`` runs one structure in inference mode.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ from .evaluate import (
     DEFAULT_RAG_K,
     NUMERIC_TASKS,
     evaluate_checkpoint,
-    generate_answer,
+    generate_answer,  # not called here: perfbench's tracer test reads it
     predict_samples,
     project_2d_pca,
     write_eval_report,
@@ -135,16 +135,17 @@ def cmd_infer(args, cfg, seed):
     models = restore_models(args.ckpt)
     structure = _structure_from_file(args.structure, args.fmt)
     prompt = render_prompt(args.task, args.template_index)
-    if not args.rag:
-        print(generate_answer(models, material_prefixes([structure], models),
-                              prompt, max_new=args.max_new)[0])
-        return 0
-    store = EmbeddingStore.load(args.store)
-    # the file stands in for --id; the neighbours' prefixes are their
-    # store rows, so no records are read
-    sample = InstructionSample(args.id, args.task, prompt, answer="")
-    [pred] = predict_samples(models, {args.id: structure}, [sample], store,
+    store = EmbeddingStore.load(args.store) if args.rag else None
+    # the query is --id, else the file's own material id; retrieval
+    # excludes it, and the neighbours' prefixes are their store rows, so
+    # no records are read
+    query = structure.material_id if args.id is None else args.id
+    sample = InstructionSample(query, args.task, prompt, answer="")
+    [pred] = predict_samples(models, {query: structure}, [sample], store,
                              args.k, args.max_new)
+    if store is None:
+        print(pred.answer)
+        return 0
     final = pred.value
     if final is None:
         final = pred.answer
@@ -300,7 +301,8 @@ def build_parser():
                         "such as perfbench's infer reads still pass it")
     p.add_argument("--id", default=None,
                    help="store id of the query material, excluded from "
-                        "retrieval")
+                        "retrieval (default: the structure file's own "
+                        "material id)")
     p.add_argument("--k", type=int, default=DEFAULT_RAG_K)
 
     p = add("eval", cmd_eval, "score a checkpoint and write a report")

@@ -11,8 +11,8 @@ With retrieval augmentation the model also decodes each retrieved
 neighbour's answer to the same prompt, and the final prediction
 aggregates the own answer with the neighbours' by majority vote or
 mean.  ``predict_samples`` is the one answer routine of ``eval`` and
-``infer --rag``: one call returns each sample's ``Prediction``, its own
-answer, retrieved neighbour ids and final value.  A material the call
+``infer``, with or without ``--rag``: one call returns each sample's
+``Prediction``, its own answer, retrieved neighbour ids and final value.  A material the call
 has a structure of (an eval record, infer's query) is encoded; any
 other's prefix is its store row, bitwise what its structure gives, so
 ``infer --rag`` reads no records file.  Only the model whose

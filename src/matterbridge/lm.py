@@ -8,7 +8,9 @@ Projected query embeddings are prepended to the token embeddings as a
 soft prefix; logits are emitted for token positions only.  Decoding has
 one form: ``generate_greedy`` maps a (B, n_prefix, d_lm) stack of
 prefixes to B strings; one material is B = 1.  ``lm_forward`` keeps (T,)
-ids next to (B, T) ones, as finetuning feeds one sample at a time.
+ids next to (B, T) ones, as finetuning feeds one sample at a time and
+``perfbench``'s ``oracle_decode`` (the reference decode of its ``infer``
+check) calls that form too.
 
 Tokenization is strict: any character outside the vocabulary raises
 instead of substituting an unknown marker.

@@ -1,9 +1,14 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-A ``Tensor`` wraps a numpy array and, when any input of an operation has
-``requires_grad`` set, records a backward closure so that gradients of a
-scalar loss can be propagated to every traced parameter.  The tape is
-dynamic: it is rebuilt on every forward pass and discarded after
+A ``Tensor`` wraps a numpy array.  An operation builds its output with
+``_make(data, (input, vjp), ...)``: one edge per input, in the input's
+order, whose ``vjp`` maps the output's gradient to that input's
+(its vector-Jacobian product).  Only the edges whose input has
+``requires_grad`` set are kept, and the output needs a gradient exactly
+when one is.  ``backward`` walks the kept edges from a scalar loss,
+calls each vjp once on its node's gradient and adds the result into the
+input's, so the vjp of an input that needs no gradient never runs.  The
+tape is dynamic: it is rebuilt on every forward pass and discarded after
 ``backward``.  Elementwise ops broadcast as numpy does, and the ops a
 transformer runs (``affine``, ``matmul``, ``attention``, ``layer_norm``,
 ``gelu``, ``embedding``, ``concat``, slicing) accept leading batch axes:
@@ -13,7 +18,7 @@ its keys and values, and runs its heads as one more stacked axis.
 
 Gradients accumulate additively into ``.grad`` buffers, so evaluating
 several micro-batches before an optimizer step sums their gradients.
-Inside ``no_grad()`` no operation records anything, so inference builds
+Inside ``no_grad()`` no operation keeps an edge, so inference builds
 no tape whatever its inputs' ``requires_grad``.
 
 ``gelu`` imports scipy's ``erf`` at its first call, not with this
@@ -63,16 +68,15 @@ def _as_array(x):
 
 
 class Tensor:
-    """A float64 array plus an optional backward closure."""
+    """A float64 array plus its ``(input, vjp)`` tape edges."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev")
+    __slots__ = ("data", "grad", "requires_grad", "_edges")
 
     def __init__(self, data, requires_grad=False):
         self.data = _as_array(data)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._backward = None
-        self._prev = ()
+        self._edges = ()
 
     # -- basic introspection -------------------------------------------------
 
@@ -110,13 +114,12 @@ class Tensor:
         topo = _toposort(self)
         self._accumulate(np.ones_like(self.data))
         for node in reversed(topo):
-            if node._backward is not None:
-                node._backward(node.grad)
-            # Free intermediate buffers; leaves keep their gradient.
-            if node._prev:
+            if node._edges:
+                for inp, vjp in node._edges:
+                    inp._accumulate(vjp(node.grad))
+                # Free intermediate buffers; leaves keep their gradient.
                 node.grad = None
-                node._backward = None
-                node._prev = ()
+                node._edges = ()
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -168,24 +171,24 @@ class Tensor:
 
     def log(self):
         x = self.data
-        return _unary(self, np.log(x), lambda g, out: g / x)
+        return _make(np.log(x), (self, lambda g: g / x))
 
     def sigmoid(self):
-        out = 1.0 / (1.0 + np.exp(-self.data))
-        return _unary(self, out, lambda g, o: g * o * (1.0 - o))
+        o = 1.0 / (1.0 + np.exp(-self.data))
+        return _make(o, (self, lambda g: g * o * (1.0 - o)))
 
     def sqrt(self):
-        out = np.sqrt(self.data)
-        return _unary(self, out, lambda g, o: g * 0.5 / o)
+        o = np.sqrt(self.data)
+        return _make(o, (self, lambda g: g * 0.5 / o))
 
     def square(self):
         x = self.data
-        return _unary(self, x * x, lambda g, out: g * 2.0 * x)
+        return _make(x * x, (self, lambda g: g * 2.0 * x))
 
     def clip(self, lo, hi):
         x = self.data
         inside = (x >= lo) & (x <= hi)
-        return _unary(self, np.clip(x, lo, hi), lambda g, out: g * inside)
+        return _make(np.clip(x, lo, hi), (self, lambda g: g * inside))
 
 
 def _wrap(x):
@@ -205,32 +208,20 @@ def _toposort(root):
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._prev:
+        for p, _ in node._edges:
             if id(p) not in seen:
                 stack.append((p, False))
     return order
 
 
-def _make(data, parents, backward):
+def _make(data, *edges):
+    """``data`` as a node keeping the ``(input, vjp)`` edges whose input
+    needs a gradient, and none inside ``no_grad()``."""
     out = Tensor(data)
-    if not _grad_enabled:
-        return out
-    needs = tuple(p for p in parents if p.requires_grad)
-    if needs:
-        out.requires_grad = True
-        out._prev = needs
-        out._backward = backward
+    if _grad_enabled:
+        out._edges = tuple(e for e in edges if e[0].requires_grad)
+        out.requires_grad = bool(out._edges)
     return out
-
-
-def _unary(a, data, vjp):
-    out_data = _as_array(data)
-
-    def _bw(g, a=a, out_data=out_data):
-        if a.requires_grad:
-            a._accumulate(vjp(g, out_data))
-
-    return _make(out_data, (a,), _bw)
 
 
 def _unbroadcast(g, shape):
@@ -257,35 +248,25 @@ def _check_elementwise(a, b):
 
 def _add(a, b):
     _check_elementwise(a, b)
-
-    def _bw(g, a=a, b=b):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
-
-    return _make(a.data + b.data, (a, b), _bw)
+    return _make(a.data + b.data,
+                 (a, lambda g: _unbroadcast(g, a.data.shape)),
+                 (b, lambda g: _unbroadcast(g, b.data.shape)))
 
 
 def _neg(a):
-    return _unary(a, -a.data, lambda g, out: -g)
+    return _make(-a.data, (a, lambda g: -g))
 
 
 def _mul(a, b):
     _check_elementwise(a, b)
-
-    def _bw(g, a=a, b=b):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-    return _make(a.data * b.data, (a, b), _bw)
+    return _make(a.data * b.data,
+                 (a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
+                 (b, lambda g: _unbroadcast(g * a.data, b.data.shape)))
 
 
 def _reciprocal(a):
-    out = 1.0 / a.data
-    return _unary(a, out, lambda g, o: -g * o * o)
+    o = 1.0 / a.data
+    return _make(o, (a, lambda g: -g * o * o))
 
 
 def matmul(a, b):
@@ -296,14 +277,8 @@ def matmul(a, b):
                          f"got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
-
-    def _bw(g, a=a, b=b):
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b._accumulate(_rows(a.data).T @ _rows(g))
-
-    return _make(a.data @ b.data, (a, b), _bw)
+    return _make(a.data @ b.data, (a, lambda g: g @ b.data.T),
+                 (b, lambda g: _rows(a.data).T @ _rows(g)))
 
 
 def _rows(x):
@@ -322,16 +297,9 @@ def affine(x, w, b):
                          f"and {w.shape}")
     if b.shape != (w.shape[1],):
         raise ShapeError(f"affine bias must be ({w.shape[1]},), got {b.shape}")
-
-    def _bw(g, x=x, w=w, b=b):
-        if x.requires_grad:
-            x._accumulate(g @ w.data.T)
-        if w.requires_grad:
-            w._accumulate(_rows(x.data).T @ _rows(g))
-        if b.requires_grad:
-            b._accumulate(_rows(g).sum(axis=0))
-
-    return _make(x.data @ w.data + b.data, (x, w, b), _bw)
+    return _make(x.data @ w.data + b.data, (x, lambda g: g @ w.data.T),
+                 (w, lambda g: _rows(x.data).T @ _rows(g)),
+                 (b, lambda g: _rows(g).sum(axis=0)))
 
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -349,13 +317,8 @@ def gelu(x):
     x = _wrap(x)
     xd = x.data
     e = _erf()(xd * _SQRT_HALF)
-
-    def _bw(g, x=x, xd=xd, e=e):
-        if x.requires_grad:
-            pdf = np.exp(xd * xd * -0.5) * _INV_SQRT_2PI
-            x._accumulate(g * ((e + 1.0) * 0.5 + xd * pdf))
-
-    return _make(xd * e * 0.5 + xd * 0.5, (x,), _bw)
+    return _make(xd * e * 0.5 + xd * 0.5, (x, lambda g: g * (
+        (e + 1.0) * 0.5 + xd * (np.exp(xd * xd * -0.5) * _INV_SQRT_2PI))))
 
 
 def _split_heads(x, n_heads):
@@ -411,43 +374,32 @@ def attention(q, k, v, n_heads, mask=None):
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     probs = e / e.sum(axis=-1, keepdims=True)
     out = _merge_heads(probs @ vh)
+    memo = [None, None]  # q's and k's vjps share one score gradient
 
-    def _bw(g, q=q, k=k, v=v, probs=probs):
-        gh = _split_heads(g, n_heads)
-        dq = dk = dv = None
-        if v.requires_grad:
-            dv = probs.swapaxes(-1, -2) @ gh
-        if q.requires_grad or k.requires_grad:
-            dp = gh @ vh.swapaxes(-1, -2)
+    def score_grad(g):
+        if memo[0] is not g:
+            dp = _split_heads(g, n_heads) @ vh.swapaxes(-1, -2)
             ds = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True))
             ds *= inv_scale
-            if q.requires_grad:
-                dq = ds @ kh
-            if k.requires_grad:
-                dk = ds.swapaxes(-1, -2) @ qh
-        for t, grad in ((q, dq), (k, dk), (v, dv)):
-            if grad is not None:
-                t._accumulate(_unbroadcast(_merge_heads(grad), t.shape))
+            memo[:] = g, ds
+        return memo[1]
 
-    return _make(out, (q, k, v), _bw)
+    def edge(t, vjp_heads):
+        return t, lambda g: _unbroadcast(_merge_heads(vjp_heads(g)), t.shape)
+
+    return _make(out, edge(q, lambda g: score_grad(g) @ kh),
+                 edge(k, lambda g: score_grad(g).swapaxes(-1, -2) @ qh),
+                 edge(v, lambda g: probs.swapaxes(-1, -2)
+                      @ _split_heads(g, n_heads)))
 
 
 def _transpose(a):
-    def _bw(g, a=a):
-        if a.requires_grad:
-            a._accumulate(g.T)
-
-    return _make(a.data.T, (a,), _bw)
+    return _make(a.data.T, (a, lambda g: g.T))
 
 
 def _reshape(a, shape):
     old = a.data.shape
-
-    def _bw(g, a=a, old=old):
-        if a.requires_grad:
-            a._accumulate(g.reshape(old))
-
-    return _make(a.data.reshape(shape), (a,), _bw)
+    return _make(a.data.reshape(shape), (a, lambda g: g.reshape(old)))
 
 
 def _is_basic(key):
@@ -457,41 +409,37 @@ def _is_basic(key):
                for k in keys)
 
 
-def _getitem(a, key):
-    def _bw(g, a=a, key=key):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            if _is_basic(key):
-                full[key] += g
-            else:
-                np.add.at(full, key, g)
-            a._accumulate(full)
+def _scatter(x, key, g):
+    """Zeros shaped like ``x`` with ``g`` added at ``key``: the vjp of
+    ``x[key]``."""
+    full = np.zeros_like(x)
+    if _is_basic(key):
+        full[key] += g
+    else:
+        np.add.at(full, key, g)
+    return full
 
-    return _make(a.data[key], (a,), _bw)
+
+def _getitem(a, key):
+    return _make(a.data[key], (a, lambda g: _scatter(a.data, key, g)))
+
+
+def _spread(g, shape, axis, keepdims):
+    """The gradient of a reduction over ``axis`` broadcast to ``shape``."""
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, shape)
 
 
 def _sum(a, axis, keepdims):
-    def _bw(g, a=a, axis=axis, keepdims=keepdims):
-        if not a.requires_grad:
-            return
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g, a.data.shape).copy())
-
-    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), _bw)
+    return _make(a.data.sum(axis=axis, keepdims=keepdims),
+                 (a, lambda g: _spread(g, a.shape, axis, keepdims).copy()))
 
 
 def _mean(a, axis, keepdims):
     n = a.data.size if axis is None else a.data.shape[axis]
-
-    def _bw(g, a=a, axis=axis, keepdims=keepdims, n=n):
-        if not a.requires_grad:
-            return
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g, a.data.shape) / n)
-
-    return _make(a.data.mean(axis=axis, keepdims=keepdims), (a,), _bw)
+    return _make(a.data.mean(axis=axis, keepdims=keepdims),
+                 (a, lambda g: _spread(g, a.shape, axis, keepdims) / n))
 
 
 def _max(a, axis):
@@ -501,17 +449,14 @@ def _max(a, axis):
     idx = np.argmax(a.data, axis=axis)
     out = np.max(a.data, axis=axis)
 
-    def _bw(g, a=a, axis=axis, idx=idx):
-        if not a.requires_grad:
-            return
+    def vjp(g):
         full = np.zeros_like(a.data)
-        grid = np.indices(idx.shape)
-        sel = list(grid)
+        sel = list(np.indices(idx.shape))
         sel.insert(axis if axis >= 0 else a.data.ndim + axis, idx)
         full[tuple(sel)] = g
-        a._accumulate(full)
+        return full
 
-    return _make(out, (a,), _bw)
+    return _make(out, (a, vjp))
 
 
 def log_softmax(x, axis=-1):
@@ -522,12 +467,7 @@ def log_softmax(x, axis=-1):
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     out = shifted - lse
     p = np.exp(out)
-
-    def _bw(g, x=x, p=p, axis=axis):
-        if x.requires_grad:
-            x._accumulate(g - p * g.sum(axis=axis, keepdims=True))
-
-    return _make(out, (x,), _bw)
+    return _make(out, (x, lambda g: g - p * g.sum(axis=axis, keepdims=True)))
 
 
 def embedding(table, ids):
@@ -543,14 +483,8 @@ def embedding(table, ids):
         raise ShapeError(f"embedding table must be 2-D, got {table.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise ShapeError("id out of table range")
-
-    def _bw(g, table=table, ids=ids):
-        if table.requires_grad:
-            full = np.zeros_like(table.data)
-            np.add.at(full, ids, g)
-            table._accumulate(full)
-
-    return _make(table.data[ids], (table,), _bw)
+    return _make(table.data[ids],
+                 (table, lambda g: _scatter(table.data, ids, g)))
 
 
 def concat(tensors, axis=0):
@@ -558,17 +492,13 @@ def concat(tensors, axis=0):
     if not tensors:
         raise ShapeError("concat of empty list")
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def _bw(g, tensors=tensors, offsets=offsets, axis=axis):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(lo, hi)
-                t._accumulate(g[tuple(sl)])
-
-    return _make(data, tuple(tensors), _bw)
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
+    edges = []
+    for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+        sl = [slice(None)] * data.ndim
+        sl[axis] = slice(lo, hi)
+        edges.append((t, lambda g, sl=tuple(sl): g[sl]))
+    return _make(data, *edges)
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):
@@ -584,15 +514,12 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     xhat = centred * inv
     out = xhat * gamma.data + beta.data
 
-    def _bw(g, x=x, gamma=gamma, beta=beta, xhat=xhat, inv=inv, d=d):
-        if gamma.requires_grad:
-            gamma._accumulate((g * xhat).reshape(-1, d).sum(axis=0))
-        if beta.requires_grad:
-            beta._accumulate(g.reshape(-1, d).sum(axis=0))
-        if x.requires_grad:
-            gg = g * gamma.data
-            m1 = gg.mean(axis=-1, keepdims=True)
-            m2 = (gg * xhat).mean(axis=-1, keepdims=True)
-            x._accumulate((gg - m1 - xhat * m2) * inv)
+    def vjp_x(g):
+        gg = g * gamma.data
+        m1 = gg.mean(axis=-1, keepdims=True)
+        m2 = (gg * xhat).mean(axis=-1, keepdims=True)
+        return (gg - m1 - xhat * m2) * inv
 
-    return _make(out, (x, gamma, beta), _bw)
+    return _make(out, (x, vjp_x),
+                 (gamma, lambda g: (g * xhat).reshape(-1, d).sum(axis=0)),
+                 (beta, lambda g: g.reshape(-1, d).sum(axis=0)))

@@ -367,6 +367,36 @@ class TestPipeline:
             lines = capsys.readouterr().out.splitlines(keepends=True)
             assert lines[0] == f"self: {plain}", task
 
+    def test_infer_rag_query_id_defaults_to_the_file_material_id(
+            self, tmp_path, capsys):
+        # without --id the structure's own material_id is the query, so
+        # a stored query never retrieves itself
+        records = build_fixture_corpus()[0]
+        records_path = str(tmp_path / "records.jsonl")
+        write_property_records(records_path, records)
+        store = str(tmp_path / "store")
+        assert run_cli(["embed", "--ckpt", FROZEN_CKPT, "--records",
+                        records_path, "--out", store]) == 0
+        record = records[0]
+        struct_path = str(tmp_path / "query.json")
+        with open(struct_path, "w", encoding="utf-8") as fh:
+            fh.write(structure_to_json(record.structure))
+        argv = ["infer", "--ckpt", FROZEN_CKPT, "--structure", struct_path,
+                "--task", "bandgap", "--rag", "--store", store]
+        capsys.readouterr()
+        assert run_cli(argv) == 0
+        got = capsys.readouterr().out
+        retrieved = dict(line.split(": ", 1)
+                         for line in got.splitlines())["retrieved"]
+        assert record.material_id not in retrieved.split(",")
+        assert run_cli(argv + ["--id", record.material_id]) == 0
+        assert capsys.readouterr().out == got
+        # an explicit --id still wins
+        assert run_cli(argv + ["--id", records[1].material_id]) == 0
+        other = dict(line.split(": ", 1)
+                     for line in capsys.readouterr().out.splitlines())
+        assert record.material_id in other["retrieved"].split(",")
+
     def test_infer_rag_encodes_each_material_once(self, tmp_path, capsys,
                                                   monkeypatch):
         # k=2: only the query is encoded, the two neighbours' prefixes

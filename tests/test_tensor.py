@@ -12,6 +12,7 @@ from matterbridge.errors import ContractError, ShapeError
 from matterbridge.tensor import (
     NEG_MASK,
     Tensor,
+    _make,
     affine,
     attention,
     concat,
@@ -442,6 +443,20 @@ class TestFusedForward:
                       Tensor(np.ones((2, 3))), 2)
 
 
+class TestTape:
+    def test_vjp_of_a_constant_input_never_runs(self):
+        def boom(g):
+            raise AssertionError("vjp of a constant input was called")
+
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        c = Tensor(np.array([3.0, 4.0]))
+        y = _make(x.data * c.data, (c, boom), (x, lambda g: g * c.data))
+        assert y.requires_grad and [t for t, _ in y._edges] == [x]
+        y.sum().backward()
+        assert x.grad.tolist() == [3.0, 4.0]
+        assert c.grad is None
+
+
 class TestNoGrad:
     def test_records_nothing_inside(self):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
@@ -449,7 +464,7 @@ class TestNoGrad:
         with no_grad():
             assert not grad_enabled()
             y = gelu(affine(x, w, Tensor(np.zeros(2)))).sum()
-        assert not y.requires_grad and y._prev == () and y._backward is None
+        assert not y.requires_grad and y._edges == ()
         assert grad_enabled()
         assert (x * 2.0).sum().requires_grad
 
