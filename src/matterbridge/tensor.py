@@ -8,7 +8,8 @@ order, whose ``vjp`` maps the output's gradient to that input's
 when one is.  ``backward`` walks the kept edges from a scalar loss,
 calls each vjp once on its node's gradient and adds the result into the
 input's, so the vjp of an input that needs no gradient never runs.  The
-tape is dynamic: it is rebuilt on every forward pass and discarded after
+tape is rebuilt on every forward pass and holds no reference cycle, as
+no vjp holds its own output, so reference counting frees it after
 ``backward``.  Elementwise ops broadcast as numpy does, and the ops a
 transformer runs (``affine``, ``matmul``, ``attention``, ``layer_norm``,
 ``gelu``, ``embedding``, ``concat``, slicing) accept leading batch axes:
@@ -21,8 +22,8 @@ several micro-batches before an optimizer step sums their gradients.
 Inside ``no_grad()`` no operation keeps an edge, so inference builds
 no tape whatever its inputs' ``requires_grad``.
 
-``gelu`` imports scipy's ``erf`` at its first call, not with this
-module, so a process that runs no model never loads scipy.
+``gelu`` imports scipy's ``erf`` at its first call, so a process that
+runs no model never loads scipy; only that import leaves cyclic garbage.
 """
 
 from __future__ import annotations

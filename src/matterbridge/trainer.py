@@ -10,7 +10,8 @@ random draw that knows no language, so a frozen one leaves the prefix
 alone to produce well-formed answers, and a gate run with the LM frozen
 parsed none of its 192 classification answers.  Both stages run the
 same optimizer-step loop, ``_train_stage``; they differ only in the
-micro-batch loss they hand it.
+micro-batch loss they hand it.  The loop pauses the cyclic garbage
+collector until the stage ends, as a tape holds no cycle (see ``tensor``).
 
 Determinism contract: every random draw (epoch shuffles, hard-negative
 sampling, caption template picks) comes from a stateless stream derived
@@ -21,6 +22,7 @@ loss traces and checkpoints.
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import math
 import os
@@ -267,10 +269,13 @@ def load_checkpoint(path):
     missing = [key for key in MANIFEST_KEYS if key not in manifest]
     if missing or not (isinstance(manifest["vocab"], list)
                        and isinstance(manifest["tensors"], list)
-                       and isinstance(manifest["config_hash"], str)):
+                       and isinstance(manifest["config_hash"], str)
+                       and manifest["stage"] in STAGES
+                       and type(manifest["step"]) is int
+                       and manifest["step"] >= 0):
         raise CheckpointError(f"{path}: manifest needs the keys "
-                              f"{list(MANIFEST_KEYS)}, vocab/tensors lists "
-                              f"and a string config_hash")
+                              f"{list(MANIFEST_KEYS)}, vocab/tensors lists, "
+                              f"a str config_hash, stage in {STAGES}, step>=0")
     body = raw[8 + n_manifest:]
     arrays = {}
     for rec in manifest["tensors"]:
@@ -433,7 +438,7 @@ def _train_stage(stage, items, micro_loss, models, cfg, seed, log_path,
     tensor of the micro-batch at offset k of the window (one of n_micro)
     and its three detached parts; gradients, losses and parts are summed
     over the window.  Returns the final checkpoint path when ckpt_dir is
-    given, else the trained bundle.
+    given, else the trained bundle.  Pauses GC until then: tapes are acyclic.
     """
     accum, epochs = {
         "pretrain": (cfg.pretrain_accum, cfg.pretrain_epochs),
@@ -446,6 +451,8 @@ def _train_stage(stage, items, micro_loss, models, cfg, seed, log_path,
     warmup = warmup_steps_for(total_steps, cfg)
     log = _LossLog(log_path)
     step = 0
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         for epoch in range(epochs):
             order = _epoch_order(len(items), seed, stage, epoch)
@@ -473,6 +480,8 @@ def _train_stage(stage, items, micro_loss, models, cfg, seed, log_path,
                         step)
     finally:
         log.close()
+        if gc_was_enabled:
+            gc.enable()
     return _save_stage(ckpt_dir, "final", models, cfg, stage, step)
 
 

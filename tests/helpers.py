@@ -1,15 +1,18 @@
-"""Independent oracles and generators shared across test modules.
+"""Independent oracles, generators and a collector pause for the tests.
 
 These deliberately re-derive results by a different route than the
 package (scalar loops, wider enumeration margins) so agreement is
 evidence, not tautology.
 """
 
+import contextlib
+import gc
 import itertools
 
 import numpy as np
 
 from matterbridge.crystal import Structure
+from matterbridge.tensor import Tensor, gelu
 
 
 def supercell_neighbor_list(s, cutoff):
@@ -63,3 +66,20 @@ def random_structure(rng, n_min=1, n_max=8):
         species=species,
         frac_coords=frac,
     )
+
+
+@contextlib.contextmanager
+def collector_paused():
+    """Run the block with Python's cyclic garbage collector off and no
+    cyclic garbage left from before, so ``gc.collect()`` inside it counts
+    only the cycles the block made.  GELU runs once first: its first call
+    imports scipy, which leaves cyclic garbage once per process."""
+    gelu(Tensor(np.zeros(1)))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()

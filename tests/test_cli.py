@@ -690,6 +690,10 @@ CORRUPTIONS = {
     "ckpt-vocab-not-a-list": ("ckpt", lambda m: {**m, "vocab": 5}),
     "ckpt-config-hash-not-a-string":
         ("ckpt", lambda m: {**m, "config_hash": 5}),
+    "ckpt-stage-unknown": ("ckpt", lambda m: {**m, "stage": 5}),
+    "ckpt-step-not-an-integer": ("ckpt", lambda m: {**m, "step": "a"}),
+    "ckpt-step-a-bool": ("ckpt", lambda m: {**m, "step": True}),
+    "ckpt-step-negative": ("ckpt", lambda m: {**m, "step": -1}),
     # ckpt-body: the tensor bytes after the manifest
     "ckpt-body-nan": ("ckpt-body", _every_7th_float(np.nan)),
     "ckpt-body-inf": ("ckpt-body", _every_7th_float(-np.inf)),

@@ -2,12 +2,15 @@
 against central finite differences, fused ops bitwise against the
 composites they replace."""
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
+from helpers import collector_paused
 from matterbridge.errors import ContractError, ShapeError
 from matterbridge.tensor import (
     NEG_MASK,
@@ -443,7 +446,48 @@ class TestFusedForward:
                       Tensor(np.ones((2, 3))), 2)
 
 
+def _elementwise_loss(t):
+    a, pos = t(3, 4), t(3, 4).square() + 1.0
+    mixed = (a + t(4)) * t(3, 1) - a.square() / pos.sqrt()
+    return (mixed.sigmoid() + pos.log() - (-a).clip(-0.5, 0.5)).sum()
+
+
+# one loss per differentiable op, built from fresh leaves t(*shape)
+TAPE_LOSSES = {
+    "affine": lambda t: affine(t(2, 3, 4), t(4, 2), t(2)).sum(),
+    "matmul": lambda t: matmul(t(2, 3, 4), t(4, 2)).sum(),
+    "attention-masked": lambda t: attention(
+        t(3, 4), t(3, 4), t(3, 4), 2,
+        mask=np.tril(np.ones((3, 3), dtype=bool))).sum(),
+    "layer_norm": lambda t: layer_norm(t(3, 4), t(4), t(4)).sum(),
+    "gelu": lambda t: gelu(t(3, 4)).sum(),
+    "embedding": lambda t: embedding(t(5, 3), [[0, 2, 2], [4, 1, 0]]).sum(),
+    "concat": lambda t: concat([t(2, 3), t(1, 3)], axis=0).sum(),
+    "slicing": lambda t: t(3, 4)[1:, ::2].sum() + t(3, 4)[[0, 0, 2]].sum(),
+    "max": lambda t: t(3, 4).max(axis=1).sum(),
+    "log_softmax": lambda t: log_softmax(t(3, 4)).sum(),
+    "sum-mean": lambda t: t(3, 4).sum(axis=0).mean(),
+    "reshape-T": lambda t: t(3, 4).reshape(4, 3).T.sum(),
+    "elementwise": _elementwise_loss,
+}
+
+
 class TestTape:
+    @pytest.mark.parametrize("op", sorted(TAPE_LOSSES))
+    def test_tape_holds_no_reference_cycle(self, op):
+        # training pauses the cyclic collector, so reference counting
+        # alone must free a tape once backward has run
+        rng = np.random.default_rng(0)
+
+        def leaf(*shape):
+            return Tensor(rng.standard_normal(shape), requires_grad=True)
+
+        with collector_paused():
+            loss = TAPE_LOSSES[op](leaf)
+            loss.backward()
+            del loss
+            assert gc.collect() == 0
+
     def test_vjp_of_a_constant_input_never_runs(self):
         def boom(g):
             raise AssertionError("vjp of a constant input was called")

@@ -1,10 +1,12 @@
 """Optimizer, schedule, checkpoint, and training-loop behavior."""
 
+import gc
 import os
 
 import numpy as np
 import pytest
 
+from helpers import collector_paused
 from matterbridge.config import (Config, config_from_dict, config_hash,
                                  load_config, save_config)
 from matterbridge.datasetgen import (build_instruction_corpus,
@@ -400,6 +402,7 @@ class TestPretrainLoop:
         models.bridge.params["queries"].data[0, 0] = np.nan
         with pytest.raises(ContractError, match="step 1"):
             tr.pretrain(records, models, cfg, seed=17)
+        assert gc.isenabled()
 
     def test_log_columns(self, tmp_path):
         cfg = small_config()
@@ -415,7 +418,7 @@ class TestPretrainLoop:
         assert row["loss"] == pytest.approx(
             row["contrastive"] + row["prediction"] + row["association"],
             rel=1e-9)
-        assert row["lr"] == 1e-5 if cfg.warmup_start_lr == 1e-5 else True
+        assert row["lr"] == cfg.warmup_start_lr
 
     def test_checkpoint_files_written(self, tmp_path):
         cfg = small_config(pretrain_epochs=2, checkpoint_interval=1)
@@ -502,6 +505,42 @@ class TestFinetuneLoop:
                     log_path=log)
         rows = tr.read_loss_log(log)
         assert rows[-1]["loss"] < 0.1 * rows[0]["loss"]
+
+
+class TestCollectorPause:
+    """Training pauses the cyclic garbage collector and restores it."""
+
+    def setup_method(self):
+        self.cfg = small_config()
+        self.records = generate_synthetic_records(seed=3, n=4)
+        self.samples = build_instruction_corpus(self.records, seed=2)[:8]
+
+    def _both_stages(self, tmp_path, entry_state):
+        models = tr.build_models(self.cfg, seed=17)
+        ckpt = tr.pretrain(self.records, models, self.cfg, seed=17,
+                           ckpt_dir=tmp_path)
+        assert gc.isenabled() == entry_state
+        tr.finetune(self.samples, self.records, ckpt, self.cfg, seed=17)
+        assert gc.isenabled() == entry_state
+
+    def test_off_inside_a_micro_batch_and_on_after(self, tmp_path,
+                                                   monkeypatch):
+        seen = []
+        micro_loss = tr._pretrain_micro_loss
+
+        def spy(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return micro_loss(*args, **kwargs)
+
+        monkeypatch.setattr(tr, "_pretrain_micro_loss", spy)
+        assert gc.isenabled()
+        self._both_stages(tmp_path, entry_state=True)
+        assert seen and not any(seen)
+
+    def test_stays_off_when_off_and_leaves_no_cyclic_garbage(self, tmp_path):
+        with collector_paused():
+            self._both_stages(tmp_path, entry_state=False)
+            assert gc.collect() == 0
 
 
 class TestWindowArithmetic:
