@@ -75,6 +75,13 @@ def _structure_from_file(path, fmt):
         return parse_structure(fh.read(), fmt)
 
 
+def _rag_store(args):
+    """The --rag store, or None without --rag; each flag needs the other."""
+    if args.rag != bool(args.store):
+        raise ValidationError("--rag and --store go together")
+    return EmbeddingStore.load(args.store) if args.rag else None
+
+
 # -- subcommand bodies -------------------------------------------------------
 
 
@@ -130,12 +137,10 @@ def cmd_infer(args, cfg, seed):
     if args.task not in TASKS:
         raise ValidationError(
             f"unknown task {args.task!r}; choose from {', '.join(TASKS)}")
-    if args.rag and not args.store:
-        raise ValidationError("--rag needs --store")
+    store = _rag_store(args)
     models = restore_models(args.ckpt)
     structure = _structure_from_file(args.structure, args.fmt)
     prompt = render_prompt(args.task, args.template_index)
-    store = EmbeddingStore.load(args.store) if args.rag else None
     # the query is --id, else the file's own material id; retrieval
     # excludes it, and the neighbours' prefixes are their store rows, so
     # no records are read
@@ -160,11 +165,7 @@ def cmd_infer(args, cfg, seed):
 def cmd_eval(args, cfg, seed):
     records = load_property_records(args.records)
     samples = load_instruction_samples(args.samples)
-    store = None
-    if args.rag:
-        if not args.store:
-            raise ValidationError("--rag needs --store")
-        store = EmbeddingStore.load(args.store)
+    store = _rag_store(args)
     report = evaluate_checkpoint(args.ckpt, records, samples,
                                  rag_store=store, k=args.k,
                                  max_new=args.max_new)

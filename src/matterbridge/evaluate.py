@@ -153,16 +153,13 @@ def generate_answer(models, prefixes, prompt, max_new=None):
     ``prefixes`` is a (B, n_q, d_lm) stack of B materials' prefixes
     (``rag.material_prefixes``); the B answers come from one batched
     ``lm.generate_greedy`` call, each equal to the answer decoded alone.
+    A prompt that exactly fills the LM context decodes one symbol, and
+    one that overflows it raises the LM's ``ContractError``.
     """
     if not prompt:
         raise ValidationError("prompt must be nonempty")
     vocab = models.vocab
     ids = [vocab.bos_id] + vocab.tokenize(prompt) + [vocab.sep_id]
-    room = models.lm.max_len - prefixes.shape[-2] - len(ids)
-    if room < 1:
-        raise ValidationError(
-            f"prompt of {len(ids)} symbols leaves no room to generate "
-            f"within max_len {models.lm.max_len}")
     return generate_greedy(
         prefixes, ids, DEFAULT_MAX_NEW if max_new is None else max_new,
         models.lm)

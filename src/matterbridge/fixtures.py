@@ -3,9 +3,9 @@
 The fixture corpus is regenerated bit-identically from a fixed seed by
 the dataset generator, so the shipped files are pure convenience plus
 drift detection: verification re-derives everything, compares bytes
-line by line, checks SHA-256 sums of the corpus and of every template
-file, and re-validates each shipped sample against the template
-registry.
+line by line, and checks SHA-256 sums of the corpus and of every
+template file; the regeneration renders each sample from the current
+templates, so a match vouches for every shipped prompt and answer.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .datasetgen import (
 )
 from .errors import ValidationError
 from .ioutil import atomic_write, canonical_json, parse_jsonl
-from .templates import AUXILIARY, TASKS, get_templates, render_answer
+from .templates import AUXILIARY, TASKS
 
 FIXTURE_SEED = 42
 FIXTURE_COUNT = 32
@@ -131,25 +131,6 @@ def _diff_lines(report, name, shipped, regenerated):
         report.fail(f"{name} has {len(a)} lines, regeneration has {len(b)}")
 
 
-def _validate_samples(report, records, samples):
-    by_id = {r.material_id: r for r in records}
-    for idx, s in enumerate(samples):
-        rec = by_id.get(s.material_id)
-        if rec is None:
-            report.fail(f"sample {idx} references unknown material "
-                        f"{s.material_id!r}")
-            continue
-        group = get_templates(s.task)
-        if s.prompt not in group.instructions:
-            report.fail(f"sample {idx} prompt not in the {s.task} "
-                        f"instruction templates")
-        renders = {render_answer(rec, s.task, i)
-                   for i in range(len(group.answers))}
-        if s.answer not in renders:
-            report.fail(f"sample {idx} answer not derivable from the "
-                        f"{s.task} answer templates")
-
-
 def verify_fixtures(fixture_dir=None):
     """Pass/fail report on fixture integrity against seed and templates."""
     report = VerifyReport()
@@ -200,10 +181,8 @@ def verify_fixtures(fixture_dir=None):
                 _samples_text(samples).encode("utf-8"))
 
     try:
-        shipped_records = _parse(shipped[RECORDS_FILE], record_from_dict)
-        shipped_samples = _parse(shipped[SAMPLES_FILE], sample_from_dict)
+        _parse(shipped[RECORDS_FILE], record_from_dict)
+        _parse(shipped[SAMPLES_FILE], sample_from_dict)
     except ValidationError as e:
         report.fail(f"fixture corpus failed to parse: {e}")
-        return report
-    _validate_samples(report, shipped_records, shipped_samples)
     return report

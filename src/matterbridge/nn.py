@@ -19,12 +19,11 @@ from .tensor import Tensor, affine, attention, gelu, grad_enabled, layer_norm
 __all__ = ["KVCache", "multi_head_attention", "feed_forward", "init_weight"]
 
 
-def init_weight(rng, fan_in, fan_out=None, scale=None):
+def init_weight(rng, fan_in, fan_out, scale=None):
     """Seeded normal draw scaled by 1/sqrt(fan_in) (or an explicit scale)."""
     if scale is None:
         scale = 1.0 / np.sqrt(fan_in)
-    shape = (fan_in,) if fan_out is None else (fan_in, fan_out)
-    return rng.standard_normal(shape) * scale
+    return rng.standard_normal((fan_in, fan_out)) * scale
 
 
 class KVCache:

@@ -22,7 +22,6 @@ the model's own answer.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from typing import NamedTuple
 
@@ -30,7 +29,7 @@ import numpy as np
 
 from .bridge import lm_prefix
 from .errors import ContractError, ValidationError
-from .ioutil import atomic_write, canonical_json
+from .ioutil import atomic_write, canonical_json, load_json
 from .tensor import no_grad
 from .trainer import all_tensors, encode_structure
 
@@ -149,13 +148,9 @@ class EmbeddingStore:
         json_path = os.path.join(directory, STORE_JSON)
         bin_path = os.path.join(directory, STORE_BIN)
         try:
-            with open(json_path, "r", encoding="utf-8") as fh:
-                meta = json.load(fh)
+            meta = load_json(json_path)
         except FileNotFoundError:
             raise ValidationError(f"missing {json_path}") from None
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
-            raise ValidationError(f"{json_path} is not valid JSON: {e}") \
-                from None
         try:
             with open(bin_path, "rb") as fh:
                 raw = fh.read()

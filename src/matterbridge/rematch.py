@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .soap import soap_descriptor
+from .soap import is_number, soap_descriptor
 
 # padded kernel entries per lockstep block: the 171 pairs of 18 structures
 # of 1-9 atoms fit one block, and a larger pair is solved alone, unpadded
@@ -34,10 +34,6 @@ _BLOCK_ELEMENTS = 1 << 15
 _CHUNK_ELEMENTS = 1 << 20
 
 
-def _is_real(x):
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-
 @dataclass(frozen=True)
 class RematchConfig:
     alpha: float = 1.0
@@ -45,16 +41,15 @@ class RematchConfig:
     max_iter: int = 100000
 
     def __post_init__(self):
-        if not (_is_real(self.alpha) and 0 < self.alpha < math.inf):
+        if not (is_number(self.alpha) and 0 < self.alpha < math.inf):
             raise ValidationError(
                 f"alpha must be positive and finite, got {self.alpha!r}")
         # an infinite threshold would accept any plan at iteration 1
-        if not (_is_real(self.threshold) and 0 < self.threshold < math.inf):
+        if not (is_number(self.threshold) and 0 < self.threshold < math.inf):
             raise ValidationError(
                 f"threshold must be positive and finite, got "
                 f"{self.threshold!r}")
-        if not (isinstance(self.max_iter, numbers.Integral)
-                and not isinstance(self.max_iter, bool)
+        if not (is_number(self.max_iter, numbers.Integral)
                 and self.max_iter >= 1):
             raise ValidationError(
                 f"max_iter must be an integer >= 1, got {self.max_iter!r}")

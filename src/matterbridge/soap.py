@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,11 @@ MAX_L = 12
 MAX_N = 10
 
 
+def is_number(x, kind=numbers.Real):
+    """Whether x is a ``kind`` number (real, or integral) and not a bool."""
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class SoapConfig:
     r_cut: float = 6.0
@@ -57,21 +63,24 @@ class SoapConfig:
     species: tuple = DEFAULT_SPECIES
 
     def __post_init__(self):
-        if not 0 < self.r_cut < math.inf:
+        if not (is_number(self.r_cut) and 0 < self.r_cut < math.inf):
             raise ValidationError(
-                f"r_cut must be positive and finite, got {self.r_cut}")
-        if not 1 <= self.n_max <= MAX_N:
-            raise ValidationError(
-                f"n_max must be between 1 and {MAX_N}, got {self.n_max}")
-        if not 1 <= self.l_max <= MAX_L:
-            raise ValidationError(
-                f"l_max must be between 1 and {MAX_L}, got {self.l_max}")
+                f"r_cut must be positive and finite, got {self.r_cut!r}")
+        if not (is_number(self.n_max, numbers.Integral)
+                and 1 <= self.n_max <= MAX_N):
+            raise ValidationError(f"n_max must be between 1 and {MAX_N} "
+                                  f"(an integer), got {self.n_max!r}")
+        if not (is_number(self.l_max, numbers.Integral)
+                and 1 <= self.l_max <= MAX_L):
+            raise ValidationError(f"l_max must be between 1 and {MAX_L} "
+                                  f"(an integer), got {self.l_max!r}")
         # the Gaussian exponent 1 / (2 sigma^2) must be finite too
-        if not (0 < self.sigma < math.inf and self.sigma * self.sigma > 0
+        if not (is_number(self.sigma) and 0 < self.sigma < math.inf
+                and self.sigma * self.sigma > 0
                 and 0.5 / (self.sigma * self.sigma) < math.inf):
             raise ValidationError(
                 f"sigma must be positive and finite with 1/(2 sigma^2) "
-                f"finite, got {self.sigma}")
+                f"finite, got {self.sigma!r}")
         if len(set(self.species)) != len(self.species) or not self.species:
             raise ValidationError("species registry must be nonempty, unique")
         object.__setattr__(self, "species", tuple(self.species))

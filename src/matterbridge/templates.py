@@ -16,6 +16,7 @@ classification task's closed label set (``LABELS``).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from importlib import resources
 
@@ -74,6 +75,7 @@ class TemplateGroup:
     auxiliary: bool
 
 
+@functools.cache
 def _load_group(task):
     ref = resources.files("matterbridge.data.templates").joinpath(f"{task}.txt")
     section = None
@@ -95,15 +97,10 @@ def _load_group(task):
     )
 
 
-_CACHE = {}
-
-
 def get_templates(task):
     if task not in TASKS and task not in AUXILIARY:
         raise ContractError(f"unknown task {task!r}")
-    if task not in _CACHE:
-        _CACHE[task] = _load_group(task)
-    return _CACHE[task]
+    return _load_group(task)
 
 
 def format_value(x, task):

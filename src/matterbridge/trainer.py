@@ -34,7 +34,7 @@ import numpy as np
 
 from .bridge import (BridgeParams, bridge_forward, init_bridge, lm_prefix,
                      match_score, text_logits)
-from .config import config_hash
+from .config import config_from_dict, config_hash
 from .crystal import build_graph
 from .encoder import EncoderParams, encode_atoms, init_encoder
 from .errors import CheckpointError, ContractError, ValidationError
@@ -42,6 +42,7 @@ from .ioutil import atomic_write, canonical_json
 from .lm import LmParams, Vocab, default_vocab, init_lm, lm_forward
 from .objectives import (association_loss, contrastive_loss, finetune_loss,
                          hard_negative_sample, lm_token_loss, sim_matrix)
+from .templates import get_templates, render_answer
 from .tensor import Tensor, concat
 
 CHECKPOINT_FORMAT = "bridge-checkpoint-v1"
@@ -322,8 +323,6 @@ def restore_models(ckpt, cfg=None):
     """
     ckpt = as_checkpoint(ckpt)
     if cfg is None:
-        from .config import config_from_dict
-
         cfg = config_from_dict(ckpt.manifest["config"])
     models = build_models(cfg)
     if list(models.vocab.symbols) != list(ckpt.manifest["vocab"]):
@@ -394,8 +393,6 @@ def caption_for(record, seed):
     The template index is a deterministic per-material draw from the run
     seed, so the caption never changes between epochs or runs.
     """
-    from .templates import get_templates, render_answer
-
     group = get_templates("formula")
     rng = stream_rng(seed, "caption-" + record.material_id)
     idx = int(rng.integers(len(group.answers)))

@@ -496,18 +496,32 @@ class TestPipeline:
         assert reports[0] == reports[1]
         assert json.loads(reports[0])["n_samples"] == 9
 
-    def test_rag_without_store_is_an_error(self, workspace, capsys):
+    @pytest.mark.parametrize("command", ["infer", "eval"])
+    @pytest.mark.parametrize("flags", [["--rag"], ["--store", "store"]],
+                             ids=["rag-alone", "store-alone"])
+    def test_rag_without_store_is_an_error(self, workspace, capsys, command,
+                                           flags):
+        # --rag and --store go together; either one alone is an error
         data = workspace["data"]
         ckpt = str(workspace["ckpt"])
         tmp = workspace["tmp"]
         records = load_property_records(str(data / "records_train.jsonl"))
-        struct_path = str(tmp / "query.json")
-        with open(struct_path, "w", encoding="utf-8") as fh:
-            fh.write(structure_to_json(records[0].structure))
-        rc = run_cli(["infer", "--ckpt", ckpt, "--structure", struct_path,
-                      "--task", "is_metal", "--rag"])
+        if command == "infer":
+            struct_path = str(tmp / "query.json")
+            with open(struct_path, "w", encoding="utf-8") as fh:
+                fh.write(structure_to_json(records[0].structure))
+            argv = ["infer", "--ckpt", ckpt, "--structure", struct_path,
+                    "--task", "is_metal"]
+        else:
+            argv = ["eval", "--ckpt", ckpt,
+                    "--records", str(data / "records_train.jsonl"),
+                    "--samples", str(data / "samples_train.jsonl"),
+                    "--out", str(tmp / "report.json")]
+        rc = run_cli(argv + ["--max-new", "4"] + flags)
         assert rc == 1
-        assert "--store" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--store" in err
+        assert not (tmp / "report.json").exists()
 
     def test_unknown_task_is_an_error(self, workspace, capsys):
         tmp = workspace["tmp"]

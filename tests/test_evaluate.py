@@ -248,12 +248,25 @@ class TestGeneration:
             generate_answer(models, prefixes[0], "Is this a metal?", 4)
 
     def test_prompt_must_leave_room(self):
+        # the LM's own length rule rejects an overflowing prompt
         cfg = small_config()
         models = build_models(cfg, 3)
         rec = generate_synthetic_records(8, 2)[0]
         prefixes = material_prefixes([rec.structure], models)
-        with pytest.raises(ValidationError, match="room"):
+        with pytest.raises(ContractError, match="exceeds"):
             generate_answer(models, prefixes, "x" * 320, max_new=4)
+
+    def test_prompt_that_fills_the_context_decodes_one_symbol(self):
+        # as lm.generate_greedy does; an untrained model writes no EOS
+        models = build_models(Config(), 3)
+        rec = generate_synthetic_records(8, 2)[0]
+        prefixes = material_prefixes([rec.structure], models)
+        # BOS + n symbols + SEP end exactly at the last context position
+        n = models.lm.max_len - prefixes.shape[1] - 2
+        [one] = generate_answer(models, prefixes, "x" * n, max_new=4)
+        assert len(one) == 1
+        [two] = generate_answer(models, prefixes, "x" * (n - 1), max_new=4)
+        assert len(two) == 2
 
     def test_max_new_past_the_room_stops_at_the_context(self):
         # an untrained model writes no EOS, so it fills the context

@@ -137,13 +137,30 @@ class TestConfig:
         ("l_max", 100000, f"l_max must be between 1 and {MAX_L}"),
         ("n_max", MAX_N + 1, f"n_max must be between 1 and {MAX_N}"),
         ("n_max", 10 ** 8, f"n_max must be between 1 and {MAX_N}"),
+        # RematchConfig's rule: a real number, or an integer, never a bool
+        ("n_max", 2.5, "n_max must be between 1 and"),
+        ("n_max", True, "n_max must be between 1 and"),
+        ("n_max", "8", "n_max must be between 1 and"),
+        ("l_max", True, "l_max must be between 1 and"),
+        ("l_max", 6.0, "l_max must be between 1 and"),
+        ("r_cut", True, "r_cut must be positive and finite"),
+        ("r_cut", "6.0", "r_cut must be positive and finite"),
+        ("sigma", "0.5", "sigma must be positive and finite"),
+        ("sigma", True, "sigma must be positive and finite"),
     ], ids=["r_cut-inf", "r_cut-nan", "sigma-inf", "sigma-nan",
             "sigma-1e-200", "sigma-1e-155", "l_max-13", "l_max-100000",
-            "n_max-11", "n_max-1e8"])
+            "n_max-11", "n_max-1e8", "n_max-2.5", "n_max-bool", "n_max-str",
+            "l_max-bool", "l_max-float", "r_cut-bool", "r_cut-str",
+            "sigma-str", "sigma-bool"])
     def test_rejects_nonfinite_and_untested_settings(self, field, value,
                                                      message):
         with pytest.raises(ValidationError, match=re.escape(message)):
             SoapConfig(**{field: value})
+
+    def test_accepts_numpy_scalars(self):
+        cfg = SoapConfig(r_cut=np.float64(5.0), n_max=np.int64(4),
+                         l_max=np.int32(3), sigma=np.float32(0.5))
+        assert cfg.n_max == 4 and descriptor_length(cfg) > 0
 
     def test_caps_are_the_tested_orders(self):
         SoapConfig(l_max=MAX_L, n_max=MAX_N)
