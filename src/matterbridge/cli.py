@@ -194,10 +194,11 @@ def cmd_embed(args, cfg, seed):
 
 def cmd_retrieve(args, cfg, seed):
     store = EmbeddingStore.load(args.store)
-    if args.query_id not in store.ids:
+    row = store.row_of(args.query_id)
+    if row is None:
         raise ValidationError(
             f"query id {args.query_id!r} not in store")
-    query = store.matrix[store.ids.index(args.query_id)]
+    query = store.matrix[row]
     exclude = None if args.include_self else args.query_id
     for hit in retrieve_topk(store, query, args.k, exclude_id=exclude):
         print(f"{hit.material_id} {hit.distance!r}")

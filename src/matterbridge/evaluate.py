@@ -209,14 +209,14 @@ def predict_samples(models, structures, samples, store=None,
         for m in dict.fromkeys(material_ids):
             if m in prefixes:
                 continue
+            row = None if store is None else store.row_of(m)
             if m in structures:
                 encode.append(m)
-            elif store is None or m not in store._index:
+            elif row is None:
                 raise ValidationError(
                     f"unknown material {m!r}: not in the records or store")
             else:
-                prefixes[m] = store.matrix[store._index[m]].reshape(
-                    bp.n_q, bp.d_lm)
+                prefixes[m] = store.matrix[row].reshape(bp.n_q, bp.d_lm)
         if encode:
             prefixes.update(zip(encode, material_prefixes(
                 [structures[m] for m in encode], models)))

@@ -8,7 +8,12 @@ bitwise what its structure gives alone.  ``embed_material``, one
 structure's vector, stays for the benchmark's ``infer`` check.  A store
 holds material ids, one matrix of those vectors and the fingerprint of
 the model that built them (``model_fingerprint``), nothing else.
-Retrieval ranks the stored materials by L2 distance to a query, and
+``EmbeddingStore.load`` maps ``store.bin`` read-only, so a read copies
+no store bytes; a store must therefore be replaced, as ``embed`` does
+through ``atomic_write``, and never edited in place while a process
+reads it.  Retrieval ranks the stored materials by L2 distance to a
+query, scanning the matrix in row blocks into one reused buffer; each
+distance is bitwise what one pass over the whole matrix gives, and
 retrieval-augmented answering decodes each neighbour's answer with the
 same prompt: one ``evaluate.predict_samples`` call returns each
 sample's own answer, neighbour ids and final value.  The prefix of a
@@ -22,6 +27,7 @@ the model's own answer.
 from __future__ import annotations
 
 import hashlib
+import mmap
 import os
 from typing import NamedTuple
 
@@ -40,6 +46,11 @@ STORE_JSON = "store.json"
 # per pass, and 2,048 took 539, 142, 129, 128 and 152 ms at 1, 16, 32,
 # 64 and 256 (medians of 7, BLAS on one thread).
 PREFIX_ROWS = 32
+# Store rows one distance block takes (64 x 768 float64 is 384 kB).  A
+# 2,048 x 768 store freshly mapped took 6.8, 4.5, 3.7, 3.4, 3.2, 3.2
+# and 3.9 ms per query in one pass and at 8, 16, 32, 64, 128 and 256
+# rows per block (medians of 15, BLAS on one thread).
+DISTANCE_ROWS = 64
 
 
 def material_prefixes(structures, models):
@@ -97,13 +108,14 @@ class EmbeddingStore:
     the model that built the rows, or None for a store that records none.
     On disk a store is ``store.bin`` (the matrix as little-endian float64,
     row-major) and ``store.json`` (``stride``, ``count``, ``ids`` and,
-    when known, ``fingerprint``).
+    when known, ``fingerprint``).  A loaded matrix is a read-only view of
+    ``store.bin`` mapped into memory.
     """
 
     def __init__(self, ids, matrix, fingerprint=None):
         if not isinstance(ids, list):
             raise ValidationError("store ids must be a list")
-        matrix = np.asarray(matrix, dtype=np.float64)
+        matrix = np.ascontiguousarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[1] < 1:
             raise ValidationError("store matrix must be 2-D with stride >= 1")
         if len(ids) != matrix.shape[0]:
@@ -131,11 +143,14 @@ class EmbeddingStore:
     def stride(self):
         return self.matrix.shape[1]
 
+    def row_of(self, material_id):
+        """The row index of material_id, or None if it is not stored."""
+        return self._index.get(material_id)
+
     def save(self, directory):
         os.makedirs(directory, exist_ok=True)
-        blob = np.ascontiguousarray(self.matrix, dtype="<f8").tobytes()
         with atomic_write(os.path.join(directory, STORE_BIN)) as fh:
-            fh.write(blob)
+            fh.write(np.ascontiguousarray(self.matrix, dtype="<f8"))
         meta = {"stride": self.stride, "count": len(self), "ids": self.ids}
         if self.fingerprint is not None:
             meta["fingerprint"] = self.fingerprint
@@ -153,7 +168,9 @@ class EmbeddingStore:
             raise ValidationError(f"missing {json_path}") from None
         try:
             with open(bin_path, "rb") as fh:
-                raw = fh.read()
+                # an empty file cannot be mapped
+                raw = (mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+                       if os.fstat(fh.fileno()).st_size else b"")
         except FileNotFoundError:
             raise ValidationError(f"missing {bin_path}") from None
         if not (isinstance(meta, dict)
@@ -186,6 +203,10 @@ def retrieve_topk(store, query, k, exclude_id=None):
     Ties keep store order.  The material whose id equals exclude_id is
     skipped, so a stored material never retrieves itself.  A query with
     a NaN or infinite entry raises ValidationError, as a stored one does.
+    Distances are computed DISTANCE_ROWS rows at a time in one reused
+    buffer; each row is still one sum over its own contiguous squares,
+    so every distance is bitwise the one-pass
+    ``np.sqrt(((matrix - query) ** 2).sum(axis=1))``.
     """
     query = np.asarray(query, dtype=np.float64).ravel()
     if query.shape != (store.stride,):
@@ -194,16 +215,23 @@ def retrieve_topk(store, query, k, exclude_id=None):
     if not np.isfinite(query).all():
         raise ValidationError("query embedding is not finite")
     rows = np.arange(len(store))
-    if exclude_id in store._index:
-        rows = np.delete(rows, store._index[exclude_id])
+    skip = store.row_of(exclude_id)
+    if skip is not None:
+        rows = np.delete(rows, skip)
     if k < 1:
         raise ValidationError("k must be >= 1")
     if k > len(rows):
         raise ValidationError(
             f"k={k} exceeds the {len(rows)} available records")
-    diff = store.matrix - query
-    diff *= diff
-    dists = np.sqrt(diff.sum(axis=1))
+    dists = np.empty(len(store))
+    buf = np.empty((min(DISTANCE_ROWS, len(store)), store.stride))
+    for lo in range(0, len(store), DISTANCE_ROWS):
+        hi = min(lo + DISTANCE_ROWS, len(store))
+        diff = buf[:hi - lo]
+        np.subtract(store.matrix[lo:hi], query, out=diff)
+        diff *= diff
+        diff.sum(axis=1, out=dists[lo:hi])
+    np.sqrt(dists, out=dists)
     best = rows[np.argsort(dists[rows], kind="stable")[:k]]
     return [Hit(store.ids[i], float(dists[i])) for i in best]
 

@@ -470,6 +470,28 @@ class TestPipeline:
         assert capsys.readouterr().out == want
         assert len(want.splitlines()) == 3
 
+    def test_a_loaded_store_survives_its_replacement(self, tmp_path):
+        # embed replaces store.bin; a store loaded before keeps its rows
+        records = build_fixture_corpus()[0]
+        store = str(tmp_path / "store")
+        halves = []
+        for part in (records[:8], records[8:16]):
+            path = str(tmp_path / f"records-{len(halves)}.jsonl")
+            write_property_records(path, part)
+            halves.append(path)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_cli(["embed", "--ckpt", FROZEN_CKPT, "--records",
+                            halves[0], "--out", store]) == 0
+            old = EmbeddingStore.load(store)
+            rows = old.matrix.copy()
+            assert run_cli(["embed", "--ckpt", FROZEN_CKPT, "--records",
+                            halves[1], "--out", store]) == 0
+        new = EmbeddingStore.load(store)
+        assert new.ids == [r.material_id for r in records[8:16]]
+        assert not np.array_equal(new.matrix, rows)
+        assert old.ids == [r.material_id for r in records[:8]]
+        assert np.array_equal(old.matrix, rows)
+
     def test_eval_rag_store_wider_than_records(self, tmp_path, capsys):
         # neighbours missing from --records decode from their store rows,
         # bitwise as they would from their structures

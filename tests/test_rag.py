@@ -111,6 +111,58 @@ class TestStore:
             assert rc == 1
             assert err.getvalue().startswith("error: ")
 
+    @pytest.mark.parametrize("count,stride", [(1, 1), (3, 2)])
+    def test_an_empty_bin_is_refused_by_its_length(self, tmp_path, count,
+                                                  stride):
+        # an empty file cannot be mapped; the length check still decides
+        EmbeddingStore([f"m{i}" for i in range(count)],
+                       np.ones((count, stride))).save(tmp_path)
+        (tmp_path / "store.bin").write_bytes(b"")
+        expected = count * stride * 8
+        with pytest.raises(ValidationError,
+                           match=f"holds 0 bytes, expected {expected} "):
+            EmbeddingStore.load(tmp_path)
+
+    def test_empty_store_round_trip(self, tmp_path):
+        EmbeddingStore([], np.zeros((0, 4))).save(tmp_path)
+        assert (tmp_path / "store.bin").read_bytes() == b""
+        again = EmbeddingStore.load(tmp_path)
+        assert (len(again), again.stride) == (0, 4)
+        assert again.matrix.shape == (0, 4)
+        with pytest.raises(ValidationError, match="exceeds the 0"):
+            retrieve_topk(again, np.zeros(4), k=1)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            rc = run_cli(["retrieve", "--store", str(tmp_path),
+                          "--query-id", "m0", "--k", "1"])
+        assert rc == 1
+        assert err.getvalue() == "error: query id 'm0' not in store\n"
+
+    def test_loaded_matrix_is_read_only(self, tmp_path):
+        toy_store().save(tmp_path)
+        matrix = EmbeddingStore.load(tmp_path).matrix
+        assert matrix.dtype == np.float64
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 1.0
+
+    def test_save_writes_the_little_endian_row_major_matrix(self, tmp_path):
+        rng = np.random.default_rng(5)
+        fortran = np.asfortranarray(rng.normal(size=(5, 3)))
+        EmbeddingStore([f"m{i}" for i in range(5)], fortran).save(tmp_path)
+        raw = (tmp_path / "store.bin").read_bytes()
+        assert raw == np.ascontiguousarray(fortran, dtype="<f8").tobytes()
+        # a loaded, mapped store saves the same bytes again
+        EmbeddingStore.load(tmp_path).save(tmp_path / "again")
+        assert (tmp_path / "again" / "store.bin").read_bytes() == raw
+
+    def test_row_of(self):
+        store = toy_store()
+        assert [store.row_of(m) for m in ("a", "b", "c")] == [0, 1, 2]
+        assert store.row_of("d") is None
+        assert store.row_of(None) is None
+
     def test_missing_files(self, tmp_path):
         with pytest.raises(ValidationError):
             EmbeddingStore.load(tmp_path)
@@ -154,6 +206,40 @@ class TestRetrieve:
         # a NaN distance sorts nowhere, so the first k rows would come back
         with pytest.raises(ValidationError, match="not finite"):
             retrieve_topk(toy_store(), np.array([0.5, bad]), k=2)
+
+    @staticmethod
+    def one_pass(matrix, query, skip=None):
+        # the distances and order of the unblocked scan
+        dists = np.sqrt(((matrix - query) ** 2).sum(axis=1))
+        rows = np.array([i for i in range(len(matrix)) if i != skip])
+        order = rows[np.argsort(dists[rows], kind="stable")]
+        return [(f"m{i}", float(dists[i])) for i in order]
+
+    @pytest.mark.parametrize("stride", [1, 7, 768])
+    @pytest.mark.parametrize("count", [1, rag.DISTANCE_ROWS - 1,
+                                       rag.DISTANCE_ROWS,
+                                       rag.DISTANCE_ROWS + 1, 2048])
+    def test_blocks_are_bitwise_one_pass(self, count, stride):
+        rng = np.random.default_rng(count * 1000 + stride)
+        matrix = rng.normal(size=(count, stride))
+        store = EmbeddingStore([f"m{i}" for i in range(count)], matrix)
+        query = rng.normal(size=stride)
+        got = retrieve_topk(store, query, k=count)
+        assert [tuple(h) for h in got] == self.one_pass(matrix, query)
+
+    @pytest.mark.parametrize("skip", [0, rag.DISTANCE_ROWS - 1,
+                                      rag.DISTANCE_ROWS,
+                                      2 * rag.DISTANCE_ROWS - 1,
+                                      2 * rag.DISTANCE_ROWS + 2])
+    def test_exclude_at_block_edges(self, skip):
+        count = 2 * rag.DISTANCE_ROWS + 3
+        rng = np.random.default_rng(skip)
+        matrix = rng.normal(size=(count, 7))
+        store = EmbeddingStore([f"m{i}" for i in range(count)], matrix)
+        query = matrix[skip] + 1e-3
+        got = retrieve_topk(store, query, k=count - 1,
+                            exclude_id=f"m{skip}")
+        assert [tuple(h) for h in got] == self.one_pass(matrix, query, skip)
 
     def test_matches_exhaustive_scan(self):
         rng = np.random.default_rng(12)
