@@ -17,6 +17,10 @@ Interaction modes:
   scoring.
 * ``inference``    - queries only, no text.
 
+``bridge_forward`` alone checks the mode and whether it takes text.
+Association and inference attend unmasked, bitwise as under an all-True
+mask; ``attention_mask`` builds the other two modes' masks.
+
 Inference mode also takes the atoms of B structures with one atom count
 as a (B, n_atoms, d_enc) stack: the shared queries run once up to the
 first cross-attention, whose batch axes broadcast them over B, and every
@@ -72,7 +76,6 @@ class BridgeParams:
     n_heads: int
     d_enc: int
     d_lm: int
-    vocab_size: int
     max_text: int
     params: dict  # name -> Tensor, all trainable
 
@@ -94,8 +97,6 @@ def init_bridge(seed, vocab_size, d_b=32, n_q=32, L_b=4, n_heads=4,
     part of the prefix that differs between materials is then 15 % of
     its norm, against 57 % with these gains.
     """
-    if min(n_q, d_b, L_b, n_heads, vocab_size) < 1:
-        raise ContractError("bridge dimensions must be >= 1")
     rng = np.random.default_rng(int(seed))
     g = SHARED_GAIN
     p = {}
@@ -121,31 +122,23 @@ def init_bridge(seed, vocab_size, d_b=32, n_q=32, L_b=4, n_heads=4,
     p["match.b"] = Tensor(np.zeros(1), True)
     return BridgeParams(
         n_q=n_q, d_b=d_b, L_b=L_b, n_heads=n_heads, d_enc=d_enc, d_lm=d_lm,
-        vocab_size=vocab_size, max_text=max_text, params=p,
+        max_text=max_text, params=p,
     )
 
 
 def attention_mask(mode, n_q, n_text):
-    """Boolean (n_q+n_text)^2 mask; True marks an allowed key position."""
-    if mode not in MODES:
-        raise ContractError(f"unknown attention mode {mode!r}")
-    if n_q < 1 or n_text < 0:
-        raise ContractError(f"bad extents n_q={n_q}, n_text={n_text}")
+    """Boolean (n_q+n_text)^2 mask, True where a key is allowed, of the
+    correlation and prediction modes; None for the unmasked others."""
+    if mode not in ("correlation", "prediction"):
+        return None
     total = n_q + n_text
     mask = np.zeros((total, total), dtype=bool)
+    mask[:n_q, :n_q] = True
     if mode == "correlation":
-        mask[:n_q, :n_q] = True
         mask[n_q:, n_q:] = True
-    elif mode == "prediction":
-        mask[:n_q, :n_q] = True
+    else:
         mask[n_q:, :n_q] = True
         mask[n_q:, n_q:] = np.tril(np.ones((n_text, n_text), dtype=bool))
-    elif mode == "association":
-        mask[:, :] = True
-    else:  # inference
-        if n_text != 0:
-            raise ContractError("inference mode takes no text")
-        mask[:, :] = True
     return mask
 
 
@@ -159,15 +152,11 @@ def bridge_forward(atoms, text_ids, mode, bp):
     """
     if mode not in MODES:
         raise ContractError(f"unknown attention mode {mode!r}")
-    if mode == "inference":
-        if text_ids is not None and len(text_ids) > 0:
-            raise ContractError("inference mode takes no text")
-        text_ids = []
-    else:
-        if text_ids is None or len(text_ids) == 0:
-            raise ContractError(f"{mode} mode requires text tokens")
-    text_ids = np.asarray(text_ids, dtype=np.int64)
+    text_ids = np.asarray(() if text_ids is None else text_ids, np.int64)
     n_text = len(text_ids)
+    if (mode == "inference") != (n_text == 0):
+        raise ContractError("inference mode takes no text" if n_text
+                            else f"{mode} mode requires text tokens")
     if n_text > bp.max_text:
         raise ContractError(f"text length {n_text} exceeds {bp.max_text}")
 

@@ -4,6 +4,9 @@ A config is a flat JSON document, decoded field by field against the
 annotations below (``ioutil.fields_from_json``).  Its canonical-JSON
 SHA-256 prefix is the config hash stored in checkpoints, so resuming
 detects silently changed settings.
+
+``Config.validate`` holds every rule that a config's own values decide;
+config loading and ``trainer.build_models`` run it.
 """
 
 from __future__ import annotations
@@ -56,23 +59,27 @@ class Config:
     checkpoint_interval: int = 300
 
     def validate(self):
-        if self.seed < 0:
-            raise ValidationError("seed must be >= 0")
+        for name in ("seed", "pretrain_floor_lr", "pretrain_epochs",
+                     "finetune_epochs"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be >= 0")
         positive = (
+            "d_enc", "L_enc", "cutoff", "d_b", "n_q", "L_b", "n_heads",
+            "d_lm", "L_lm", "lm_heads", "max_len", "max_text", "tau",
             "warmup_start_lr", "pretrain_peak_lr", "finetune_peak_lr",
-            "finetune_floor_lr",
+            "finetune_floor_lr", "batch_size", "pretrain_accum",
+            "finetune_accum", "checkpoint_interval",
         )
         for name in positive:
             if not getattr(self, name) > 0:
                 raise ValidationError(f"{name} must be > 0")
-        if self.pretrain_floor_lr < 0:
-            raise ValidationError("pretrain_floor_lr must be >= 0")
+        for heads, width in (("n_heads", "d_b"), ("lm_heads", "d_lm")):
+            if getattr(self, width) % getattr(self, heads):
+                raise ValidationError(f"{heads} must divide {width}")
         if self.pretrain_floor_lr >= self.pretrain_peak_lr:
             raise ValidationError("pretrain floor must be below peak")
         if self.finetune_floor_lr >= self.finetune_peak_lr:
             raise ValidationError("finetune floor must be below peak")
-        if min(self.batch_size, self.pretrain_accum, self.finetune_accum) < 1:
-            raise ValidationError("batch and accumulation sizes must be >= 1")
         if not 0.0 <= self.warmup_frac < 1.0:
             raise ValidationError("warmup_frac must be in [0, 1)")
         return self

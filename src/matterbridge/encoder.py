@@ -1,10 +1,11 @@
 """Frozen message-passing encoder producing per-atom embeddings.
 
 Stands in for a pretrained interatomic-potential encoder: parameters are
-drawn once from a seeded generator, never trained, and kept as plain
-numpy arrays (no autodiff tape).  Messages depend on neighbor species
-and interatomic distance only, so embeddings are invariant under rigid
-rotation and translation of the cell.
+drawn once from a seeded generator, never trained, and kept as one table
+of frozen ``Tensor``s, as the bridge's and the LM's are (``encode_atoms``
+reads their arrays and records no tape).  Messages depend on neighbor
+species and interatomic distance only, so embeddings are invariant under
+rigid rotation and translation of the cell.
 
 Each layer updates an atom from a weighted mean of its neighbors'
 messages.  A neighbor at distance d gets the weight
@@ -37,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, ValidationError
+from .errors import ValidationError
+from .tensor import Tensor
 
 N_ELEMENTS = 94  # H through Pu
 N_RBF = 16
@@ -51,49 +53,26 @@ __all__ = ["EncoderParams", "init_encoder", "encode_atoms"]
 
 @dataclass
 class EncoderParams:
-    d_enc: int
     L_enc: int
     cutoff: float
-    atom_embed: np.ndarray  # (N_ELEMENTS, d_enc)
-    rbf_centers: np.ndarray  # (N_RBF,)
     rbf_width: float
-    layers: list  # per layer: dict with w_msg, w_edge, w_update
-
-    def state_dict(self):
-        out = {"atom_embed": self.atom_embed, "rbf_centers": self.rbf_centers}
-        for l, layer in enumerate(self.layers):
-            for k, v in layer.items():
-                out[f"layers.{l}.{k}"] = v
-        return out
+    params: dict  # checkpoint name -> Tensor, all frozen
 
 
 def init_encoder(seed, d_enc=32, L_enc=2, cutoff=6.0):
     """Deterministic parameter draw; weights scaled by 1/sqrt(fan-in)."""
-    if d_enc < 1 or L_enc < 1:
-        raise ContractError(f"d_enc and L_enc must be >= 1, got {d_enc}, {L_enc}")
-    if not cutoff > 0:
-        raise ContractError(f"cutoff must be positive, got {cutoff}")
     rng = np.random.default_rng(int(seed))
     centers = np.linspace(0.0, cutoff, N_RBF)
-    width = centers[1] - centers[0]
-    layers = []
-    for _ in range(L_enc):
-        layers.append(
-            {
-                "w_msg": rng.standard_normal((d_enc, d_enc)) / np.sqrt(d_enc),
-                "w_edge": rng.standard_normal((N_RBF, d_enc)) / np.sqrt(N_RBF),
-                "w_update": rng.standard_normal((d_enc, d_enc)) / np.sqrt(d_enc),
-            }
-        )
-    return EncoderParams(
-        d_enc=d_enc,
-        L_enc=L_enc,
-        cutoff=float(cutoff),
-        atom_embed=rng.standard_normal((N_ELEMENTS, d_enc)) / np.sqrt(d_enc),
-        rbf_centers=centers,
-        rbf_width=float(width),
-        layers=layers,
-    )
+    p = {"rbf_centers": centers}
+    for l in range(L_enc):
+        for name, fan_in in (("w_msg", d_enc), ("w_edge", N_RBF),
+                             ("w_update", d_enc)):
+            p[f"layers.{l}.{name}"] = (rng.standard_normal((fan_in, d_enc))
+                                       / np.sqrt(fan_in))
+    p["atom_embed"] = rng.standard_normal((N_ELEMENTS, d_enc)) / np.sqrt(d_enc)
+    return EncoderParams(L_enc=L_enc, cutoff=float(cutoff),
+                         rbf_width=float(centers[1] - centers[0]),
+                         params={k: Tensor(a) for k, a in p.items()})
 
 
 def _gaussian_basis(dist, centers, width):
@@ -170,12 +149,13 @@ def encode_atoms(graph, params):
         raise ValidationError(
             f"atomic number outside embedding table [1, {N_ELEMENTS}]"
         )
-    h = params.atom_embed[z - 1].copy()
+    p = {k: t.data for k, t in params.params.items()}
+    h = p["atom_embed"][z - 1].copy()
 
     ei = np.asarray(graph.edge_i, dtype=np.int64)
     ej = np.asarray(graph.edge_j, dtype=np.int64)
     dist = np.asarray(graph.edge_dist, dtype=np.float64)
-    edge_feat = _gaussian_basis(dist, params.rbf_centers, params.rbf_width)
+    edge_feat = _gaussian_basis(dist, p["rbf_centers"], params.rbf_width)
     edges = _EdgeOrder(ei, dist, z[ej], len(z))
     # an atom's first sorted edge is its nearest neighbor, of weight 1,
     # so a sum is 0 only for an atom with no neighbors; its sum is set
@@ -185,10 +165,11 @@ def encode_atoms(graph, params):
     weight_sum = _ordered_segment_sums(weight[:, None], edges)[:, 0]
     weight_sum[weight_sum == 0.0] = 1.0
 
-    for layer in params.layers:
-        msg = np.tanh(h[ej] @ layer["w_msg"] + edge_feat @ layer["w_edge"])
+    for l in range(params.L_enc):
+        w = f"layers.{l}."
+        msg = np.tanh(h[ej] @ p[w + "w_msg"] + edge_feat @ p[w + "w_edge"])
         # the message components break ties in the edge order
         ties = tuple(msg[:, c] for c in range(msg.shape[1] - 1, -1, -1))
         agg = _ordered_segment_sums(msg * weight[:, None], edges, ties)
-        h = np.tanh(h @ layer["w_update"] + agg / weight_sum[:, None])
+        h = np.tanh(h @ p[w + "w_update"] + agg / weight_sum[:, None])
     return h

@@ -158,11 +158,9 @@ def generate_answer(models, prefixes, prompt, max_new=None):
     """
     if not prompt:
         raise ValidationError("prompt must be nonempty")
-    vocab = models.vocab
-    ids = [vocab.bos_id] + vocab.tokenize(prompt) + [vocab.sep_id]
     return generate_greedy(
-        prefixes, ids, DEFAULT_MAX_NEW if max_new is None else max_new,
-        models.lm)
+        prefixes, models.vocab.prompt_ids(prompt),
+        DEFAULT_MAX_NEW if max_new is None else max_new, models.lm)
 
 
 class Prediction(NamedTuple):

@@ -25,7 +25,7 @@ from .datasetgen import (
     sample_to_dict,
 )
 from .errors import ValidationError
-from .ioutil import atomic_write, canonical_json, parse_jsonl
+from .ioutil import atomic_write, canonical_json, json_lines, parse_jsonl
 from .templates import AUXILIARY, TASKS
 
 FIXTURE_SEED = 42
@@ -56,14 +56,6 @@ def build_fixture_corpus():
     return records, samples
 
 
-def _records_text(records):
-    return "".join(canonical_json(record_to_dict(r)) + "\n" for r in records)
-
-
-def _samples_text(samples):
-    return "".join(canonical_json(sample_to_dict(s)) + "\n" for s in samples)
-
-
 def _parse(blob, from_dict):
     return [obj for _, obj in parse_jsonl(blob.split(b"\n"), from_dict)]
 
@@ -88,8 +80,8 @@ def regenerate_fixtures(fixture_dir):
     os.makedirs(fixture_dir, exist_ok=True)
     records, samples = build_fixture_corpus()
     blobs = {
-        RECORDS_FILE: _records_text(records).encode("utf-8"),
-        SAMPLES_FILE: _samples_text(samples).encode("utf-8"),
+        RECORDS_FILE: b"".join(json_lines(map(record_to_dict, records))),
+        SAMPLES_FILE: b"".join(json_lines(map(sample_to_dict, samples))),
     }
     sums = {name: _sha256(blob) for name, blob in blobs.items()}
     for task in TASKS + AUXILIARY:
@@ -176,9 +168,9 @@ def verify_fixtures(fixture_dir=None):
 
     records, samples = build_fixture_corpus()
     _diff_lines(report, RECORDS_FILE, shipped[RECORDS_FILE],
-                _records_text(records).encode("utf-8"))
+                b"".join(json_lines(map(record_to_dict, records))))
     _diff_lines(report, SAMPLES_FILE, shipped[SAMPLES_FILE],
-                _samples_text(samples).encode("utf-8"))
+                b"".join(json_lines(map(sample_to_dict, samples))))
 
     try:
         _parse(shipped[RECORDS_FILE], record_from_dict)

@@ -50,10 +50,15 @@ def atomic_write(path):
         raise
 
 
+def json_lines(objs):
+    """Each object's canonical-JSON line, as UTF-8 bytes."""
+    for obj in objs:
+        yield (canonical_json(obj) + "\n").encode()
+
+
 def write_jsonl(path, records):
     with atomic_write(path) as fh:
-        for rec in records:
-            fh.write((canonical_json(rec) + "\n").encode())
+        fh.writelines(json_lines(records))
 
 
 def load_json(path):

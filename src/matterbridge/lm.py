@@ -73,6 +73,10 @@ class Vocab:
             ids.append(self._index[ch])
         return ids
 
+    def prompt_ids(self, prompt):
+        """The ids an answer follows: [bos] prompt [sep]."""
+        return [self.bos_id] + self.tokenize(prompt) + [self.sep_id]
+
     def detokenize(self, ids):
         # special ids mark sequence structure, not text; skip them
         return "".join(
@@ -91,30 +95,26 @@ class LmParams:
     L_lm: int
     n_heads: int
     max_len: int
-    trainable: bool
-    params: dict  # name -> Tensor
+    params: dict  # name -> Tensor; requires_grad is init_lm's trainable
 
 
 def init_lm(seed, vocab=None, d_lm=64, L_lm=2, n_heads=4, max_len=320,
             trainable=False):
-    if d_lm < 1 or L_lm < 1:
-        raise ContractError("d_lm and L_lm must be >= 1")
     vocab = vocab or default_vocab()
     rng = np.random.default_rng(int(seed))
     p = {}
-    p["tok_embed"] = Tensor(init_weight(rng, len(vocab), d_lm), trainable)
-    p["pos_embed"] = Tensor(init_weight(rng, max_len, d_lm), trainable)
+    p["tok_embed"] = Tensor(init_weight(rng, len(vocab), d_lm), True)
+    p["pos_embed"] = Tensor(init_weight(rng, max_len, d_lm), True)
     for l in range(L_lm):
         init_layer_norm(p, f"layers.{l}.ln1", d_lm)
         init_attention(p, rng, f"layers.{l}.self", d_lm)
         init_layer_norm(p, f"layers.{l}.ln2", d_lm)
         init_feed_forward(p, rng, f"layers.{l}.ffn", d_lm, 4 * d_lm)
     init_layer_norm(p, "ln_f", d_lm)
-    if not trainable:
-        for t in p.values():
-            t.requires_grad = False
+    for t in p.values():
+        t.requires_grad = trainable
     return LmParams(vocab=vocab, d_lm=d_lm, L_lm=L_lm, n_heads=n_heads,
-                    max_len=max_len, trainable=trainable, params=p)
+                    max_len=max_len, params=p)
 
 
 def lm_forward(prefix_embs, token_ids, lp, cache=None):

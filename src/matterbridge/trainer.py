@@ -78,6 +78,7 @@ def build_models(cfg, seed=None):
     Component seeds are derived, not shared, so changing one dimension
     never reflows the random draws of the other components.
     """
+    cfg.validate()
     if seed is None:
         seed = cfg.seed
     vocab = default_vocab()
@@ -103,18 +104,15 @@ def encode_structure(structure, models):
 
 def all_tensors(models):
     """Every parameter array in the bundle under a dotted, prefixed name."""
-    out = {"encoder." + k: a for k, a in models.encoder.state_dict().items()}
-    for prefix, params in (("bridge.", models.bridge.params),
-                           ("lm.", models.lm.params)):
-        out.update((prefix + k, t.data) for k, t in params.items())
-    return out
+    return {f"{part}.{k}": t.data for part in ("encoder", "bridge", "lm")
+            for k, t in getattr(models, part).params.items()}
 
 
 def trainable_tensors(models):
-    out = {"bridge." + k: t for k, t in models.bridge.params.items()}
-    if models.lm.trainable:
-        out.update(("lm." + k, t) for k, t in models.lm.params.items())
-    return out
+    """The parameters that train: those whose requires_grad is set."""
+    return {f"{part}.{k}": t for part in ("encoder", "bridge", "lm")
+            for k, t in getattr(models, part).params.items()
+            if t.requires_grad}
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +373,7 @@ class _LossLog:
             self._writer.writerow(self.FIELDS)
 
     def add(self, step, stage, lr, loss, parts):
-        row = (step, stage, repr(float(lr)), repr(float(loss)),
-               repr(float(parts[0])), repr(float(parts[1])),
-               repr(float(parts[2])))
+        row = (step, stage, *(repr(float(v)) for v in (lr, loss, *parts)))
         if self._writer is not None:
             self._writer.writerow(row)
             self._fh.flush()
@@ -575,14 +571,12 @@ def finetune_sequences(sample, vocab):
     with [eos] appended, and the mask selects the answer tokens plus the
     closing [eos] so the loss ignores the prompt.
     """
-    prompt_ids = vocab.tokenize(sample.prompt)
-    answer_ids = vocab.tokenize(sample.answer)
-    seq = ([vocab.bos_id] + prompt_ids + [vocab.sep_id]
-           + answer_ids + [vocab.eos_id])
+    prompt_ids = vocab.prompt_ids(sample.prompt)
+    seq = prompt_ids + vocab.tokenize(sample.answer) + [vocab.eos_id]
     inputs = seq[:-1]
     targets = np.array(seq[1:], dtype=np.int64)
     mask = np.zeros(len(inputs), dtype=bool)
-    mask[len(prompt_ids) + 1:] = True
+    mask[len(prompt_ids) - 1:] = True
     return inputs, targets, mask
 
 
@@ -637,16 +631,7 @@ def finetune(samples, records, ckpt, cfg, seed=None, log_path=None,
 
 def read_loss_log(path):
     """Load a CSV loss log as a list of dicts with numeric fields."""
-    out = []
+    kinds = (int, str) + (float,) * (len(_LossLog.FIELDS) - 2)
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append({
-                "step": int(row["step"]),
-                "stage": row["stage"],
-                "lr": float(row["lr"]),
-                "loss": float(row["loss"]),
-                "contrastive": float(row["contrastive"]),
-                "prediction": float(row["prediction"]),
-                "association": float(row["association"]),
-            })
-    return out
+        return [{k: kind(row[k]) for k, kind in zip(_LossLog.FIELDS, kinds)}
+                for row in csv.DictReader(fh)]

@@ -13,8 +13,9 @@ from matterbridge.bridge import (
     project_to_lm,
     text_logits,
 )
+from matterbridge import bridge
 from matterbridge.errors import ContractError, ShapeError
-from matterbridge.tensor import Tensor, no_grad
+from matterbridge.tensor import Tensor, concat, no_grad
 
 from test_tensor import check_grads
 
@@ -48,17 +49,10 @@ class TestMask:
             [[1, 1, 1, 0, 0], [1, 1, 1, 1, 0], [1, 1, 1, 1, 1]],
         )
 
-    def test_association_all_true(self):
-        assert attention_mask("association", 2, 2).all()
-
-    def test_inference_queries_only(self):
-        assert attention_mask("inference", 4, 0).shape == (4, 4)
-        with pytest.raises(ContractError):
-            attention_mask("inference", 4, 2)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ContractError):
-            attention_mask("blend", 2, 2)
+    def test_association_and_inference_have_no_mask(self):
+        # every position sees every other, so attention runs unmasked
+        assert attention_mask("association", 2, 2) is None
+        assert attention_mask("inference", 4, 0) is None
 
 
 class TestForward:
@@ -74,10 +68,53 @@ class TestForward:
         rng = np.random.default_rng(0)
         bp = tiny_bridge()
         atoms = rand_atoms(rng, 2)
-        with pytest.raises(ContractError):
-            bridge_forward(atoms, None, "correlation", bp)
-        with pytest.raises(ContractError):
+        for mode in ("correlation", "prediction", "association"):
+            for text in (None, []):
+                with pytest.raises(ContractError,
+                                   match=f"{mode} mode requires text tokens"):
+                    bridge_forward(atoms, text, mode, bp)
+        with pytest.raises(ContractError, match="inference mode takes no text"):
             bridge_forward(atoms, [1, 2], "inference", bp)
+
+    def test_unknown_mode(self):
+        atoms = rand_atoms(np.random.default_rng(0), 2)
+        for text in (None, [1, 2]):
+            with pytest.raises(ContractError, match="unknown attention mode"):
+                bridge_forward(atoms, text, "blend", tiny_bridge())
+
+    @pytest.mark.parametrize("mode,text,atoms_shape", [
+        ("association", [1, 2, 3], (4, 5)),
+        ("inference", None, (4, 5)),
+        ("inference", None, (2, 4, 5)),
+    ])
+    def test_unmasked_modes_equal_an_all_true_mask(self, monkeypatch, mode,
+                                                   text, atoms_shape):
+        rng = np.random.default_rng(9)
+        bp = tiny_bridge(L_b=3)
+        atoms = Tensor(rng.standard_normal(atoms_shape), True)
+        weights = rng.standard_normal((3 + len(text or ()), 8))
+
+        def forward_and_grads():
+            for t in (atoms, *bp.params.values()):
+                t.grad = None
+            out = bridge_forward(atoms, text, mode, bp)
+            x = out["query_out"]
+            if text:
+                x = concat([x, out["text_out"]], axis=0)
+            (x * Tensor(weights)).sum().backward()
+            return x.data, {k: t.grad for k, t in
+                            [("atoms", atoms), *bp.params.items()]
+                            if t.grad is not None}
+
+        out, grads = forward_and_grads()
+        monkeypatch.setattr(bridge, "attention_mask",
+                            lambda mode, n_q, n_text:
+                            np.ones((n_q + n_text,) * 2, dtype=bool))
+        masked_out, masked_grads = forward_and_grads()
+        assert out.tobytes() == masked_out.tobytes()
+        assert grads.keys() == masked_grads.keys() and "atoms" in grads
+        for k in grads:
+            assert grads[k].tobytes() == masked_grads[k].tobytes(), k
 
     def test_correlation_queries_ignore_text(self):
         rng = np.random.default_rng(1)

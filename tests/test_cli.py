@@ -777,6 +777,14 @@ CORRUPTIONS = {
         ("config", lambda lines: [_first_with(lines, lm_trainable=1)]),
     "config-tau-nan":
         ("config", lambda lines: [_first_with(lines, tau=float("nan"))]),
+    "config-checkpoint-interval-zero":
+        ("config", lambda lines: [_first_with(lines, checkpoint_interval=0)]),
+    "config-lm-heads-zero":
+        ("config", lambda lines: [_first_with(lines, lm_heads=0)]),
+    "config-heads-do-not-divide":
+        ("config", lambda lines: [_first_with(lines, n_heads=3, d_b=8)]),
+    "config-pretrain-epochs-negative":
+        ("config", lambda lines: [_first_with(lines, pretrain_epochs=-1)]),
     "records-lattice-not-numeric": ("records", lambda lines: lines + [
         _first_structure_with(lines, lattice="abc")]),
     # numpy would read "4" as 4.0 and true as 1.0
@@ -899,6 +907,27 @@ class TestCorruptInputs:
                  "--samples", str(files["samples"]), "--max-new", "4",
                  "--out", str(files["tmp"] / "report.json"),
                  "--rag", "--store", str(files["rag-store"])]]
+
+    @pytest.mark.parametrize("command,change", [
+        ("pretrain", {"checkpoint_interval": 0}),
+        ("finetune", {"lm_heads": 0}),
+    ])
+    def test_training_with_an_invalid_config_is_one_error_line(
+            self, files, capsys, command, change):
+        self.corrupt(files, "config",
+                     lambda lines: [_first_with(lines, **change)])
+        out = str(files["tmp"] / "out")
+        argv = {"pretrain": ["pretrain", "--records", str(files["records"]),
+                             "--out", out],
+                "finetune": ["finetune", "--records", str(files["records"]),
+                             "--samples", str(files["samples"]),
+                             "--ckpt", str(files["ckpt"]), "--out", out,
+                             "--allow-config-mismatch"]}[command]
+        assert run_cli(argv + ["--config", str(files["config"])]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+        assert not os.path.exists(out)
 
     def test_rag_reads_of_the_embedded_store_succeed(self, files):
         # the control for the rag-store cases

@@ -9,11 +9,11 @@ import pytest
 from helpers import random_structure
 from matterbridge.config import load_config
 from matterbridge.crystal import Structure, build_graph
-from matterbridge.encoder import (NEIGHBOR_DECAY, _EdgeOrder,
-                                  _ordered_segment_sums, encode_atoms,
-                                  init_encoder)
-from matterbridge.errors import ContractError
+from matterbridge.encoder import (N_ELEMENTS, N_RBF, NEIGHBOR_DECAY,
+                                  _EdgeOrder, _ordered_segment_sums,
+                                  encode_atoms, init_encoder)
 from matterbridge.fixtures import build_fixture_corpus
+from matterbridge.tensor import Tensor
 from matterbridge.trainer import build_models
 
 OVERFIT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "overfit.json"
@@ -61,10 +61,11 @@ def reference_encode_atoms(graph, params):
     """encode_atoms with every per-atom sum taken by reference_segment_sums,
     its messages ordered by one sort on atom, distance, neighbor species
     and all message components."""
+    w = {k: t.data for k, t in params.params.items()}
     z = np.asarray(graph.node_species, dtype=np.int64)
-    h = params.atom_embed[z - 1].copy()
+    h = w["atom_embed"][z - 1].copy()
     ei, ej, dist = graph.edge_i, graph.edge_j, graph.edge_dist
-    edge_feat = np.exp(-((dist[:, None] - params.rbf_centers[None, :]) ** 2)
+    edge_feat = np.exp(-((dist[:, None] - w["rbf_centers"][None, :]) ** 2)
                        / (2.0 * params.rbf_width ** 2))
     n = len(z)
     nearest = np.full(n, np.inf)
@@ -72,7 +73,9 @@ def reference_encode_atoms(graph, params):
     weight = np.exp(-(dist - nearest[ei]) / NEIGHBOR_DECAY)
     total = reference_segment_sums(weight[:, None], ei, (dist,), n)[:, 0]
     total[total == 0.0] = 1.0
-    for layer in params.layers:
+    for l in range(params.L_enc):
+        layer = {k: w[f"layers.{l}.{k}"] for k in ("w_msg", "w_edge",
+                                                    "w_update")}
         msg = np.tanh(h[ej] @ layer["w_msg"] + edge_feat @ layer["w_edge"])
         keys = tuple(msg[:, c] for c in range(msg.shape[1] - 1, -1, -1))
         agg = reference_segment_sums(msg * weight[:, None], ei,
@@ -89,27 +92,30 @@ def rock_salt(a=5.64):
 
 class TestInit:
     def test_same_seed_bit_identical(self):
-        a, b = init_encoder(9), init_encoder(9)
-        np.testing.assert_array_equal(a.atom_embed, b.atom_embed)
-        for la, lb in zip(a.layers, b.layers):
-            for k in la:
-                np.testing.assert_array_equal(la[k], lb[k])
+        a, b = init_encoder(9).params, init_encoder(9).params
+        assert list(a) == list(b)
+        for k in a:
+            np.testing.assert_array_equal(a[k].data, b[k].data)
 
     def test_different_seeds_differ(self):
-        assert not np.array_equal(
-            init_encoder(1).atom_embed, init_encoder(2).atom_embed
-        )
+        assert not np.array_equal(init_encoder(1).params["atom_embed"].data,
+                                  init_encoder(2).params["atom_embed"].data)
 
-    def test_invalid_dims_rejected(self):
-        with pytest.raises(ContractError):
-            init_encoder(0, d_enc=0)
-        with pytest.raises(ContractError):
-            init_encoder(0, L_enc=0)
+    def test_parameter_table_names_and_shapes(self):
+        p = init_encoder(0, d_enc=8, L_enc=2).params
+        assert {k: t.shape for k, t in p.items()} == {
+            "rbf_centers": (N_RBF,),
+            "layers.0.w_msg": (8, 8), "layers.0.w_edge": (N_RBF, 8),
+            "layers.0.w_update": (8, 8),
+            "layers.1.w_msg": (8, 8), "layers.1.w_edge": (N_RBF, 8),
+            "layers.1.w_update": (8, 8),
+            "atom_embed": (N_ELEMENTS, 8),
+        }
 
     def test_no_gradient_buffers(self):
-        p = init_encoder(0)
-        for arr in p.state_dict().values():
-            assert isinstance(arr, np.ndarray)
+        for t in init_encoder(0).params.values():
+            assert isinstance(t, Tensor)
+            assert not t.requires_grad and t.grad is None
 
 
 class TestEncode:

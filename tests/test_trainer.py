@@ -1,6 +1,7 @@
 """Optimizer, schedule, checkpoint, and training-loop behavior."""
 
 import gc
+import hashlib
 import os
 
 import numpy as np
@@ -13,7 +14,10 @@ from matterbridge.datasetgen import (build_instruction_corpus,
                                      generate_synthetic_records)
 from matterbridge.errors import (CheckpointError, ContractError,
                                  MatterBridgeError, ValidationError)
+from matterbridge import lm
+from matterbridge.evaluate import generate_answer
 from matterbridge.objectives import finetune_loss
+from matterbridge.rag import model_fingerprint
 from matterbridge.tensor import Tensor
 from matterbridge import trainer as tr
 
@@ -64,6 +68,34 @@ class TestConfig:
             Config(warmup_frac=1.0).validate()
         with pytest.raises(ValidationError):
             config_from_dict({"no_such_key": 1})
+
+    def test_invalid_dims_rejected(self):
+        dims = ("d_enc", "L_enc", "d_b", "n_q", "L_b", "n_heads", "d_lm",
+                "L_lm", "lm_heads", "max_len", "max_text")
+        for name in dims + ("cutoff", "tau", "checkpoint_interval"):
+            for bad in (0, -1):
+                with pytest.raises(ValidationError, match=name):
+                    Config(**{name: bad}).validate()
+
+    def test_heads_must_divide_their_width(self):
+        with pytest.raises(ValidationError, match="n_heads must divide d_b"):
+            Config(n_heads=3, d_b=8).validate()
+        with pytest.raises(ValidationError,
+                           match="lm_heads must divide d_lm"):
+            Config(lm_heads=5, d_lm=64).validate()
+        Config(n_heads=8, d_b=8, lm_heads=1, d_lm=7).validate()
+
+    def test_epoch_counts_may_be_zero_not_negative(self):
+        Config(pretrain_epochs=0, finetune_epochs=0).validate()
+        for name in ("pretrain_epochs", "finetune_epochs"):
+            with pytest.raises(ValidationError, match="epoch"):
+                Config(**{name: -1}).validate()
+
+    def test_build_models_validates_a_python_config(self):
+        for bad in (Config(lm_heads=0), Config(n_heads=3),
+                    Config(d_enc=0), Config(cutoff=0.0)):
+            with pytest.raises(ValidationError):
+                tr.build_models(bad)
 
     def test_integer_floats_load_as_floats(self):
         cfg = config_from_dict({"tau": 1, "weight_decay": 0})
@@ -369,8 +401,8 @@ class TestPretrainLoop:
                            pretrain_peak_lr=2e-3, warmup_start_lr=1e-5)
         records = generate_synthetic_records(seed=3, n=4)
         models = tr.build_models(cfg, seed=17)
-        enc_before = {k: v.copy()
-                      for k, v in models.encoder.state_dict().items()}
+        enc_before = {k: t.data.copy()
+                      for k, t in models.encoder.params.items()}
         lm_before = {k: t.data.copy() for k, t in models.lm.params.items()}
         log_path = tmp_path / "loss.csv"
         tr.pretrain(records, models, cfg, seed=17, log_path=log_path)
@@ -379,8 +411,8 @@ class TestPretrainLoop:
         first = np.mean([r["loss"] for r in rows[:3]])
         last = np.mean([r["loss"] for r in rows[-3:]])
         assert last < first
-        for k, v in models.encoder.state_dict().items():
-            np.testing.assert_array_equal(v, enc_before[k])
+        for k, t in models.encoder.params.items():
+            np.testing.assert_array_equal(t.data, enc_before[k])
         for k, t in models.lm.params.items():
             np.testing.assert_array_equal(t.data, lm_before[k])
 
@@ -638,3 +670,67 @@ class TestStreams:
                                       b.bridge.params["queries"].data)
         assert not np.array_equal(a.bridge.params["queries"].data,
                                   c.bridge.params["queries"].data)
+
+
+FROZEN_CKPT = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench", "data", "frozen.ckpt")
+
+
+def tensors_digest(tensors):
+    """sha256 over sorted names, shapes and little-endian float64 bytes."""
+    digest = hashlib.sha256()
+    for name in sorted(tensors):
+        digest.update(f"{name} {tensors[name].shape}\n".encode())
+        digest.update(np.ascontiguousarray(tensors[name], "<f8").tobytes())
+    return digest.hexdigest()
+
+
+class TestModelTables:
+    @pytest.mark.parametrize("lm_trainable", [False, True])
+    def test_trainable_tensors_are_the_requires_grad_set(self, lm_trainable):
+        models = tr.build_models(small_config(lm_trainable=lm_trainable))
+        params = tr.trainable_tensors(models)
+        tables = {"encoder": models.encoder, "bridge": models.bridge,
+                  "lm": models.lm}
+        want = {f"{part}.{k}": t for part, m in tables.items()
+                for k, t in m.params.items() if t.requires_grad}
+        assert params.keys() == want.keys()
+        assert all(params[k] is want[k] for k in want)
+        assert not any(k.startswith("encoder.") for k in params)
+        assert any(k.startswith("bridge.") for k in params)
+        assert any(k.startswith("lm.") for k in params) == lm_trainable
+
+    def test_init_draws_match_the_recorded_digest(self):
+        # a changed draw order or init rule moves this digest
+        models = tr.build_models(Config())
+        assert tensors_digest(tr.all_tensors(models)) == (
+            "9c9d44c2e898b44cada70ba35b343024e934bbea64a451dcb5d6685f893f4d8a")
+
+    def test_frozen_checkpoint_fingerprint_is_recorded(self):
+        models = tr.restore_models(FROZEN_CKPT)
+        assert model_fingerprint(models) == (
+            "131df3ecd9858cf4fc326e908e240391e8f828d4267e8112b6b97711ce8d8532")
+
+    def test_training_and_decoding_share_the_prompt_layout(self, monkeypatch):
+        models = tr.build_models(small_config())
+        vocab = models.vocab
+        sample = build_instruction_corpus(
+            generate_synthetic_records(seed=3, n=1), seed=2)[0]
+        ids = vocab.prompt_ids(sample.prompt)
+        assert ids == ([vocab.bos_id] + vocab.tokenize(sample.prompt)
+                       + [vocab.sep_id])
+        inputs, _, mask = tr.finetune_sequences(sample, vocab)
+        assert inputs[:len(ids)] == ids
+        assert not mask[:len(ids) - 1].any() and mask[len(ids) - 1:].all()
+
+        fed = []
+        forward = lm.lm_forward
+
+        def spy(prefix, token_ids, lp, cache=None):
+            fed.append(np.asarray(token_ids))
+            return forward(prefix, token_ids, lp, cache)
+
+        monkeypatch.setattr(lm, "lm_forward", spy)
+        prefixes = np.zeros((2, models.bridge.n_q, models.lm.d_lm))
+        generate_answer(models, prefixes, sample.prompt, max_new=2)
+        assert fed[0].tolist() == [ids, ids]
