@@ -5,7 +5,7 @@ Every layer self-attends over the concatenated [queries; text] sequence
 under a mode-specific mask; even-indexed layers (0, 2, ...) additionally
 let the query positions cross-attend onto the frozen per-atom
 embeddings.  Query outputs project linearly into the language model's
-embedding space.
+embedding space.  Every size is read from the ``Config`` in ``bp.cfg``.
 
 Interaction modes:
 
@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import Config
 from .errors import ContractError, ShapeError
 from .nn import (
     feed_forward,
@@ -70,18 +71,11 @@ __all__ = [
 
 @dataclass
 class BridgeParams:
-    n_q: int
-    d_b: int
-    L_b: int
-    n_heads: int
-    d_enc: int
-    d_lm: int
-    max_text: int
+    cfg: Config  # n_q, d_b, L_b, n_heads, d_enc, d_lm, max_text
     params: dict  # name -> Tensor, all trainable
 
 
-def init_bridge(seed, vocab_size, d_b=32, n_q=32, L_b=4, n_heads=4,
-                d_enc=32, d_lm=64, max_text=256):
+def init_bridge(seed, cfg, vocab_size):
     """Seeded parameter draw.
 
     Weights start at the 1/sqrt(fan-in) scale times a gain.  The parts
@@ -99,31 +93,29 @@ def init_bridge(seed, vocab_size, d_b=32, n_q=32, L_b=4, n_heads=4,
     """
     rng = np.random.default_rng(int(seed))
     g = SHARED_GAIN
+    d_b, n_q = cfg.d_b, cfg.n_q
     p = {}
     p["queries"] = Tensor(
         init_weight(rng, n_q, d_b, QUERY_GAIN / np.sqrt(n_q)), True)
     p["tok_embed"] = Tensor(init_weight(rng, vocab_size, d_b), True)
-    p["pos_embed"] = Tensor(init_weight(rng, max_text, d_b), True)
+    p["pos_embed"] = Tensor(init_weight(rng, cfg.max_text, d_b), True)
     p["seg_embed"] = Tensor(init_weight(rng, 2, d_b, g / np.sqrt(2)), True)
-    for l in range(L_b):
+    for l in range(cfg.L_b):
         init_layer_norm(p, f"layers.{l}.ln1", d_b)
         init_attention(p, rng, f"layers.{l}.self", d_b, out_gain=g)
         if l % 2 == 0:
             init_layer_norm(p, f"layers.{l}.lnc", d_b)
-            init_attention(p, rng, f"layers.{l}.cross", d_b, d_kv=d_enc,
+            init_attention(p, rng, f"layers.{l}.cross", d_b, d_kv=cfg.d_enc,
                            out_gain=CROSS_GAIN)
         init_layer_norm(p, f"layers.{l}.ln2", d_b)
         init_feed_forward(p, rng, f"layers.{l}.ffn", d_b, 4 * d_b,
                           out_gain=g)
     init_layer_norm(p, "ln_f", d_b)
-    p["proj.w"] = Tensor(init_weight(rng, d_b, d_lm), True)
-    p["proj.b"] = Tensor(np.zeros(d_lm), True)
+    p["proj.w"] = Tensor(init_weight(rng, d_b, cfg.d_lm), True)
+    p["proj.b"] = Tensor(np.zeros(cfg.d_lm), True)
     p["match.w"] = Tensor(init_weight(rng, d_b, 1), True)
     p["match.b"] = Tensor(np.zeros(1), True)
-    return BridgeParams(
-        n_q=n_q, d_b=d_b, L_b=L_b, n_heads=n_heads, d_enc=d_enc, d_lm=d_lm,
-        max_text=max_text, params=p,
-    )
+    return BridgeParams(cfg=cfg, params=p)
 
 
 def attention_mask(mode, n_q, n_text):
@@ -157,19 +149,19 @@ def bridge_forward(atoms, text_ids, mode, bp):
     if (mode == "inference") != (n_text == 0):
         raise ContractError("inference mode takes no text" if n_text
                             else f"{mode} mode requires text tokens")
-    if n_text > bp.max_text:
-        raise ContractError(f"text length {n_text} exceeds {bp.max_text}")
+    p, cfg = bp.params, bp.cfg
+    if n_text > cfg.max_text:
+        raise ContractError(f"text length {n_text} exceeds {cfg.max_text}")
 
     atoms = atoms if isinstance(atoms, Tensor) else Tensor(atoms)
     rank = 3 if mode == "inference" and atoms.ndim == 3 else 2
-    if atoms.ndim != rank or atoms.shape[-1] != bp.d_enc:
-        raise ShapeError(f"atom embeddings must be (n, {bp.d_enc}), or "
-                         f"(B, n, {bp.d_enc}) in inference mode")
+    if atoms.ndim != rank or atoms.shape[-1] != cfg.d_enc:
+        raise ShapeError(f"atom embeddings must be (n, {cfg.d_enc}), or "
+                         f"(B, n, {cfg.d_enc}) in inference mode")
     if min(atoms.shape[:-1]) < 1:
         raise ContractError("bridge needs at least one atom")
 
-    p = bp.params
-    n_q = bp.n_q
+    n_q = cfg.n_q
     seg_q = p["seg_embed"][np.zeros(n_q, dtype=np.int64)]
     x = p["queries"] + seg_q
     if n_text:
@@ -179,15 +171,15 @@ def bridge_forward(atoms, text_ids, mode, bp):
         x = concat([x, tok + pos + seg_t], axis=0)
 
     mask = attention_mask(mode, n_q, n_text)
-    for l in range(bp.L_b):
+    for l in range(cfg.L_b):
         normed = layer_norm_block(x, p, f"layers.{l}.ln1")
         x = x + multi_head_attention(normed, normed, p, f"layers.{l}.self",
-                                     bp.n_heads, mask)
+                                     cfg.n_heads, mask)
         if l % 2 == 0:
             q_rows = x[..., :n_q, :]
             q_norm = layer_norm_block(q_rows, p, f"layers.{l}.lnc")
             crossed = q_rows + multi_head_attention(
-                q_norm, atoms, p, f"layers.{l}.cross", bp.n_heads
+                q_norm, atoms, p, f"layers.{l}.cross", cfg.n_heads
             )
             x = concat([crossed, x[n_q:]], axis=0) if n_text else crossed
         x = x + feed_forward(layer_norm_block(x, p, f"layers.{l}.ln2"),
@@ -204,9 +196,9 @@ def project_to_lm(query_out, bp):
 
     ``query_out`` is (..., n_q, d_b); the result is (..., n_q, d_lm).
     """
-    if query_out.shape[-1] != bp.d_b:
+    if query_out.shape[-1] != bp.cfg.d_b:
         raise ShapeError(
-            f"query_out width {query_out.shape[-1]} != d_b {bp.d_b}"
+            f"query_out width {query_out.shape[-1]} != d_b {bp.cfg.d_b}"
         )
     return affine(query_out, bp.params["proj.w"], bp.params["proj.b"])
 

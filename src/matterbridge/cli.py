@@ -333,11 +333,11 @@ def build_parser():
     p.add_argument("--ids", default=None,
                    help="comma-separated material ids (default: all)")
     p.add_argument("--out", default=None)
-    p.add_argument("--r-cut", type=float, default=6.0)
-    p.add_argument("--n-max", type=int, default=8)
-    p.add_argument("--l-max", type=int, default=6)
-    p.add_argument("--sigma", type=float, default=0.5)
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--r-cut", type=float, default=SoapConfig.r_cut)
+    p.add_argument("--n-max", type=int, default=SoapConfig.n_max)
+    p.add_argument("--l-max", type=int, default=SoapConfig.l_max)
+    p.add_argument("--sigma", type=float, default=SoapConfig.sigma)
+    p.add_argument("--alpha", type=float, default=RematchConfig.alpha)
 
     p = add("project", cmd_project, "2D PCA coordinates for a store")
     p.add_argument("--store", required=True)

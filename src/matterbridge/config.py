@@ -16,7 +16,7 @@ import hashlib
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .ioutil import atomic_write, canonical_json, fields_from_json, load_json
+from .ioutil import canonical_json, fields_from_json, load_json, write_jsonl
 
 
 @dataclass
@@ -59,15 +59,15 @@ class Config:
     checkpoint_interval: int = 300
 
     def validate(self):
-        for name in ("seed", "pretrain_floor_lr", "pretrain_epochs",
-                     "finetune_epochs"):
+        for name in ("seed", "pretrain_floor_lr", "weight_decay",
+                     "pretrain_epochs", "finetune_epochs"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0")
         positive = (
             "d_enc", "L_enc", "cutoff", "d_b", "n_q", "L_b", "n_heads",
             "d_lm", "L_lm", "lm_heads", "max_len", "max_text", "tau",
             "warmup_start_lr", "pretrain_peak_lr", "finetune_peak_lr",
-            "finetune_floor_lr", "batch_size", "pretrain_accum",
+            "finetune_floor_lr", "eps", "batch_size", "pretrain_accum",
             "finetune_accum", "checkpoint_interval",
         )
         for name in positive:
@@ -80,8 +80,9 @@ class Config:
             raise ValidationError("pretrain floor must be below peak")
         if self.finetune_floor_lr >= self.finetune_peak_lr:
             raise ValidationError("finetune floor must be below peak")
-        if not 0.0 <= self.warmup_frac < 1.0:
-            raise ValidationError("warmup_frac must be in [0, 1)")
+        for name in ("beta1", "beta2", "warmup_frac"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValidationError(f"{name} must be in [0, 1)")
         return self
 
     def to_dict(self):
@@ -97,8 +98,7 @@ def load_config(path):
 
 
 def save_config(path, cfg):
-    with atomic_write(path) as fh:
-        fh.write((canonical_json(cfg.to_dict()) + "\n").encode())
+    write_jsonl(path, [cfg.to_dict()])
 
 
 def config_hash(cfg):

@@ -356,7 +356,7 @@ def neighbor_list_pbc(s, cutoff):
     return ii, jj, offsets[mm], dist[ii, jj, mm]
 
 
-def build_graph(s, cutoff=6.0):
+def build_graph(s, cutoff):
     """Crystal graph with atoms as nodes and within-cutoff pairs as edges."""
     ei, ej, _, d = neighbor_list_pbc(s, cutoff)
     return CrystalGraph(

@@ -1,11 +1,11 @@
 """Frozen message-passing encoder producing per-atom embeddings.
 
 Stands in for a pretrained interatomic-potential encoder: parameters are
-drawn once from a seeded generator, never trained, and kept as one table
-of frozen ``Tensor``s, as the bridge's and the LM's are (``encode_atoms``
-reads their arrays and records no tape).  Messages depend on neighbor
-species and interatomic distance only, so embeddings are invariant under
-rigid rotation and translation of the cell.
+drawn once from a seeded generator at the ``Config``'s sizes, never
+trained, and kept as one table of frozen ``Tensor``s, as the bridge's and
+the LM's are (``encode_atoms`` reads their arrays and records no tape).
+Messages depend on neighbor species and interatomic distance only, so
+embeddings are invariant under rigid rotation and translation of the cell.
 
 Each layer updates an atom from a weighted mean of its neighbors'
 messages.  A neighbor at distance d gets the weight
@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import Config
 from .errors import ValidationError
 from .tensor import Tensor
 
@@ -53,25 +54,29 @@ __all__ = ["EncoderParams", "init_encoder", "encode_atoms"]
 
 @dataclass
 class EncoderParams:
-    L_enc: int
-    cutoff: float
-    rbf_width: float
+    cfg: Config  # d_enc, L_enc, cutoff
+    rbf_width: float  # the drawn centres' spacing
     params: dict  # checkpoint name -> Tensor, all frozen
 
+    @property
+    def cutoff(self):
+        # read by perfbench's oracle_decode; a float, as model_fingerprint hashes
+        return float(self.cfg.cutoff)
 
-def init_encoder(seed, d_enc=32, L_enc=2, cutoff=6.0):
+
+def init_encoder(seed, cfg):
     """Deterministic parameter draw; weights scaled by 1/sqrt(fan-in)."""
     rng = np.random.default_rng(int(seed))
-    centers = np.linspace(0.0, cutoff, N_RBF)
+    d_enc = cfg.d_enc
+    centers = np.linspace(0.0, cfg.cutoff, N_RBF)
     p = {"rbf_centers": centers}
-    for l in range(L_enc):
+    for l in range(cfg.L_enc):
         for name, fan_in in (("w_msg", d_enc), ("w_edge", N_RBF),
                              ("w_update", d_enc)):
             p[f"layers.{l}.{name}"] = (rng.standard_normal((fan_in, d_enc))
                                        / np.sqrt(fan_in))
     p["atom_embed"] = rng.standard_normal((N_ELEMENTS, d_enc)) / np.sqrt(d_enc)
-    return EncoderParams(L_enc=L_enc, cutoff=float(cutoff),
-                         rbf_width=float(centers[1] - centers[0]),
+    return EncoderParams(cfg=cfg, rbf_width=float(centers[1] - centers[0]),
                          params={k: Tensor(a) for k, a in p.items()})
 
 
@@ -165,7 +170,7 @@ def encode_atoms(graph, params):
     weight_sum = _ordered_segment_sums(weight[:, None], edges)[:, 0]
     weight_sum[weight_sum == 0.0] = 1.0
 
-    for l in range(params.L_enc):
+    for l in range(params.cfg.L_enc):
         w = f"layers.{l}."
         msg = np.tanh(h[ej] @ p[w + "w_msg"] + edge_feat @ p[w + "w_edge"])
         # the message components break ties in the edge order

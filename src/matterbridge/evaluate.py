@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractError, MatterBridgeError, ValidationError
-from .ioutil import atomic_write, canonical_json, fields_from_json, load_json
+from .ioutil import fields_from_json, load_json, write_jsonl
 from .lm import generate_greedy
 from .rag import (material_prefixes, model_fingerprint, rag_aggregate,
                   retrieve_topk)
@@ -199,7 +199,7 @@ def predict_samples(models, structures, samples, store=None,
         why = ("records no model fingerprint" if store.fingerprint is None
                else "was built by another model")
         raise ValidationError(f"store {why}; rebuild it with embed")
-    bp = models.bridge
+    cfg = models.bridge.cfg
     prefixes, texts, neighbors = {}, {}, {}
 
     def build_prefixes(material_ids):
@@ -214,7 +214,7 @@ def predict_samples(models, structures, samples, store=None,
                 raise ValidationError(
                     f"unknown material {m!r}: not in the records or store")
             else:
-                prefixes[m] = store.matrix[row].reshape(bp.n_q, bp.d_lm)
+                prefixes[m] = store.matrix[row].reshape(cfg.n_q, cfg.d_lm)
         if encode:
             prefixes.update(zip(encode, material_prefixes(
                 [structures[m] for m in encode], models)))
@@ -277,8 +277,7 @@ def report_from_dict(obj):
 
 
 def write_eval_report(path, report):
-    with atomic_write(path) as fh:
-        fh.write((canonical_json(report.to_dict()) + "\n").encode())
+    write_jsonl(path, [report.to_dict()])
 
 
 def read_eval_report(path):

@@ -25,7 +25,7 @@ from .datasetgen import (
     sample_to_dict,
 )
 from .errors import ValidationError
-from .ioutil import atomic_write, canonical_json, json_lines, parse_jsonl
+from .ioutil import atomic_write, json_lines, parse_jsonl
 from .templates import AUXILIARY, TASKS
 
 FIXTURE_SEED = 42
@@ -87,7 +87,7 @@ def regenerate_fixtures(fixture_dir):
     for task in TASKS + AUXILIARY:
         name = f"{task}.txt"
         sums[f"templates/{name}"] = _sha256(_template_bytes(name))
-    blobs[CHECKSUMS_FILE] = (canonical_json(sums) + "\n").encode("utf-8")
+    blobs[CHECKSUMS_FILE] = b"".join(json_lines([sums]))
     for name, blob in blobs.items():
         with atomic_write(os.path.join(fixture_dir, name)) as fh:
             fh.write(blob)

@@ -1,16 +1,16 @@
 """Character-level causal language model.
 
 Stands in for a large pretrained decoder: a small transformer over a
-closed character vocabulary whose parameters are drawn once from a
-seed.  It stays frozen unless ``lm_trainable`` is set (default off);
-the overfit release gate sets it, for the reason ``trainer`` gives.
-Projected query embeddings are prepended to the token embeddings as a
-soft prefix; logits are emitted for token positions only.  Decoding has
-one form: ``generate_greedy`` maps a (B, n_prefix, d_lm) stack of
-prefixes to B strings; one material is B = 1.  ``lm_forward`` keeps (T,)
-ids next to (B, T) ones, as finetuning feeds one sample at a time and
-``perfbench``'s ``oracle_decode`` (the reference decode of its ``infer``
-check) calls that form too.
+closed character vocabulary, drawn once from a seed at the sizes of the
+run ``Config`` that ``LmParams`` holds.  It stays frozen unless the
+config sets ``lm_trainable``; the overfit release gate sets it, for the
+reason ``trainer`` gives.  Projected query embeddings are prepended to
+the token embeddings as a soft prefix; logits are emitted for token
+positions only.  Decoding has one form: ``generate_greedy`` maps a
+(B, n_prefix, d_lm) stack of prefixes to B strings; one material is
+B = 1.  ``lm_forward`` keeps (T,) ids next to (B, T) ones, as finetuning
+feeds one sample at a time and ``perfbench``'s ``oracle_decode`` (the
+reference decode of its ``infer`` check) calls that form too.
 
 Tokenization is strict: any character outside the vocabulary raises
 instead of substituting an unknown marker.
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import Config
 from .errors import ContractError, ShapeError, TokenizationError
 from .nn import (
     KVCache,
@@ -90,31 +91,30 @@ def default_vocab():
 
 @dataclass
 class LmParams:
+    cfg: Config  # d_lm, L_lm, lm_heads, max_len
     vocab: Vocab
-    d_lm: int
-    L_lm: int
-    n_heads: int
-    max_len: int
-    params: dict  # name -> Tensor; requires_grad is init_lm's trainable
+    params: dict  # name -> Tensor; requires_grad is cfg.lm_trainable
+
+    @property
+    def max_len(self):
+        # perfbench's oracle_decode reads it
+        return self.cfg.max_len
 
 
-def init_lm(seed, vocab=None, d_lm=64, L_lm=2, n_heads=4, max_len=320,
-            trainable=False):
-    vocab = vocab or default_vocab()
+def init_lm(seed, cfg, vocab):
     rng = np.random.default_rng(int(seed))
     p = {}
-    p["tok_embed"] = Tensor(init_weight(rng, len(vocab), d_lm), True)
-    p["pos_embed"] = Tensor(init_weight(rng, max_len, d_lm), True)
-    for l in range(L_lm):
-        init_layer_norm(p, f"layers.{l}.ln1", d_lm)
-        init_attention(p, rng, f"layers.{l}.self", d_lm)
-        init_layer_norm(p, f"layers.{l}.ln2", d_lm)
-        init_feed_forward(p, rng, f"layers.{l}.ffn", d_lm, 4 * d_lm)
-    init_layer_norm(p, "ln_f", d_lm)
+    p["tok_embed"] = Tensor(init_weight(rng, len(vocab), cfg.d_lm), True)
+    p["pos_embed"] = Tensor(init_weight(rng, cfg.max_len, cfg.d_lm), True)
+    for l in range(cfg.L_lm):
+        init_layer_norm(p, f"layers.{l}.ln1", cfg.d_lm)
+        init_attention(p, rng, f"layers.{l}.self", cfg.d_lm)
+        init_layer_norm(p, f"layers.{l}.ln2", cfg.d_lm)
+        init_feed_forward(p, rng, f"layers.{l}.ffn", cfg.d_lm, 4 * cfg.d_lm)
+    init_layer_norm(p, "ln_f", cfg.d_lm)
     for t in p.values():
-        t.requires_grad = trainable
-    return LmParams(vocab=vocab, d_lm=d_lm, L_lm=L_lm, n_heads=n_heads,
-                    max_len=max_len, params=p)
+        t.requires_grad = cfg.lm_trainable
+    return LmParams(cfg=cfg, vocab=vocab, params=p)
 
 
 def lm_forward(prefix_embs, token_ids, lp, cache=None):
@@ -138,22 +138,22 @@ def lm_forward(prefix_embs, token_ids, lp, cache=None):
     if token_ids.ndim not in (1, 2) or token_ids.shape[-1] < 1:
         raise ContractError("token_ids must be a nonempty (T,) sequence "
                             "or a (B, T) batch")
-    p = lp.params
+    p, cfg = lp.params, lp.cfg
     n_prefix = 0
     if prefix_embs is not None:
         prefix_embs = (prefix_embs if isinstance(prefix_embs, Tensor)
                        else Tensor(prefix_embs))
         if (prefix_embs.ndim != token_ids.ndim + 1
                 or prefix_embs.shape[:-2] != token_ids.shape[:-1]
-                or prefix_embs.shape[-1] != lp.d_lm):
+                or prefix_embs.shape[-1] != cfg.d_lm):
             raise ShapeError(f"prefix must be "
-                             f"({'B, ' * (token_ids.ndim - 1)}n, {lp.d_lm})"
+                             f"({'B, ' * (token_ids.ndim - 1)}n, {cfg.d_lm})"
                              f" for token ids {token_ids.shape}")
         n_prefix = prefix_embs.shape[-2]
     start = cache[0].n if cache else 0
     total = start + n_prefix + token_ids.shape[-1]
-    if total > lp.max_len:
-        raise ContractError(f"sequence length {total} exceeds {lp.max_len}")
+    if total > cfg.max_len:
+        raise ContractError(f"sequence length {total} exceeds {cfg.max_len}")
 
     x = embedding(p["tok_embed"], token_ids)
     if prefix_embs is not None:
@@ -161,10 +161,10 @@ def lm_forward(prefix_embs, token_ids, lp, cache=None):
     x = x + p["pos_embed"][start:total]
     # a single new row may attend to every position so far
     mask = np.tri(total, dtype=bool)[start:] if total - start > 1 else None
-    for l in range(lp.L_lm):
+    for l in range(cfg.L_lm):
         normed = layer_norm_block(x, p, f"layers.{l}.ln1")
         x = x + multi_head_attention(normed, normed, p, f"layers.{l}.self",
-                                     lp.n_heads, mask,
+                                     cfg.lm_heads, mask,
                                      cache[l] if cache else None)
         x = x + feed_forward(layer_norm_block(x, p, f"layers.{l}.ln2"),
                              p, f"layers.{l}.ffn")
@@ -198,8 +198,8 @@ def generate_greedy(prefixes, prompt_ids, max_new, lp):
     fed = n_prefix + tokens.shape[1]
     # the last symbol is never fed back, so one more symbol than the free
     # positions fits; a prompt that does not fit fails in lm_forward
-    max_new = max(1, min(max_new, lp.max_len - fed + 1))
-    cache = [KVCache(fed + max_new - 1) for _ in range(lp.L_lm)]
+    max_new = max(1, min(max_new, lp.cfg.max_len - fed + 1))
+    cache = [KVCache(fed + max_new - 1) for _ in range(lp.cfg.L_lm)]
     eos = lp.vocab.eos_id
     steps = []
     stopped = np.zeros(rows, dtype=bool)

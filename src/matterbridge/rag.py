@@ -35,7 +35,7 @@ import numpy as np
 
 from .bridge import lm_prefix
 from .errors import ContractError, ValidationError
-from .ioutil import atomic_write, canonical_json, load_json
+from .ioutil import atomic_write, load_json, write_jsonl
 from .tensor import no_grad
 from .trainer import all_tensors, encode_structure
 
@@ -63,7 +63,7 @@ def material_prefixes(structures, models):
     """
     atoms = [encode_structure(s, models) for s in structures]
     bp = models.bridge
-    out = np.empty((len(atoms), bp.n_q, bp.d_lm))
+    out = np.empty((len(atoms), bp.cfg.n_q, bp.cfg.d_lm))
     groups = {}
     for i, a in enumerate(atoms):
         groups.setdefault(a.shape[0], []).append(i)
@@ -86,7 +86,7 @@ def model_fingerprint(models):
     """
     enc = models.encoder
     digest = hashlib.sha256(
-        repr((enc.cutoff, enc.rbf_width, models.bridge.n_heads)).encode())
+        repr((enc.cutoff, enc.rbf_width, models.bridge.cfg.n_heads)).encode())
     for name, array in sorted(all_tensors(models).items()):
         if name.startswith(("encoder.", "bridge.")):
             digest.update(f"{name} {array.shape}\n".encode())
@@ -154,8 +154,7 @@ class EmbeddingStore:
         meta = {"stride": self.stride, "count": len(self), "ids": self.ids}
         if self.fingerprint is not None:
             meta["fingerprint"] = self.fingerprint
-        with atomic_write(os.path.join(directory, STORE_JSON)) as fh:
-            fh.write((canonical_json(meta) + "\n").encode())
+        write_jsonl(os.path.join(directory, STORE_JSON), [meta])
         return directory
 
     @classmethod

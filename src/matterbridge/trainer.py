@@ -51,6 +51,14 @@ MANIFEST_KEYS = ("format", "stage", "step", "config_hash", "config", "vocab",
 STAGES = ("pretrain", "finetune")
 
 
+def stage_settings(stage, cfg):
+    """A stage's (peak lr, floor lr, accumulation, epochs) from the config."""
+    if stage not in STAGES:
+        raise ContractError(f"unknown stage {stage!r}")
+    return tuple(getattr(cfg, f"{stage}_{k}")
+                 for k in ("peak_lr", "floor_lr", "accum", "epochs"))
+
+
 def stream_seed(seed, name):
     """Derive a child seed for a named random stream of a run."""
     return np.random.SeedSequence([int(seed), zlib.crc32(name.encode())])
@@ -85,15 +93,9 @@ def build_models(cfg, seed=None):
     enc_seed = int(stream_rng(seed, "init-encoder").integers(2**31))
     br_seed = int(stream_rng(seed, "init-bridge").integers(2**31))
     lm_seed = int(stream_rng(seed, "init-lm").integers(2**31))
-    encoder = init_encoder(enc_seed, d_enc=cfg.d_enc, L_enc=cfg.L_enc,
-                           cutoff=cfg.cutoff)
-    bridge = init_bridge(br_seed, vocab_size=len(vocab.symbols), d_b=cfg.d_b,
-                         n_q=cfg.n_q, L_b=cfg.L_b, n_heads=cfg.n_heads,
-                         d_enc=cfg.d_enc, d_lm=cfg.d_lm, max_text=cfg.max_text)
-    lm = init_lm(lm_seed, vocab=vocab, d_lm=cfg.d_lm, L_lm=cfg.L_lm,
-                 n_heads=cfg.lm_heads, max_len=cfg.max_len,
-                 trainable=cfg.lm_trainable)
-    return Models(encoder=encoder, bridge=bridge, lm=lm, vocab=vocab)
+    return Models(encoder=init_encoder(enc_seed, cfg),
+                  bridge=init_bridge(br_seed, cfg, len(vocab.symbols)),
+                  lm=init_lm(lm_seed, cfg, vocab), vocab=vocab)
 
 
 def encode_structure(structure, models):
@@ -127,12 +129,7 @@ def lr_schedule(step, total_steps, warmup_steps, stage, cfg):
     Endpoints are exact: step 0 gives the start rate, step warmup_steps
     the peak, step total_steps the floor.
     """
-    if stage == "pretrain":
-        peak, floor = cfg.pretrain_peak_lr, cfg.pretrain_floor_lr
-    elif stage == "finetune":
-        peak, floor = cfg.finetune_peak_lr, cfg.finetune_floor_lr
-    else:
-        raise ContractError(f"unknown stage {stage!r}")
+    peak, floor, _, _ = stage_settings(stage, cfg)
     if not 0 <= step <= total_steps:
         raise ValidationError(f"step {step} outside [0, {total_steps}]")
     if step < warmup_steps:
@@ -198,16 +195,19 @@ def save_checkpoint(path, models, cfg, stage, step):
 
     Layout: an 8-byte little-endian uint64 manifest length, the
     canonical-JSON manifest, then each tensor as little-endian float64
-    bytes at the offsets the manifest records.
+    bytes at the offsets the manifest records.  A NaN or infinite value,
+    which ``load_checkpoint`` refuses, fails before a byte is written.
     """
-    if stage not in STAGES:
-        raise ContractError(f"unknown stage {stage!r}")
+    stage_settings(stage, cfg)
     tensors = all_tensors(models)
     records = []
     offset = 0
     blobs = []
     for name in sorted(tensors):
         data = tensors[name]
+        if not np.isfinite(data).all():
+            raise ContractError(
+                f"tensor {name!r} holds a NaN or infinite value")
         blob = np.ascontiguousarray(data, dtype="<f8").tobytes()
         records.append({
             "name": name,
@@ -433,10 +433,7 @@ def _train_stage(stage, items, micro_loss, models, cfg, seed, log_path,
     over the window.  Returns the final checkpoint path when ckpt_dir is
     given, else the trained bundle.  Pauses GC until then: tapes are acyclic.
     """
-    accum, epochs = {
-        "pretrain": (cfg.pretrain_accum, cfg.pretrain_epochs),
-        "finetune": (cfg.finetune_accum, cfg.finetune_epochs),
-    }[stage]
+    _, _, accum, epochs = stage_settings(stage, cfg)
     params = trainable_tensors(models)
     state = init_optim_state(params)
     window = cfg.batch_size * accum
@@ -546,7 +543,7 @@ def pretrain(records, models, cfg, seed=None, log_path=None, ckpt_dir=None):
     for rec in records:
         atoms = encode_structure(rec.structure, models)
         ids = _bridge_text_ids(vocab, caption_for(rec, seed))
-        if len(ids) > models.bridge.max_text:
+        if len(ids) > models.bridge.cfg.max_text:
             raise ValidationError(
                 f"caption for {rec.material_id} exceeds max_text")
         pairs.append((atoms, ids))
@@ -616,7 +613,7 @@ def finetune(samples, records, ckpt, cfg, seed=None, log_path=None,
         if key not in atom_cache:
             atom_cache[key] = encode_structure(by_id[key].structure, models)
         inputs, targets, mask = finetune_sequences(s, vocab)
-        if models.bridge.n_q + len(inputs) > models.lm.max_len:
+        if cfg.n_q + len(inputs) > cfg.max_len:
             raise ValidationError(
                 f"sample for {s.material_id} exceeds the LM context")
         entries.append((atom_cache[key], inputs, targets, mask))

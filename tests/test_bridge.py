@@ -14,6 +14,7 @@ from matterbridge.bridge import (
     text_logits,
 )
 from matterbridge import bridge
+from matterbridge.config import Config
 from matterbridge.errors import ContractError, ShapeError
 from matterbridge.tensor import Tensor, concat, no_grad
 
@@ -21,10 +22,9 @@ from test_tensor import check_grads
 
 
 def tiny_bridge(seed=0, **kw):
-    defaults = dict(vocab_size=11, d_b=8, n_q=3, L_b=2, n_heads=2,
-                    d_enc=5, d_lm=7, max_text=16)
-    defaults.update(kw)
-    return init_bridge(seed, **defaults)
+    sizes = dict(d_b=8, n_q=3, L_b=2, n_heads=2, d_enc=5, d_lm=7,
+                 max_text=16)
+    return init_bridge(seed, Config(**{**sizes, **kw}), 11)
 
 
 def rand_atoms(rng, n, d=5):

@@ -1,6 +1,7 @@
 """Command-line surface: flags, exit codes, seed fallback, pipelines."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -30,8 +31,10 @@ from matterbridge.templates import TASKS, get_templates
 from matterbridge.trainer import (build_models, load_checkpoint,
                                   restore_models, save_checkpoint)
 
-FROZEN_CKPT = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "perfbench", "data", "frozen.ckpt")
+PERF_DATA = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench", "data")
+FROZEN_CKPT = os.path.join(PERF_DATA, "frozen.ckpt")
+TRAIN_CONFIG = os.path.join(PERF_DATA, "train_config.json")
 
 
 @pytest.fixture()
@@ -518,6 +521,28 @@ class TestPipeline:
         assert reports[0] == reports[1]
         assert json.loads(reports[0])["n_samples"] == 9
 
+    def test_pretrain_that_overflows_writes_no_final_checkpoint(
+            self, tmp_path, capsys):
+        # every rule passes, but the second (last) AdamW step at this peak
+        # overflows a weight to infinity
+        data, out = tmp_path / "data", tmp_path / "pre"
+        assert run_cli(["gen-data", "--out", str(data), "--n", "8"]) == 0
+        config = str(tmp_path / "config.json")
+        save_config(config, dataclasses.replace(
+            load_config(TRAIN_CONFIG), pretrain_peak_lr=1e306,
+            pretrain_epochs=2))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rc = run_cli(["pretrain", "--records", str(data / "records.jsonl"),
+                          "--out", str(out), "--config", config])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("error: ") and "NaN or infinite" in err[-1]
+        assert sorted(os.listdir(out)) == ["pretrain-epoch1.ckpt"]
+        ckpt = load_checkpoint(str(out / "pretrain-epoch1.ckpt"))
+        assert (ckpt.stage, ckpt.step) == ("pretrain", 1)
+
     @pytest.mark.parametrize("command", ["infer", "eval"])
     @pytest.mark.parametrize("flags", [["--rag"], ["--store", "store"]],
                              ids=["rag-alone", "store-alone"])
@@ -581,6 +606,17 @@ class TestSimilarityCommand:
         for r in records[:2]:
             key = (r.material_id, r.material_id)
             assert abs(values[key] - 1.0) < 1e-9
+
+    def test_defaults_are_the_config_defaults(self, tmp_path, capsys):
+        records = str(tmp_path / "records.jsonl")
+        write_property_records(records, generate_synthetic_records(3, 3))
+        outputs = []
+        for flags in ([], ["--r-cut", "6.0", "--n-max", "8", "--l-max", "6",
+                           "--sigma", "0.5", "--alpha", "1.0"]):
+            assert run_cli(["similarity", "--records", records] + flags) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith("id_a,id_b,similarity\n")
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--sigma", "1e-200", "sigma must be positive and finite"),
@@ -785,6 +821,13 @@ CORRUPTIONS = {
         ("config", lambda lines: [_first_with(lines, n_heads=3, d_b=8)]),
     "config-pretrain-epochs-negative":
         ("config", lambda lines: [_first_with(lines, pretrain_epochs=-1)]),
+    "config-beta1-one":
+        ("config", lambda lines: [_first_with(lines, beta1=1.0)]),
+    "config-beta2-one":
+        ("config", lambda lines: [_first_with(lines, beta2=1.0)]),
+    "config-eps-zero": ("config", lambda lines: [_first_with(lines, eps=0.0)]),
+    "config-weight-decay-negative":
+        ("config", lambda lines: [_first_with(lines, weight_decay=-0.01)]),
     "records-lattice-not-numeric": ("records", lambda lines: lines + [
         _first_structure_with(lines, lattice="abc")]),
     # numpy would read "4" as 4.0 and true as 1.0
@@ -945,7 +988,7 @@ class TestCorruptInputs:
             "ckpt": ckpt,
             "ckpt-body": ckpt,
             "struct": (lambda path: build_graph(
-                           _structure_from_file(path, None)),
+                           _structure_from_file(path, None), Config().cutoff),
                        ["infer", "--ckpt", str(files["ckpt"]), "--structure",
                         str(files["struct"]), "--task", "is_metal"]),
             "store": (EmbeddingStore.load,
@@ -1105,7 +1148,8 @@ class TestCorruptJsonlLines:
         if kind == "cif":
             path = root / "mutated.cif"
             path.write_bytes(text)
-            return path, lambda p: build_graph(_structure_from_file(p, None)), [
+            return path, lambda p: build_graph(
+                _structure_from_file(p, None), Config().cutoff), [
                 "infer", "--ckpt", corpus["ckpt"], "--structure", str(path),
                 "--task", "is_metal", "--max-new", "4"]
         path = root / f"mutated-{kind}.jsonl"

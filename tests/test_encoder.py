@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import random_structure
-from matterbridge.config import load_config
+from matterbridge.config import Config, load_config
 from matterbridge.crystal import Structure, build_graph
 from matterbridge.encoder import (N_ELEMENTS, N_RBF, NEIGHBOR_DECAY,
                                   _EdgeOrder, _ordered_segment_sums,
@@ -73,7 +73,7 @@ def reference_encode_atoms(graph, params):
     weight = np.exp(-(dist - nearest[ei]) / NEIGHBOR_DECAY)
     total = reference_segment_sums(weight[:, None], ei, (dist,), n)[:, 0]
     total[total == 0.0] = 1.0
-    for l in range(params.L_enc):
+    for l in range(params.cfg.L_enc):
         layer = {k: w[f"layers.{l}.{k}"] for k in ("w_msg", "w_edge",
                                                     "w_update")}
         msg = np.tanh(h[ej] @ layer["w_msg"] + edge_feat @ layer["w_edge"])
@@ -92,17 +92,18 @@ def rock_salt(a=5.64):
 
 class TestInit:
     def test_same_seed_bit_identical(self):
-        a, b = init_encoder(9).params, init_encoder(9).params
+        a, b = (init_encoder(9, Config()).params for _ in range(2))
         assert list(a) == list(b)
         for k in a:
             np.testing.assert_array_equal(a[k].data, b[k].data)
 
     def test_different_seeds_differ(self):
-        assert not np.array_equal(init_encoder(1).params["atom_embed"].data,
-                                  init_encoder(2).params["atom_embed"].data)
+        a, b = (init_encoder(seed, Config()).params["atom_embed"].data
+                for seed in (1, 2))
+        assert not np.array_equal(a, b)
 
     def test_parameter_table_names_and_shapes(self):
-        p = init_encoder(0, d_enc=8, L_enc=2).params
+        p = init_encoder(0, Config(d_enc=8, L_enc=2)).params
         assert {k: t.shape for k, t in p.items()} == {
             "rbf_centers": (N_RBF,),
             "layers.0.w_msg": (8, 8), "layers.0.w_edge": (N_RBF, 8),
@@ -113,7 +114,7 @@ class TestInit:
         }
 
     def test_no_gradient_buffers(self):
-        for t in init_encoder(0).params.values():
+        for t in init_encoder(0, Config()).params.values():
             assert isinstance(t, Tensor)
             assert not t.requires_grad and t.grad is None
 
@@ -121,7 +122,7 @@ class TestInit:
 class TestEncode:
     def test_output_shape(self):
         rng = np.random.default_rng(0)
-        p = init_encoder(4, d_enc=16)
+        p = init_encoder(4, Config(d_enc=16))
         for _ in range(4):
             s = random_structure(rng)
             out = encode_structure(s, p)
@@ -130,7 +131,7 @@ class TestEncode:
 
     def test_permutation_equivariance_bitwise(self):
         rng = np.random.default_rng(42)
-        p = init_encoder(4)
+        p = init_encoder(4, Config())
         for _ in range(5):
             s = random_structure(rng, n_min=4, n_max=8)
             perm = rng.permutation(s.n_atoms)
@@ -144,7 +145,7 @@ class TestEncode:
 
     def test_lattice_translation_identity(self):
         rng = np.random.default_rng(8)
-        p = init_encoder(4)
+        p = init_encoder(4, Config())
         s = random_structure(rng, n_min=3, n_max=5)
         s2 = Structure(s.material_id, s.lattice, s.species,
                        (s.frac_coords + np.array([1.0, 2.0, -1.0])) % 1.0)
@@ -154,7 +155,7 @@ class TestEncode:
 
     def test_rigid_rotation_invariance(self):
         rng = np.random.default_rng(15)
-        p = init_encoder(4)
+        p = init_encoder(4, Config())
         s = random_structure(rng, n_min=3, n_max=6)
         # random special-orthogonal matrix via QR
         q, r = np.linalg.qr(rng.standard_normal((3, 3)))
@@ -168,7 +169,7 @@ class TestEncode:
 
     def test_deterministic_across_calls(self):
         rng = np.random.default_rng(21)
-        p = init_encoder(4)
+        p = init_encoder(4, Config())
         s = random_structure(rng)
         np.testing.assert_array_equal(
             encode_structure(s, p), encode_structure(s, p)
@@ -177,7 +178,7 @@ class TestEncode:
     def test_isolated_atoms_still_encoded(self):
         s = Structure("far", np.eye(3) * 30.0, ["Si", "Fe"],
                       [[0, 0, 0], [0.5, 0.5, 0.5]])
-        out = encode_structure(s, init_encoder(4), cutoff=2.0)
+        out = encode_structure(s, init_encoder(4, Config()), cutoff=2.0)
         assert out.shape == (2, 32)
         assert np.isfinite(out).all()
         # with no edges the rows depend on species alone
@@ -189,8 +190,9 @@ class TestReferenceOrder:
     one add at a time, on inputs where many edges tie on (distance,
     neighbor species) and the message components decide the order."""
 
-    ENCODERS = (init_encoder(4), init_encoder(7, d_enc=16, L_enc=1),
-                init_encoder(9, d_enc=8, L_enc=3))
+    ENCODERS = (init_encoder(4, Config()),
+                init_encoder(7, Config(d_enc=16, L_enc=1)),
+                init_encoder(9, Config(d_enc=8, L_enc=3)))
 
     def assert_bitwise(self, structure, cutoff=6.0):
         graph = build_graph(structure, cutoff)
@@ -246,7 +248,7 @@ class TestReferenceOrder:
         # layer re-sorts, and the weights and nearest distances read the
         # one edge order
         graph = build_graph(rock_salt(), 6.0)
-        p = init_encoder(4, L_enc=2)
+        p = init_encoder(4, Config(L_enc=2))
         got, sorts = count_lexsorts(monkeypatch, encode_atoms, graph, p)
         assert sorts == 1
         assert got.tobytes() == reference_encode_atoms(graph, p).tobytes()

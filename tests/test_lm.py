@@ -4,6 +4,7 @@ baseline cross-entropy, cached greedy decoding against full recompute."""
 import numpy as np
 import pytest
 
+from matterbridge.config import Config
 from matterbridge.errors import ContractError, ShapeError, TokenizationError
 from matterbridge.lm import (
     BOS,
@@ -19,19 +20,18 @@ from matterbridge.nn import KVCache
 from matterbridge.tensor import Tensor, log_softmax, no_grad
 
 
-def tiny_lm(seed=0, **kw):
-    defaults = dict(d_lm=16, L_lm=2, n_heads=2, max_len=64)
-    defaults.update(kw)
-    return init_lm(seed, **defaults)
+def tiny_lm(seed=0, vocab=None, **kw):
+    sizes = dict(d_lm=16, L_lm=2, lm_heads=2, max_len=64)
+    return init_lm(seed, Config(**{**sizes, **kw}), vocab or default_vocab())
 
 
 def one_row(prefix, lp):
     """A (1, n, d_lm) stack of one prefix; no prefix is (1, 0, d_lm)."""
-    return np.zeros((1, 0, lp.d_lm)) if prefix is None else prefix[None]
+    return np.zeros((1, 0, lp.cfg.d_lm)) if prefix is None else prefix[None]
 
 
 def new_cache(lp):
-    return [KVCache(lp.max_len) for _ in range(lp.L_lm)]
+    return [KVCache(lp.cfg.max_len) for _ in range(lp.cfg.L_lm)]
 
 
 class TestVocab:
@@ -268,7 +268,7 @@ class TestCachedDecoding:
     @pytest.mark.parametrize("rows", [1, 3, 8])
     def test_batch_rows_stop_at_a_full_context(self, rows):
         lp, prefixes, ids = self.batch_case(rows)
-        lp.max_len = prefixes.shape[1] + len(ids) + 4  # 5 decode steps fit
+        lp.cfg.max_len = prefixes.shape[1] + len(ids) + 4  # 5 decode steps fit
         full = generate_greedy(prefixes, ids, 5, lp)
         want = [reference_greedy(p, ids, 5, lp) for p in prefixes]
         assert full == [lp.vocab.detokenize(w) for w in want]
@@ -301,14 +301,14 @@ class TestCachedDecoding:
             generate_greedy(np.zeros((1, 4, 16)), ids, 1, lp)
 
     def test_cache_needs_no_grad(self):
-        lp = tiny_lm(trainable=True)
+        lp = tiny_lm(lm_trainable=True)
         with pytest.raises(ContractError, match="no_grad"):
             lm_forward(None, [4, 5], lp, new_cache(lp))
         cache = new_cache(lp)
         with no_grad():
             logits = lm_forward(None, [4, 5], lp, cache)
         assert not logits.requires_grad
-        assert [c.n for c in cache] == [2] * lp.L_lm
+        assert [c.n for c in cache] == [2] * lp.cfg.L_lm
 
     def test_early_eos_within_max_len_returns(self):
         vocab = Vocab([EOS, BOS, SEP] + list("abcdefg"))

@@ -706,6 +706,10 @@ class TestModelTables:
         assert tensors_digest(tr.all_tensors(models)) == (
             "9c9d44c2e898b44cada70ba35b343024e934bbea64a451dcb5d6685f893f4d8a")
 
+    def test_fingerprint_reads_an_int_cutoff_as_a_float(self):
+        assert (model_fingerprint(tr.build_models(Config(cutoff=6)))
+                == model_fingerprint(tr.build_models(Config(cutoff=6.0))))
+
     def test_frozen_checkpoint_fingerprint_is_recorded(self):
         models = tr.restore_models(FROZEN_CKPT)
         assert model_fingerprint(models) == (
@@ -731,6 +735,6 @@ class TestModelTables:
             return forward(prefix, token_ids, lp, cache)
 
         monkeypatch.setattr(lm, "lm_forward", spy)
-        prefixes = np.zeros((2, models.bridge.n_q, models.lm.d_lm))
+        prefixes = np.zeros((2, models.bridge.cfg.n_q, models.lm.cfg.d_lm))
         generate_answer(models, prefixes, sample.prompt, max_new=2)
         assert fed[0].tolist() == [ids, ids]
