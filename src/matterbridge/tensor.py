@@ -17,8 +17,9 @@ transformer runs (``affine``, ``matmul``, ``attention``, ``layer_norm``,
 ``attention`` broadcasts the batch axes of its queries against those of
 its keys and values, and runs its heads as one more stacked axis.
 
-Gradients accumulate additively into ``.grad`` buffers, so evaluating
-several micro-batches before an optimizer step sums their gradients.
+Gradients accumulate additively into ``.grad`` buffers, so several
+backwards before an optimizer step (training runs one per loss term)
+sum their gradients.
 Inside ``no_grad()`` no operation keeps an edge, so inference builds
 no tape whatever its inputs' ``requires_grad``.
 

@@ -10,8 +10,12 @@ random draw that knows no language, so a frozen one leaves the prefix
 alone to produce well-formed answers, and a gate run with the LM frozen
 parsed none of its 192 classification answers.  Both stages run the
 same optimizer-step loop, ``_train_stage``; they differ only in the
-micro-batch loss they hand it.  The loop pauses the cyclic garbage
-collector until the stage ends, as a tape holds no cycle (see ``tensor``).
+micro-batch step they hand it.  A step takes each loss term's gradient
+as soon as the term is built, so a micro-batch holds one finetune
+sample's tape, or pretraining's block of correlation passes, at a time;
+the gradients match one backward through the micro-batch's summed loss
+bit for bit.  The loop pauses the cyclic garbage collector until the
+stage ends, as a tape holds no cycle (see ``tensor``).
 
 Determinism contract: every random draw (epoch shuffles, hard-negative
 sampling, caption template picks) comes from a stateless stream derived
@@ -43,7 +47,7 @@ from .lm import LmParams, Vocab, default_vocab, init_lm, lm_forward
 from .objectives import (association_loss, contrastive_loss, finetune_loss,
                          hard_negative_sample, lm_token_loss, sim_matrix)
 from .templates import get_templates, render_answer
-from .tensor import Tensor, concat
+from .tensor import concat
 
 CHECKPOINT_FORMAT = "bridge-checkpoint-v1"
 MANIFEST_KEYS = ("format", "stage", "step", "config_hash", "config", "vocab",
@@ -161,24 +165,27 @@ def adamw_step(params, state, step, lr, cfg):
 
     step is 1-based for bias correction.  A parameter with no gradient
     this window contributes a zero gradient: its moments decay and it
-    still receives weight decay.
+    still receives weight decay.  An update that overflows writes its
+    NaN or infinite values without a numpy warning; ``_train_stage``
+    checks the weights after every step.
     """
     if step < 1:
         raise ValidationError("optimizer step index is 1-based")
     b1, b2 = cfg.beta1, cfg.beta2
     c1 = 1.0 - b1 ** step
     c2 = 1.0 - b2 ** step
-    for name in sorted(params):
-        t = params[name]
-        g = t.grad if t.grad is not None else np.zeros_like(t.data)
-        st = state[name]
-        st["m"] = b1 * st["m"] + (1.0 - b1) * g
-        st["v"] = b2 * st["v"] + (1.0 - b2) * g * g
-        m_hat = st["m"] / c1
-        v_hat = st["v"] / c2
-        t.data = (t.data
-                  - lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
-                  - lr * cfg.weight_decay * t.data)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name in sorted(params):
+            t = params[name]
+            g = t.grad if t.grad is not None else np.zeros_like(t.data)
+            st = state[name]
+            st["m"] = b1 * st["m"] + (1.0 - b1) * g
+            st["v"] = b2 * st["v"] + (1.0 - b2) * g * g
+            m_hat = st["m"] / c1
+            v_hat = st["v"] / c2
+            t.data = (t.data
+                      - lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+                      - lr * cfg.weight_decay * t.data)
 
 
 def zero_grads(params):
@@ -421,17 +428,28 @@ def _nan_abort(loss_value, stage, step):
             f"non-finite loss at {stage} step {step}: {loss_value!r}")
 
 
-def _train_stage(stage, items, micro_loss, models, cfg, seed, log_path,
+def _overflow_abort(params, stage, step):
+    for name in sorted(params):
+        if not np.isfinite(params[name].data).all():
+            raise ContractError(
+                f"AdamW update at {stage} step {step} left tensor {name!r} "
+                f"holding a NaN or infinite value")
+
+
+def _train_stage(stage, items, micro_step, models, cfg, seed, log_path,
                  ckpt_dir):
     """The optimizer-step loop both training stages run.
 
     Each epoch visits ``items`` in a seeded shuffle, in windows of
     batch_size * <stage>_accum items, and takes one AdamW step per
-    window.  ``micro_loss(micro, step, k, n_micro)`` returns the loss
-    tensor of the micro-batch at offset k of the window (one of n_micro)
-    and its three detached parts; gradients, losses and parts are summed
-    over the window.  Returns the final checkpoint path when ckpt_dir is
-    given, else the trained bundle.  Pauses GC until then: tapes are acyclic.
+    window.  ``micro_step(micro, step, k, n_micro)`` adds the gradient
+    of the micro-batch at offset k of the window (one of n_micro) into
+    the parameters, one term's tape at a time, and returns its loss and
+    three parts as floats; losses and parts are summed over the window.
+    A non-finite window loss, or a weight the AdamW step left non-finite,
+    raises a ``ContractError`` naming the step.  Returns the final
+    checkpoint path when ckpt_dir is given, else the trained bundle.
+    Pauses GC until then: tapes are acyclic.
     """
     _, _, accum, epochs = stage_settings(stage, cfg)
     params = trainable_tensors(models)
@@ -456,13 +474,13 @@ def _train_stage(stage, items, micro_loss, models, cfg, seed, log_path,
                 window_parts = np.zeros(3)
                 for k in range(0, len(idx), cfg.batch_size):
                     micro = [items[i] for i in idx[k:k + cfg.batch_size]]
-                    loss, parts = micro_loss(micro, step, k, n_micro)
-                    loss.backward()
-                    window_loss += float(loss.data)
+                    loss, parts = micro_step(micro, step, k, n_micro)
+                    window_loss += loss
                     window_parts += parts
                 _nan_abort(window_loss, stage, step)
                 adamw_step(params, state, step, lr, cfg)
                 log.add(step, stage, lr, window_loss, window_parts)
+                _overflow_abort(params, stage, step)
                 if step % cfg.checkpoint_interval == 0:
                     _save_stage(ckpt_dir, f"step{step}", models, cfg, stage,
                                 step)
@@ -479,53 +497,65 @@ def _train_stage(stage, items, micro_loss, models, cfg, seed, log_path,
 # stage one
 
 
-def _pretrain_micro_loss(batch, models, cfg, neg_seed):
-    """Combined alignment loss for one micro-batch of (atoms, ids) pairs.
+def _pretrain_micro_step(batch, models, cfg, neg_seed):
+    """Combined alignment loss of one micro-batch of (atoms, ids) pairs.
 
-    Returns the loss tensor plus its three detached components.
+    Adds the loss's gradient into the parameters and returns the loss
+    and its three parts as floats.  Each term's backward runs as soon as
+    the term is built, in the order one backward through the summed loss
+    reaches the parameters: the contrastive loss over the batch's
+    correlation passes, each item's prediction loss, then each
+    association pair's match loss.  The contrastive term alone couples
+    the items, so only its passes are alive together.
     """
     vocab = models.vocab
     n = len(batch)
-    query_feats, text_feats, pred_losses = [], [], []
+    query_feats, text_feats = [], []
     for atoms, ids in batch:
         out = bridge_forward(atoms, ids, "correlation", models.bridge)
         query_feats.append(out["query_out"])
         text_feats.append(out["text_out"][0:1])
-        pred = bridge_forward(atoms, ids, "prediction", models.bridge)
-        logits = text_logits(pred["text_out"], models.bridge)
-        targets = np.array(ids[1:] + [vocab.eos_id], dtype=np.int64)
-        pred_losses.append(lm_token_loss(logits, targets))
-    loss_pred = sum(pred_losses[1:], pred_losses[0])
     sim_tensor = sim_matrix(query_feats, concat(text_feats, axis=0))
     loss_con = contrastive_loss(sim_tensor, tau=cfg.tau,
                                 symmetric=cfg.symmetric_contrastive)
-
+    loss_con.backward()
     sims = sim_tensor.data
+
+    pred_terms = []
+    for atoms, ids in batch:
+        pred = bridge_forward(atoms, ids, "prediction", models.bridge)
+        logits = text_logits(pred["text_out"], models.bridge)
+        targets = np.array(ids[1:] + [vocab.eos_id], dtype=np.int64)
+        term = lm_token_loss(logits, targets)
+        term.backward()
+        pred_terms.append(float(term.data))
+    loss_pred = sum(pred_terms[1:], pred_terms[0])
+
     if n < 2:
-        loss_assoc = Tensor(np.zeros(()))
+        loss_assoc = 0.0
     elif not np.all(np.isfinite(sims)):
         # poison the total instead of crashing mid-window so the
         # step-boundary check can report the step index
-        loss_assoc = Tensor(np.full((), np.nan))
+        loss_assoc = float("nan")
     else:
         text_negs, graph_negs = hard_negative_sample(sims, neg_seed)
         # (graph, text, label): positives, text negatives, graph negatives
         triples = ([(i, i, 1.0) for i in range(n)]
                    + [(i, text_negs[i], 0.0) for i in range(n)]
                    + [(graph_negs[i], i, 0.0) for i in range(n)])
-        scores = []
-        for g, t, _ in triples:
+        assoc_terms = []
+        for g, t, y in triples:
             out = bridge_forward(batch[g][0], batch[t][1], "association",
                                  models.bridge)
-            scores.append(match_score(out["query_out"], models.bridge)
-                          .reshape((1,)))
-        loss_assoc = association_loss(concat(scores),
-                                      np.array([y for _, _, y in triples]))
+            score = match_score(out["query_out"], models.bridge)
+            term = association_loss(score.reshape((1,)), np.array([y]))
+            term.backward()
+            assoc_terms.append(float(term.data))
+        # numpy's pairwise sum, as the batched loss sums its elements
+        loss_assoc = float(np.sum(assoc_terms))
 
-    total = loss_con + loss_pred + loss_assoc
-    parts = (float(loss_con.data), float(loss_pred.data),
-             float(loss_assoc.data))
-    return total, parts
+    con = float(loss_con.data)
+    return con + loss_pred + loss_assoc, (con, loss_pred, loss_assoc)
 
 
 def pretrain(records, models, cfg, seed=None, log_path=None, ckpt_dir=None):
@@ -548,11 +578,11 @@ def pretrain(records, models, cfg, seed=None, log_path=None, ckpt_dir=None):
                 f"caption for {rec.material_id} exceeds max_text")
         pairs.append((atoms, ids))
 
-    def micro_loss(micro, step, k, n_micro):
+    def micro_step(micro, step, k, n_micro):
         neg_seed = int(stream_rng(seed, f"hardneg-{step}-{k}").integers(2**31))
-        return _pretrain_micro_loss(micro, models, cfg, neg_seed)
+        return _pretrain_micro_step(micro, models, cfg, neg_seed)
 
-    return _train_stage("pretrain", pairs, micro_loss, models, cfg, seed,
+    return _train_stage("pretrain", pairs, micro_step, models, cfg, seed,
                         log_path, ckpt_dir)
 
 
@@ -581,6 +611,24 @@ def _finetune_sample_terms(entry, models):
     atoms, inputs, targets, mask = entry
     logits = lm_forward(lm_prefix(atoms, models.bridge), inputs, models.lm)
     return logits, targets, mask
+
+
+def _finetune_micro_step(micro, models, n_micro):
+    """Answer loss of one micro-batch of entries, scaled by 1 / n_micro.
+
+    Adds its gradient into the parameters one sample's tape at a time
+    and returns the loss and three NaN parts as floats.  Each sample's
+    loss enters with the weight the micro-batch mean gives it, so the
+    gradients are bitwise those of one backward through the mean.
+    """
+    scale = (1.0 / n_micro) * (1.0 / len(micro))
+    values = []
+    for entry in micro:
+        sample_loss = finetune_loss([_finetune_sample_terms(entry, models)])
+        (sample_loss * scale).backward()
+        values.append(float(sample_loss.data))
+    loss = sum(values[1:], values[0]) * (1.0 / len(micro)) * (1.0 / n_micro)
+    return loss, (float("nan"),) * 3
 
 
 def finetune(samples, records, ckpt, cfg, seed=None, log_path=None,
@@ -618,11 +666,10 @@ def finetune(samples, records, ckpt, cfg, seed=None, log_path=None,
                 f"sample for {s.material_id} exceeds the LM context")
         entries.append((atom_cache[key], inputs, targets, mask))
 
-    def micro_loss(micro, step, k, n_micro):
-        terms = [_finetune_sample_terms(e, models) for e in micro]
-        return finetune_loss(terms) * (1.0 / n_micro), (float("nan"),) * 3
+    def micro_step(micro, step, k, n_micro):
+        return _finetune_micro_step(micro, models, n_micro)
 
-    return _train_stage("finetune", entries, micro_loss, models, cfg, seed,
+    return _train_stage("finetune", entries, micro_step, models, cfg, seed,
                         log_path, ckpt_dir)
 
 

@@ -57,8 +57,9 @@ from matterbridge.tensor import (Tensor, affine, attention, concat,
                                  embedding, gelu, layer_norm)
 from matterbridge.trainer import (
     _bridge_text_ids,
+    _finetune_micro_step,
     _finetune_sample_terms,
-    _pretrain_micro_loss,
+    _pretrain_micro_step,
     adamw_step,
     build_models,
     caption_for,
@@ -74,7 +75,8 @@ from matterbridge.trainer import (
 )
 from matterbridge.bridge import bridge_forward, match_score, text_logits
 
-from helpers import random_structure, supercell_neighbor_list
+from helpers import (joint_pretrain_loss, random_structure,
+                     supercell_neighbor_list)
 from test_soap import special_orthogonal
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -617,11 +619,10 @@ def test_criterion_09_schedule_and_optimizer(capsys):
             zero_grads(params)
             if split:
                 for half in (pairs[:4], pairs[4:]):
-                    loss, _ = _pretrain_micro_loss(half, models, acc_cfg, 3)
-                    loss.backward()
+                    _pretrain_micro_step(half, models, acc_cfg, 3)
             else:
-                la, _ = _pretrain_micro_loss(pairs[:4], models, acc_cfg, 3)
-                lb, _ = _pretrain_micro_loss(pairs[4:], models, acc_cfg, 3)
+                la, _ = joint_pretrain_loss(pairs[:4], models, acc_cfg, 3)
+                lb, _ = joint_pretrain_loss(pairs[4:], models, acc_cfg, 3)
                 (la + lb).backward()
             return {k: t.grad.copy() for k, t in params.items()
                     if t.grad is not None}
@@ -645,8 +646,7 @@ def test_criterion_09_schedule_and_optimizer(capsys):
 
         zero_grads(params)
         for chunk in (entries[:4], entries[4:]):
-            terms = [_finetune_sample_terms(e, models) for e in chunk]
-            (finetune_loss(terms) * 0.5).backward()
+            _finetune_micro_step(chunk, models, 2)
         split_grads = {k: t.grad.copy() for k, t in params.items()
                        if t.grad is not None}
         zero_grads(params)

@@ -29,7 +29,8 @@ from matterbridge.fixtures import build_fixture_corpus
 from matterbridge.rag import EmbeddingStore, embed_material, model_fingerprint
 from matterbridge.templates import TASKS, get_templates
 from matterbridge.trainer import (build_models, load_checkpoint,
-                                  restore_models, save_checkpoint)
+                                  read_loss_log, restore_models,
+                                  save_checkpoint)
 
 PERF_DATA = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench", "data")
@@ -542,6 +543,30 @@ class TestPipeline:
         assert sorted(os.listdir(out)) == ["pretrain-epoch1.ckpt"]
         ckpt = load_checkpoint(str(out / "pretrain-epoch1.ckpt"))
         assert (ckpt.stage, ckpt.step) == ("pretrain", 1)
+
+    def test_pretrain_overflow_mid_epoch_names_its_step(self, tmp_path,
+                                                        capsys):
+        # batch 2 makes 4 steps of the 8 records; the first AdamW step at
+        # this peak, step 2, overflows, and no numpy warning is printed
+        data, out = tmp_path / "data", tmp_path / "pre"
+        assert run_cli(["gen-data", "--out", str(data), "--n", "8"]) == 0
+        config = str(tmp_path / "config.json")
+        save_config(config, dataclasses.replace(
+            load_config(TRAIN_CONFIG), pretrain_peak_lr=1e308, batch_size=2))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run_cli(["pretrain", "--records", str(data / "records.jsonl"),
+                          "--out", str(out), "--config", config,
+                          "--log", str(tmp_path / "pre.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        last = err.splitlines()[-1]
+        assert last.startswith("error: ") and "NaN or infinite" in last
+        assert "pretrain step 2 " in last
+        assert "Warning" not in err and not caught
+        assert os.listdir(out) == []
+        assert [r["step"] for r in read_loss_log(tmp_path / "pre.csv")] == [1, 2]
 
     @pytest.mark.parametrize("command", ["infer", "eval"])
     @pytest.mark.parametrize("flags", [["--rag"], ["--store", "store"]],

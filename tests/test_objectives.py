@@ -225,22 +225,22 @@ class TestTotals:
         batch = [(tr.encode_structure(rec.structure, models),
                   tr._bridge_text_ids(models.vocab, tr.caption_for(rec, 8)))
                  for rec in generate_synthetic_records(seed=8, n=n)]
-        return tr._pretrain_micro_loss(batch, models, cfg, neg_seed=8)
+        return tr._pretrain_micro_step(batch, models, cfg, neg_seed=8)
 
     def test_zero_sum(self):
         # one pair: no contrast and no negatives, so two parts are zero
         total, (con, pred, assoc) = self.micro_loss(1)
         assert (con, assoc) == (0.0, 0.0)
-        assert total.item() == pred > 0.0
+        assert total == pred > 0.0
 
     def test_plain_sum(self):
         total, parts = self.micro_loss(4)
         assert all(p > 0.0 for p in parts)
-        assert total.item() == pytest.approx(sum(parts), rel=1e-12)
+        assert total == pytest.approx(sum(parts), rel=1e-12)
 
     def test_matches_sequential_addition(self):
         total, (con, pred, assoc) = self.micro_loss(3)
-        assert total.item() == (con + pred) + assoc
+        assert total == (con + pred) + assoc
 
 
 class TestFinetune:

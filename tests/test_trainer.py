@@ -3,11 +3,13 @@
 import gc
 import hashlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import collector_paused
+from helpers import (collector_paused, joint_finetune_step,
+                     joint_pretrain_loss, joint_pretrain_step)
 from matterbridge.config import (Config, config_from_dict, config_hash,
                                  load_config, save_config)
 from matterbridge.datasetgen import (build_instruction_corpus,
@@ -20,6 +22,11 @@ from matterbridge.objectives import finetune_loss
 from matterbridge.rag import model_fingerprint
 from matterbridge.tensor import Tensor
 from matterbridge import trainer as tr
+
+PERF_DATA = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench", "data")
+FROZEN_CKPT = os.path.join(PERF_DATA, "frozen.ckpt")
+TRAIN_CONFIG = os.path.join(PERF_DATA, "train_config.json")
 
 
 def small_config(**overrides):
@@ -239,11 +246,10 @@ class TestAccumulation:
         tr.zero_grads(params)
         if split:
             for half in (pairs[:4], pairs[4:]):
-                loss, _ = tr._pretrain_micro_loss(half, models, self.cfg, 3)
-                loss.backward()
+                tr._pretrain_micro_step(half, models, self.cfg, 3)
         else:
-            la, _ = tr._pretrain_micro_loss(pairs[:4], models, self.cfg, 3)
-            lb, _ = tr._pretrain_micro_loss(pairs[4:], models, self.cfg, 3)
+            la, _ = joint_pretrain_loss(pairs[:4], models, self.cfg, 3)
+            lb, _ = joint_pretrain_loss(pairs[4:], models, self.cfg, 3)
             (la + lb).backward()
         return {k: t.grad.copy() for k, t in params.items()
                 if t.grad is not None}
@@ -270,8 +276,7 @@ class TestAccumulation:
 
         tr.zero_grads(params)
         for chunk in (entries[:4], entries[4:]):
-            terms = [tr._finetune_sample_terms(e, models) for e in chunk]
-            (finetune_loss(terms) * 0.5).backward()
+            tr._finetune_micro_step(chunk, models, 2)
         split = {k: t.grad.copy() for k, t in params.items()
                  if t.grad is not None}
 
@@ -389,12 +394,12 @@ class TestPretrainLoop:
             ids = tr._bridge_text_ids(models.vocab, tr.caption_for(rec, 11))
             n_targets += len(ids)
             pairs.append((atoms, ids))
-        loss, _ = tr._pretrain_micro_loss(pairs, models, cfg, neg_seed=5)
+        loss, _ = tr._pretrain_micro_step(pairs, models, cfg, neg_seed=5)
         n = len(pairs)
         v = len(models.vocab.symbols)
         estimate = (n * np.log(n) + n_targets * np.log(v)
                     + 3 * n * np.log(2))
-        assert abs(float(loss.data) - estimate) / estimate < 0.10
+        assert abs(loss - estimate) / estimate < 0.10
 
     def test_loss_decreases_and_frozen_parts_stay_frozen(self, tmp_path):
         cfg = small_config(pretrain_epochs=25,
@@ -558,13 +563,13 @@ class TestCollectorPause:
     def test_off_inside_a_micro_batch_and_on_after(self, tmp_path,
                                                    monkeypatch):
         seen = []
-        micro_loss = tr._pretrain_micro_loss
+        micro_step = tr._pretrain_micro_step
 
         def spy(*args, **kwargs):
             seen.append(gc.isenabled())
-            return micro_loss(*args, **kwargs)
+            return micro_step(*args, **kwargs)
 
-        monkeypatch.setattr(tr, "_pretrain_micro_loss", spy)
+        monkeypatch.setattr(tr, "_pretrain_micro_step", spy)
         assert gc.isenabled()
         self._both_stages(tmp_path, entry_state=True)
         assert seen and not any(seen)
@@ -604,10 +609,10 @@ class TestWindowArithmetic:
         for k in (0, 2):
             neg_seed = int(tr.stream_rng(17, f"hardneg-1-{k}")
                            .integers(2**31))
-            loss, _ = tr._pretrain_micro_loss(
+            loss, _ = tr._pretrain_micro_step(
                 [pairs[i] for i in order[k:k + 2]], models, self.cfg,
                 neg_seed)
-            want += float(loss.data)
+            want += loss
         log = tmp_path / "pre.csv"
         tr.pretrain(self.records, models, self.cfg, seed=17, log_path=log)
         assert self.check_steps(log)[0]["loss"] == want
@@ -644,6 +649,168 @@ class TestWindowArithmetic:
             assert (ck.stage, ck.step) == ("finetune", step)
 
 
+def pretrain_pairs(models, records, seed):
+    return [(tr.encode_structure(r.structure, models),
+             tr._bridge_text_ids(models.vocab, tr.caption_for(r, seed)))
+            for r in records]
+
+
+def finetune_entries(models, records, samples):
+    by_id = {r.material_id: r for r in records}
+    return [(tr.encode_structure(by_id[s.material_id].structure, models),
+             *tr.finetune_sequences(s, models.vocab)) for s in samples]
+
+
+def run_from_zero_grads(step, models):
+    """``step()``'s (loss, parts) and the gradients it left, from zero."""
+    params = tr.trainable_tensors(models)
+    tr.zero_grads(params)
+    result = step()
+    return result, {k: t.grad for k, t in params.items() if t.grad is not None}
+
+
+class TestStreamingMicroStep:
+    """A micro-batch step takes each term's gradient as soon as the term
+    is built.  Its gradients, loss and parts are bitwise those of one
+    backward through the joint micro-batch loss (the helpers' oracle)."""
+
+    @staticmethod
+    def check_bitwise(streamed, joint):
+        (loss_s, parts_s), grads_s = streamed
+        (loss_j, parts_j), grads_j = joint
+        assert (np.array([loss_s, *parts_s]).tobytes()
+                == np.array([loss_j, *parts_j]).tobytes())
+        assert grads_s and grads_s.keys() == grads_j.keys()
+        for k in grads_s:
+            assert grads_s[k].tobytes() == grads_j[k].tobytes(), k
+
+    @pytest.mark.parametrize("n, symmetric, poison", [
+        (4, False, False), (1, False, False), (4, True, False),
+        (4, False, True)], ids=["batch", "one-item", "symmetric",
+                                "non-finite-sims"])
+    def test_pretrain(self, n, symmetric, poison):
+        cfg = small_config(symmetric_contrastive=symmetric)
+        models = tr.build_models(cfg, seed=5)
+        pairs = pretrain_pairs(
+            models, generate_synthetic_records(seed=31, n=n), 5)
+        if poison:
+            pairs[1] = (np.full_like(pairs[1][0], np.nan), pairs[1][1])
+        streamed = run_from_zero_grads(
+            lambda: tr._pretrain_micro_step(pairs, models, cfg, 3), models)
+        joint = run_from_zero_grads(
+            lambda: joint_pretrain_step(pairs, models, cfg, 3), models)
+        assert np.isnan(streamed[0][0]) == poison
+        self.check_bitwise(streamed, joint)
+
+    @pytest.mark.parametrize("size, n_micro", [(4, 2), (3, 1)])
+    def test_finetune(self, size, n_micro):
+        cfg = small_config(lm_trainable=True)
+        models = tr.build_models(cfg, seed=5)
+        records = generate_synthetic_records(seed=31, n=4)
+        samples = build_instruction_corpus(records, seed=2)[::6][:size]
+        micro = finetune_entries(models, records, samples)
+        self.check_bitwise(
+            run_from_zero_grads(
+                lambda: tr._finetune_micro_step(micro, models, n_micro),
+                models),
+            run_from_zero_grads(
+                lambda: joint_finetune_step(micro, models, n_micro), models))
+
+    def test_accumulation_window_runs_match_the_oracle(self, tmp_path,
+                                                       monkeypatch):
+        # batch 2, accumulation 2 over 7 items: micro-batches of 2, 2 | 2, 1
+        cfg = small_config(batch_size=2, pretrain_accum=2, finetune_accum=2,
+                           pretrain_epochs=2, checkpoint_interval=2,
+                           lm_trainable=True)
+        records = generate_synthetic_records(seed=3, n=7)
+        samples = build_instruction_corpus(records[:2], seed=2)[:7]
+
+        def both_stages(out):
+            out.mkdir()
+            models = tr.build_models(cfg, seed=17)
+            pre = tr.pretrain(records, models, cfg, seed=17,
+                              log_path=out / "pre.csv", ckpt_dir=out)
+            tr.finetune(samples, records, pre, cfg, seed=17,
+                        log_path=out / "ft.csv", ckpt_dir=out)
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+
+        streamed = both_stages(tmp_path / "streamed")
+        monkeypatch.setattr(tr, "_pretrain_micro_step", joint_pretrain_step)
+        monkeypatch.setattr(tr, "_finetune_micro_step", joint_finetune_step)
+        joint = both_stages(tmp_path / "joint")
+        assert len(streamed) == 10 and streamed == joint
+
+    def test_non_finite_sims_abort_at_the_same_step(self, monkeypatch):
+        cfg = small_config(batch_size=2)
+        records = generate_synthetic_records(seed=3, n=8)
+        # the poisoned material falls in the third window
+        order = tr._epoch_order(len(records), 17, "pretrain", 0)
+        bad = records[order[5]].structure.material_id
+        encode = tr.encode_structure
+
+        def poisoned(structure, models):
+            atoms = encode(structure, models)
+            return atoms * np.nan if structure.material_id == bad else atoms
+
+        monkeypatch.setattr(tr, "encode_structure", poisoned)
+        messages = []
+        for step in (tr._pretrain_micro_step, joint_pretrain_step):
+            monkeypatch.setattr(tr, "_pretrain_micro_step", step)
+            with pytest.raises(ContractError) as caught:
+                tr.pretrain(records, tr.build_models(cfg, seed=17), cfg,
+                            seed=17)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+        assert messages[0] == "non-finite loss at pretrain step 3: nan"
+
+
+def traced_peak(step):
+    """Peak bytes numpy and Python allocate while ``step()`` runs."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        step()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestMicroStepMemory:
+    """At the benchmark's train sizes a streamed micro-batch holds a
+    fraction of the joint tape's memory: one sample's tape in
+    finetuning, the correlation block in pretraining."""
+
+    cfg = load_config(TRAIN_CONFIG)
+    records = generate_synthetic_records(seed=5, n=cfg.batch_size)
+
+    def peaks(self, streamed, joint, models):
+        streamed()  # untraced: the first GELU's scipy import is not a tape
+        params = tr.trainable_tensors(models)
+        tr.zero_grads(params)
+        low = traced_peak(streamed)
+        tr.zero_grads(params)
+        return low, traced_peak(joint)
+
+    def test_finetune_holds_a_quarter(self):
+        models = tr.build_models(self.cfg, seed=5)
+        samples = build_instruction_corpus(self.records, seed=5)[::11][:8]
+        micro = finetune_entries(models, self.records, samples)
+        assert len(micro) == self.cfg.batch_size
+        low, high = self.peaks(
+            lambda: tr._finetune_micro_step(micro, models, 1),
+            lambda: joint_finetune_step(micro, models, 1), models)
+        assert low <= high / 4
+
+    def test_pretrain_holds_a_half(self):
+        models = tr.build_models(self.cfg, seed=5)
+        pairs = pretrain_pairs(models, self.records, 5)
+        low, high = self.peaks(
+            lambda: tr._pretrain_micro_step(pairs, models, self.cfg, 3),
+            lambda: joint_pretrain_step(pairs, models, self.cfg, 3), models)
+        assert low <= high / 2
+
+
 class TestStreams:
     def test_stream_rng_deterministic_and_namespaced(self):
         a = tr.stream_rng(5, "x").integers(2**31)
@@ -672,8 +839,6 @@ class TestStreams:
                                   c.bridge.params["queries"].data)
 
 
-FROZEN_CKPT = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "perfbench", "data", "frozen.ckpt")
 
 
 def tensors_digest(tensors):
